@@ -25,7 +25,7 @@ BOUND_METHODS = ("eb", "eb_ignore_linear", "mds_empirical", "freedman", "phi", "
 
 
 def read_values(path: str) -> np.ndarray:
-    """Newline-separated decimal reals; blank lines and '#' comments ignored."""
+    """Newline-separated finite decimal reals; blank lines and '#' comments ignored."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -41,7 +41,19 @@ def read_values(path: str) -> np.ndarray:
             raise InputError(f"{path}: line {lineno}: not a number: {line!r}") from None
     if not values:
         raise InputError(f"{path}: no numeric data found")
-    return np.asarray(values, dtype=float)
+    array = np.asarray(values, dtype=float)
+    finite = np.isfinite(array)
+    if not finite.all():
+        # Checked once on the array to keep the per-line loop lean; the
+        # offending line is looked up only on this error path.
+        index = int(np.argmin(finite))
+        lineno, line = [
+            (lineno, raw.strip())
+            for lineno, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip() and not raw.strip().startswith("#")
+        ][index]
+        raise InputError(f"{path}: line {lineno}: value is not finite: {line!r}")
+    return array
 
 
 def _interval_payload(res: core_bounds.IntervalResult) -> dict:
@@ -95,17 +107,18 @@ def cmd_bound(args) -> int:
     method = args.method
     if method == "freedman":
         _require(args, ["n", "sigma2", "b"])
-        delta = args.delta if args.delta is not None else (
-            2.0 * args.alpha / 3.0 if args.alpha is not None else None
-        )
-        if delta is None:
+        if (args.delta is None) == (args.alpha is None):
             raise DomainError("exactly one of --delta and --alpha is required")
+        # Each side misses with probability at most delta, so the two-sided
+        # level is 1 - 2 delta; --alpha is that delta, as in the harness's
+        # freedman_oracle.
+        delta = args.delta if args.delta is not None else args.alpha
         radius = core_bounds.freedman_radius(args.n, args.sigma2, args.b, delta)
         center = float(np.mean(read_values(args.data))) if args.data else 0.0
         res = core_bounds.IntervalResult(
             center=center,
             radius=radius,
-            level=1.0 - delta,
+            level=1.0 - 2.0 * delta,
             breakdown={
                 "leading": math.sqrt(2.0 * args.sigma2 * math.log(1 / delta) / args.n),
                 "linear": args.b * math.log(1 / delta) / (3.0 * args.n),
@@ -114,7 +127,27 @@ def cmd_bound(args) -> int:
         _print_interval(res, args.format)
         return 0
 
-    if method in ("eb", "eb_ignore_linear", "mds_empirical"):
+    if method == "mds_empirical":  # data are treated as zero-mean increments
+        _require(args, ["b"])
+        if args.data is None:
+            raise DomainError("method 'mds_empirical' requires --data (raw increments)")
+        values = read_values(args.data)
+        n = core_bounds.summarize(values, b=args.b).n  # checks b, warns on data above it
+        delta = _delta_from_args(args)
+        t = math.log(1.0 / delta)
+        qv = float(np.sum(values * values))
+        variance_term = math.sqrt(2.0 * qv * t) / n
+        linear_term = core_bounds.EMPIRICAL_LINEAR_CONSTANT * args.b * t / n
+        res = core_bounds.IntervalResult(
+            center=float(np.mean(values)),
+            radius=variance_term + linear_term,
+            level=1.0 - 3.0 * delta,
+            breakdown={"leading": variance_term, "linear": linear_term},
+        )
+        _print_interval(res, args.format)
+        return 0
+
+    if method in ("eb", "eb_ignore_linear"):
         _require(args, ["b"])
         summary = _summary_from_args(args)
         if method == "eb":
@@ -124,7 +157,7 @@ def cmd_bound(args) -> int:
                 res = core_bounds.eb_interval(summary, args.delta)
             else:
                 raise DomainError("exactly one of --delta and --alpha is required")
-        elif method == "eb_ignore_linear":
+        else:
             delta = _delta_from_args(args)
             xi = args.xi if args.xi is not None else summary.n ** -0.25
             nu = core_bounds.inflation_factor(summary.n, delta)
@@ -138,22 +171,6 @@ def cmd_bound(args) -> int:
                 radius=nu * leading,
                 level=1.0 - 3.0 * delta,
                 breakdown={"leading": leading, "inflation": nu},
-            )
-        else:  # mds_empirical: data are treated as zero-mean increments
-            delta = _delta_from_args(args)
-            t = math.log(1.0 / delta)
-            if args.data is None:
-                raise DomainError("method 'mds_empirical' requires --data (raw increments)")
-            values = read_values(args.data)
-            qv = float(np.sum(values * values))
-            n = values.size
-            variance_term = math.sqrt(2.0 * qv * t) / n
-            linear_term = core_bounds.EMPIRICAL_LINEAR_CONSTANT * args.b * t / n
-            res = core_bounds.IntervalResult(
-                center=float(np.mean(values)),
-                radius=variance_term + linear_term,
-                level=1.0 - 3.0 * delta,
-                breakdown={"leading": variance_term, "linear": linear_term},
             )
         _print_interval(res, args.format)
         return 0

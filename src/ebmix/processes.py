@@ -5,6 +5,10 @@ seeded with ``numpy.random.SeedSequence(seed)``, where ``seed`` is either a
 plain integer or a ``(master_seed, replication_index)`` pair.  Replications
 therefore use disjoint substreams and results are identical across platforms
 and across serial/parallel execution.
+
+The AR(1) and finite-Markov paths equal the sequential recurrence
+``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
+time segments of all paths together (see its docstring).
 """
 
 from __future__ import annotations
@@ -22,6 +26,13 @@ IID_DISTS = ("bernoulli", "rademacher", "uniform")
 # Tail contributions below this size are dropped when accumulating mixing
 # coefficient sums for ergodic finite chains.
 _PHI_TAIL_CUTOFF = 1e-15
+# Matrix powers are reduced this many at a time.
+_PHI_BLOCK = 256
+
+# Path recurrences advance about this many states per vectorized step, and a
+# guessed segment start is driven through this many inputs before it is used.
+_RECUR_STATES = 1 << 12
+_RECUR_WARMUP = 128
 
 
 @dataclass(frozen=True)
@@ -177,11 +188,18 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
     pi = stationary_distribution(P)
     total = 0.0
     power = np.eye(P.shape[0])
-    for _ in range(n):
-        power = power @ P
-        phi_k = 0.5 * float(np.max(np.abs(power - pi).sum(axis=1)))
-        total += phi_k
-        if phi_k < _PHI_TAIL_CUTOFF:
+    powers = np.empty((min(n, _PHI_BLOCK),) + P.shape)
+    for lo in range(0, n, _PHI_BLOCK):
+        block = powers[: min(_PHI_BLOCK, n - lo)]
+        for j in range(block.shape[0]):
+            power = power @ P
+            block[j] = power
+        phi = 0.5 * np.abs(block - pi).sum(axis=2).max(axis=1)
+        below = np.flatnonzero(phi < _PHI_TAIL_CUTOFF)
+        stop = below[0] + 1 if below.size else phi.size
+        # cumsum adds term by term, so the total matches a scalar running sum.
+        total = float(np.cumsum(np.concatenate(([total], phi[:stop])))[-1])
+        if below.size:
             break
     return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
 
@@ -354,19 +372,77 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         cum_rows = np.cumsum(P, axis=1)
         cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
         cum_rows[:, -1] = 1.0
-        n_paths, n = u.shape
-        states = np.empty((n_paths, n), dtype=np.int64)
-        states[:, 0] = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
-        for t in range(1, n):
-            states[:, t] = (cum_rows[states[:, t - 1]] <= u[:, t : t + 1]).sum(axis=1)
+        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
+        states = _recur(
+            lambda state, ut: (np.take(cum_rows, state, axis=0) <= ut[..., None]).sum(axis=-1),
+            first,
+            u,
+        )
         return h[states]
     # bernoulli_ar1
-    n_paths, n = u.shape
-    x = np.empty((n_paths, n), dtype=float)
-    x[:, 0] = u[:, 0]
-    for t in range(1, n):
-        x[:, t] = 0.5 * x[:, t - 1] + 0.5 * (u[:, t] < 0.5)
-    return x
+    return _recur(lambda x, ut: 0.5 * x + 0.5 * (ut < 0.5), u[:, 0], u)
+
+
+def _segment_count(rows: int, n: int) -> int:
+    """Segments per path: about _RECUR_STATES states per step, and every
+    segment at least twice as long as the warm-up."""
+    return max(1, min(_RECUR_STATES // max(rows, 1), n // (2 * _RECUR_WARMUP)))
+
+
+def _segment_view(a: np.ndarray, segments: int, length: int) -> np.ndarray:
+    """``a[:, :segments * length]`` seen as (rows, segments, length), sharing memory."""
+    row, col = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, (a.shape[0], segments, length), (row, length * col, col)
+    )
+
+
+def _recur(step, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The array the loop ``out[:, 0] = first; out[:, t] = step(out[:, t-1], u[:, t])``
+    produces, bit for bit, for uniforms ``u`` of shape (paths, n).
+
+    Each path is cut into S segments of length L and all paths x segments
+    advance together, one vectorized step per index within a segment.
+    Segments after the first start from a guess (the path's first state)
+    driven through the last _RECUR_WARMUP inputs of the previous segment.
+    ``step`` is deterministic in (state, u_t), so chains fed the same inputs
+    stay together once they meet (Propp & Wilson's coupling): a segment whose
+    start equals the true state is exact to its end.  Starts are checked in
+    order against one step from the previous segment's verified end, and only
+    the paths that differ are recomputed; the last n - S*L indices are
+    finished sequentially.  ``step`` must map states that compare equal to
+    identical results.
+    """
+    rows, n = u.shape
+    out = np.empty((rows, n), dtype=first.dtype)
+    out[:, 0] = first
+    segments = _segment_count(rows, n)
+    length = n // segments
+    xs = _segment_view(out, segments, length)
+    us = _segment_view(u, segments, length)
+    if segments > 1:
+        guess = np.repeat(first[:, None], segments - 1, axis=1)
+        for j in range(length - _RECUR_WARMUP + 1, length):
+            guess = step(guess, us[:, :-1, j])
+        xs[:, 1:, 0] = step(guess, us[:, 1:, 0])
+    for j in range(1, length):
+        xs[:, :, j] = step(xs[:, :, j - 1], us[:, :, j])
+    if segments > 1:
+        unsure = (step(xs[:, :-1, -1], us[:, 1:, 0]) != xs[:, 1:, 0]).any(axis=0)
+        repaired = False
+        for s in range(1, segments):
+            if not (repaired or unsure[s - 1]):
+                continue
+            start = step(xs[:, s - 1, -1], us[:, s, 0])
+            bad = np.flatnonzero(start != xs[:, s, 0])
+            repaired = bad.size > 0
+            if repaired:
+                xs[bad, s, 0] = start[bad]
+                for j in range(1, length):
+                    xs[bad, s, j] = step(xs[bad, s, j - 1], us[bad, s, j])
+    for t in range(segments * length, n):
+        out[:, t] = step(out[:, t - 1], u[:, t])
+    return out
 
 
 def simulate(spec: ProcessSpec, n: int, seed) -> tuple[np.ndarray, GroundTruth]:

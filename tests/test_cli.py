@@ -6,8 +6,11 @@ import json
 import numpy as np
 import pytest
 
+from ebmix import cli, core_bounds
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
+from ebmix.harness import ExperimentConfig, run_coverage
+from ebmix.processes import ground_truth, iid_rademacher
 from ebmix.reporting import COVERAGE_COLUMNS, SENSITIVITY_COLUMNS
 
 # Frozen interface: changing either header is a breaking change.
@@ -106,6 +109,78 @@ def test_read_values_reports_line_numbers(tmp_path):
         read_values(str(bad))
     with pytest.raises(InputError, match="cannot read"):
         read_values(str(tmp_path / "missing.txt"))
+
+
+@pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_read_values_rejects_non_finite_values(tmp_path, token):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"0.5\n# note\n{token}\n0.25\n", encoding="utf-8")
+    with pytest.raises(InputError, match="line 3.*not finite"):
+        read_values(str(bad))
+
+
+def test_bound_on_nan_data_exits_2(tmp_path, capsys):
+    # A NaN once gave exit 0 and an invalid-JSON "center": NaN.
+    data = tmp_path / "nan.txt"
+    data.write_text("0.2\nnan\n0.4\n" * 20, encoding="utf-8")
+    assert main(["bound", "--method", "eb", "--alpha", "0.05", "--b", "1", "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not finite" in captured.err
+
+
+def test_bound_mds_empirical_reads_its_data_once(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "inc.txt"
+    data.write_text("0.5\n-0.25\n0.125\n-0.5\n" * 25, encoding="utf-8")
+    reads = []
+    real = cli.read_values
+
+    def counting(path):
+        reads.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_values", counting)
+    assert main(["bound", "--method", "mds_empirical", "--delta", "0.01", "--b", "1",
+                 "--data", str(data)]) == 0
+    assert reads == [str(data)]
+    out = json.loads(capsys.readouterr().out)
+    values = real(str(data))
+    t = np.log(100.0)
+    assert out["center"] == float(np.mean(values))
+    assert out["radius"] == pytest.approx(
+        (np.sqrt(2.0 * np.sum(values * values) * t) + core_bounds.EMPIRICAL_LINEAR_CONSTANT * t) / 100,
+        rel=1e-12,
+    )
+
+
+def test_bound_freedman_alpha_matches_harness_oracle(capsys):
+    # With --alpha the CLI once reported the delta = 2 alpha / 3 radius at the
+    # one-sided level 1 - delta; the harness oracle uses alpha at level 1 - 2 alpha.
+    n, alpha = 1000, 0.05
+    truth = ground_truth(iid_rademacher())
+    cfg = ExperimentConfig(process=iid_rademacher(), bounds=("freedman_oracle",), n_grid=(n,),
+                           replications=20, master_seed=0, alpha=alpha)
+    row = run_coverage(cfg).rows[0]
+    assert main(["bound", "--method", "freedman", "--n", str(n), "--sigma2",
+                 repr(truth.sigma2_marginal), "--b", repr(truth.b_centered),
+                 "--alpha", str(alpha)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["radius"] == core_bounds.freedman_radius(n, truth.sigma2_marginal,
+                                                        truth.b_centered, alpha)
+    assert out["radius"] == pytest.approx(row.mean_radius, rel=1e-12)
+    assert out["level"] == row.level == pytest.approx(0.90)
+    assert core_bounds.recompose(out["breakdown"]) == pytest.approx(out["radius"], rel=1e-12)
+
+
+def test_bound_freedman_delta_reports_two_sided_level(capsys):
+    delta = 0.01
+    assert main(["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--b", "1",
+                 "--delta", str(delta)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["radius"] == core_bounds.freedman_radius(400, 0.25, 1.0, delta)
+    assert out["level"] == 1.0 - 2.0 * delta
+    assert main(["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--b", "1",
+                 "--delta", "0.01", "--alpha", "0.05"]) == 2
+    assert "exactly one" in capsys.readouterr().err
 
 
 def test_simulate_writes_identical_bytes(tmp_path, capsys):

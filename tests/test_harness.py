@@ -1,6 +1,7 @@
 """Harness: config validation and round-trip, determinism, parallel
 invariance, coverage/comparison behavior at small scale."""
 
+import hashlib
 import json
 import math
 
@@ -123,6 +124,31 @@ def test_report_bytes_deterministic_and_parallel_invariant():
     ja = reporting.report_json(run_coverage(cfg))
     jb = reporting.report_json(run_coverage(cfg, n_jobs=3))
     assert ja == jb
+
+
+# SHA-256 of small coverage CSVs, pinned from the sequential per-timestep
+# transform.  A change to how paths are computed must leave these bytes alone;
+# only a deliberate stream change may re-pin them.
+PINNED_CSV_SHA256 = {
+    "ar1": "7e9f7273a3c9dba4492a5f11a517ebbe1f35e49cbb702907d666a0b26f46be87",
+    "sticky_markov": "b0e7a95b00b8720f90924e8341fdcec16ef2f234474a891c39d64586a8bdb78b",
+}
+
+
+@pytest.mark.parametrize(
+    "name, process, bounds, n, replications",
+    [
+        ("ar1", bernoulli_ar1(), ("tilde_phi_mixing", "mixing_agnostic", "dedecker_baseline"),
+         3001, 50),
+        ("sticky_markov", finite_markov([[0.99, 0.01], [0.01, 0.99]], [0.0, 1.0]),
+         ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic"), 2500, 40),
+    ],
+)
+def test_pinned_coverage_csv_digest(name, process, bounds, n, replications):
+    cfg = _config(process=process, bounds=bounds, n_grid=(n,), replications=replications,
+                  master_seed=2024)
+    csv_text = reporting.coverage_csv(run_coverage(cfg))
+    assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == PINNED_CSV_SHA256[name]
 
 
 def test_coverage_of_constant_process_is_one():
@@ -359,3 +385,4 @@ def test_cell_result_exact_coverage_ratio():
     assert row.mc_se == pytest.approx(
         math.sqrt(row.empirical_coverage * (1 - row.empirical_coverage) / row.replications)
     )
+

@@ -4,6 +4,7 @@ brute-force oracles for mixing budgets and the long-run variance."""
 import numpy as np
 import pytest
 
+from ebmix import processes
 from ebmix import (
     DomainError,
     bernoulli_ar1,
@@ -254,3 +255,144 @@ def test_spec_round_trip():
     for spec in ALL_SPECS:
         clone = type(spec).from_dict(spec.to_dict())
         assert clone == spec
+
+
+# --- segment-parallel recurrences against the sequential per-timestep loops ---
+
+STICKY = [[0.999, 0.001], [0.001, 0.999]]
+SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
+
+
+def _sequential_paths(spec, u):
+    """The per-timestep transform loops, kept as the reference for ``_recur``."""
+    if spec.kind == "finite_markov":
+        P = np.asarray(spec.params["P"], dtype=float)
+        h = np.asarray(spec.params["h"], dtype=float)
+        pi = stationary_distribution(P)
+        cum_pi = np.cumsum(pi)
+        cum_rows = np.cumsum(P, axis=1)
+        cum_pi[-1] = 1.0
+        cum_rows[:, -1] = 1.0
+        n_paths, n = u.shape
+        states = np.empty((n_paths, n), dtype=np.int64)
+        states[:, 0] = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
+        for t in range(1, n):
+            states[:, t] = (cum_rows[states[:, t - 1]] <= u[:, t : t + 1]).sum(axis=1)
+        return h[states]
+    n_paths, n = u.shape
+    x = np.empty((n_paths, n), dtype=float)
+    x[:, 0] = u[:, 0]
+    for t in range(1, n):
+        x[:, t] = 0.5 * x[:, t - 1] + 0.5 * (u[:, t] < 0.5)
+    return x
+
+
+def _assert_bit_equal(spec, u):
+    got = processes._paths_from_uniforms(spec, u)
+    want = _sequential_paths(spec, u)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+WARMUP = processes._RECUR_WARMUP
+ROW_TARGET = processes._RECUR_STATES
+AR1 = bernoulli_ar1()
+MARKOV_3 = finite_markov(SLOW_3, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "spec, rows, n, regime",
+    [
+        (AR1, 1, 1_000_000, "many segments"),
+        (MARKOV_3, 1, 100_003, "many segments"),
+        (AR1, 8, 4 * WARMUP + 1, "many segments"),
+        (MARKOV_3, 8, 4 * WARMUP + 1, "many segments"),
+        (AR1, 16, 20_011, "uneven tail"),
+        (MARKOV_3, 16, 20_011, "uneven tail"),
+        (AR1, ROW_TARGET, 600, "single segment"),
+        (MARKOV_3, ROW_TARGET + 5, 700, "single segment"),
+        (AR1, 8, 4 * WARMUP - 1, "single segment"),
+        (MARKOV_3, 3, 2 * WARMUP - 1, "single segment"),
+        (AR1, 1, 1, "single segment"),
+        (MARKOV_3, 1, 1, "single segment"),
+    ],
+    ids=lambda v: v.label() if hasattr(v, "label") else str(v),
+)
+def test_recurrence_matches_sequential_loop(spec, rows, n, regime):
+    segments = processes._segment_count(rows, n)
+    if regime == "single segment":
+        assert segments == 1
+    elif regime == "uneven tail":
+        assert segments > 1 and n % segments != 0
+    else:
+        assert segments > 1 and n // segments >= 2 * WARMUP
+    u = np.random.default_rng(rows * 7919 + n).random((rows, n))
+    _assert_bit_equal(spec, u)
+
+
+def test_ar1_without_coalescence_is_repaired():
+    # u >= 0.5 gives X_t = X_{t-1} / 2 exactly: a guessed start never meets the
+    # true path before both underflow, so segments have to be recomputed.
+    rng = np.random.default_rng(3)
+    u = 0.5 + 0.5 * rng.random((6, 40_000))
+    u[3:] = rng.random((3, 40_000))  # a mix of repaired and verified rows
+    u[4, 5000:9000] = 0.75
+    _assert_bit_equal(AR1, u)
+
+
+def test_sticky_chain_forces_repairs_and_stays_exact():
+    spec = finite_markov(STICKY, H01)
+    u = np.random.default_rng(4).random((8, 60_000))
+    rows, n = u.shape
+    segments = processes._segment_count(rows, n)
+    length = n // segments
+    seq = _sequential_paths(spec, u)
+    # Every guess starts from the path's first state, and two copies of this
+    # chain meet within the warm-up only about a quarter of the time, so the
+    # segments whose true start differs from that state mostly need repair.
+    guess_state = seq[:, :1]
+    starts = seq[:, length : segments * length : length]
+    assert np.any(starts != guess_state)
+    _assert_bit_equal(spec, u)
+
+
+def test_simulate_long_ar1_path_matches_sequential_loop():
+    values, _ = simulate(AR1, 50_001, (9, 2))
+    u = processes._generator((9, 2)).random((1, 50_001))
+    assert np.array_equal(values.view(np.uint64), _sequential_paths(AR1, u)[0].view(np.uint64))
+
+
+def _sequential_phi_sum(P, n):
+    """The scalar running-sum loop ``markov_phi_budget`` is checked against."""
+    P = np.asarray(P, dtype=float)
+    pi = stationary_distribution(P)
+    total = 0.0
+    power = np.eye(P.shape[0])
+    for _ in range(n):
+        power = power @ P
+        phi_k = 0.5 * float(np.max(np.abs(power - pi).sum(axis=1)))
+        total += phi_k
+        if phi_k < 1e-15:
+            break
+    return total
+
+
+@pytest.mark.parametrize(
+    "P, n",
+    [
+        (SLOW_3, 10_000),  # never reaches the cut-off
+        (SLOW_3, 257),  # one block and one term
+        (TWO_STATE, 5_000),  # reaches the cut-off inside the first block
+        (STICKY, 40_000),  # reaches the cut-off after several blocks
+        (STICKY, 1),
+    ],
+)
+def test_markov_phi_budget_equals_running_sum_loop(P, n):
+    assert markov_phi_budget(np.asarray(P), n).phi_sum == _sequential_phi_sum(P, n)
+
+
+def test_markov_phi_budget_equals_running_sum_loop_on_a_larger_chain():
+    rng = np.random.default_rng(8)
+    P = rng.uniform(0.0, 1.0, size=(12, 12)) ** 4
+    P /= P.sum(axis=1, keepdims=True)
+    assert markov_phi_budget(P, 700).phi_sum == _sequential_phi_sum(P, 700)
