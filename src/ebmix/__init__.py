@@ -17,7 +17,6 @@ from .blocking import (
 from .core_bounds import (
     EMPIRICAL_LINEAR_CONSTANT,
     IntervalResult,
-    PenaltyReport,
     SampleSummary,
     burn_in_threshold,
     eb_interval,
@@ -26,9 +25,9 @@ from .core_bounds import (
     ignorance_penalty,
     ignore_linear_radius,
     inflation_factor,
+    maurer_pontil_radius,
     mds_empirical_radius,
     mds_predictable_radius,
-    penalty_report,
     recompose,
     summarize,
 )
@@ -47,8 +46,6 @@ from .harness import (
     KnobPolicy,
     LPolicy,
     XiPolicy,
-    compare_bounds,
-    maurer_pontil_radius,
     run_block_sensitivity,
     run_coverage,
     run_sharpness_sweep,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -87,14 +86,24 @@ def _require(args, names) -> None:
         raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing))
 
 
+def _values_within_b(args) -> np.ndarray:
+    """The data file's values.  One above --b in absolute value makes the
+    interval void, so it is an input error, not a warning."""
+    values = read_values(args.data)
+    worst = float(values[int(np.argmax(np.abs(values)))])
+    if abs(worst) > args.b * (1 + 1e-12):
+        raise InputError(
+            f"{args.data}: value {worst!r} exceeds --b {args.b!r} in absolute value, "
+            "so the interval would be void"
+        )
+    return values
+
+
 def _summary_from_args(args) -> core_bounds.SampleSummary:
     if args.data is not None:
-        values = read_values(args.data)
-        return core_bounds.summarize(values, b=args.b if args.b is not None else 0.0)
+        return core_bounds.summarize(_values_within_b(args), b=args.b)
     _require(args, ["n", "mean", "css"])
-    return core_bounds.SampleSummary(
-        n=args.n, mean=args.mean, css=args.css, b=args.b if args.b is not None else 0.0
-    )
+    return core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
 
 
 def _delta_from_args(args) -> float:
@@ -109,103 +118,57 @@ def cmd_bound(args) -> int:
         _require(args, ["n", "sigma2", "b"])
         if (args.delta is None) == (args.alpha is None):
             raise DomainError("exactly one of --delta and --alpha is required")
-        # Each side misses with probability at most delta, so the two-sided
-        # level is 1 - 2 delta; --alpha is that delta, as in the harness's
-        # freedman_oracle.
+        # Each side misses with probability at most delta; --alpha is that
+        # delta, as in the harness's freedman_oracle.
         delta = args.delta if args.delta is not None else args.alpha
-        radius = core_bounds.freedman_radius(args.n, args.sigma2, args.b, delta)
         center = float(np.mean(read_values(args.data))) if args.data else 0.0
-        res = core_bounds.IntervalResult(
-            center=center,
-            radius=radius,
-            level=1.0 - 2.0 * delta,
-            breakdown={
-                "leading": math.sqrt(2.0 * args.sigma2 * math.log(1 / delta) / args.n),
-                "linear": args.b * math.log(1 / delta) / (3.0 * args.n),
-            },
-        )
-        _print_interval(res, args.format)
-        return 0
-
-    if method == "mds_empirical":  # data are treated as zero-mean increments
+        res = core_bounds.freedman_interval(center, args.n, args.sigma2, args.b, delta)
+    elif method == "mds_empirical":  # data are treated as zero-mean increments
         _require(args, ["b"])
         if args.data is None:
             raise DomainError("method 'mds_empirical' requires --data (raw increments)")
-        values = read_values(args.data)
-        n = core_bounds.summarize(values, b=args.b).n  # checks b, warns on data above it
-        delta = _delta_from_args(args)
-        t = math.log(1.0 / delta)
-        qv = float(np.sum(values * values))
-        variance_term = math.sqrt(2.0 * qv * t) / n
-        linear_term = core_bounds.EMPIRICAL_LINEAR_CONSTANT * args.b * t / n
-        res = core_bounds.IntervalResult(
-            center=float(np.mean(values)),
-            radius=variance_term + linear_term,
-            level=1.0 - 3.0 * delta,
-            breakdown={"leading": variance_term, "linear": linear_term},
-        )
-        _print_interval(res, args.format)
-        return 0
-
-    if method in ("eb", "eb_ignore_linear"):
+        values = _values_within_b(args)
+        res = core_bounds.mds_empirical_interval(values, args.b, _delta_from_args(args))
+    elif method in ("eb", "eb_ignore_linear"):
         _require(args, ["b"])
         summary = _summary_from_args(args)
+        delta = _delta_from_args(args)
         if method == "eb":
-            if args.alpha is not None:
-                res = core_bounds.eb_interval_alpha(summary, args.alpha)
-            elif args.delta is not None:
-                res = core_bounds.eb_interval(summary, args.delta)
-            else:
-                raise DomainError("exactly one of --delta and --alpha is required")
+            res = core_bounds.eb_interval(summary, delta)
         else:
-            delta = _delta_from_args(args)
             xi = args.xi if args.xi is not None else summary.n ** -0.25
-            nu = core_bounds.inflation_factor(summary.n, delta)
-            leading = (
-                (1.0 + xi)
-                * math.sqrt(2.0 * math.log(1.0 / delta) * summary.css)
-                / summary.n
+            res = core_bounds.ignore_linear_interval(summary, delta, xi)
+    else:  # block-based methods need raw data and a block length
+        _require(args, ["data", "l", "range_width"])
+        delta = _delta_from_args(args)
+        values = read_values(args.data)
+        summary = block_summary(values, block_partition(values.size, args.l))
+        if method == "phi":
+            _require(args, ["phi_sum"])
+            budget = mixing_bounds.MixingBudget(regime="phi", phi_sum=args.phi_sum)
+            res = mixing_bounds.phi_interval(summary, args.range_width, budget, delta, xi_n=args.xi)
+        elif method == "tilde_phi":
+            _require(args, ["phi_sum", "tv_norm"])
+            budget = mixing_bounds.MixingBudget(
+                regime="phi_tilde", phi_sum=args.phi_sum, tv_norm=args.tv_norm
             )
-            res = core_bounds.IntervalResult(
-                center=summary.mean,
-                radius=nu * leading,
-                level=1.0 - 3.0 * delta,
-                breakdown={"leading": leading, "inflation": nu},
+            res = mixing_bounds.tilde_phi_interval(
+                summary, args.range_width, budget, delta, xi_n=args.xi
             )
-        _print_interval(res, args.format)
-        return 0
-
-    # block-based methods need raw data and a block length
-    _require(args, ["data", "l", "range_width"])
-    delta = _delta_from_args(args)
-    values = read_values(args.data)
-    summary = block_summary(values, block_partition(values.size, args.l))
-    if method == "phi":
-        _require(args, ["phi_sum"])
-        budget = mixing_bounds.MixingBudget(regime="phi", phi_sum=args.phi_sum)
-        res = mixing_bounds.phi_interval(summary, args.range_width, budget, delta, xi_n=args.xi)
-    elif method == "tilde_phi":
-        _require(args, ["phi_sum", "tv_norm"])
-        budget = mixing_bounds.MixingBudget(
-            regime="phi_tilde", phi_sum=args.phi_sum, tv_norm=args.tv_norm
-        )
-        res = mixing_bounds.tilde_phi_interval(
-            summary, args.range_width, budget, delta, xi_n=args.xi
-        )
-    else:  # agnostic
-        n = values.size
-        rem = summary.partition.remainder_size
-        knobs = mixing_bounds.AgnosticKnobs(
-            c_n=args.c if args.c is not None else rem * args.range_width / n,
-            t_n=args.t if args.t is not None else n**-0.45,
-            s_n=args.s if args.s is not None else n**-0.45,
-        )
-        errors = None
-        if args.tv_norm is not None and args.phi_sum is not None and args.phi_sum > 0:
-            errors = mixing_bounds.agnostic_error_budget(
-                n, summary.partition, knobs, args.tv_norm * args.phi_sum
+        else:  # agnostic
+            n = values.size
+            rem = summary.partition.remainder_size
+            knobs = mixing_bounds.AgnosticKnobs(
+                c_n=args.c if args.c is not None else rem * args.range_width / n,
+                t_n=args.t if args.t is not None else n**-0.45,
+                s_n=args.s if args.s is not None else n**-0.45,
             )
-        res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
+            errors = None
+            if args.tv_norm is not None and args.phi_sum is not None and args.phi_sum > 0:
+                errors = mixing_bounds.agnostic_error_budget(
+                    n, summary.partition, knobs, args.tv_norm * args.phi_sum
+                )
+            res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
     _print_interval(res, args.format)
     return 0
 
@@ -300,7 +263,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    return _run_experiment(args, harness.compare_bounds, "compare", reporting.coverage_csv)
+    return _run_experiment(args, harness.run_coverage, "compare", reporting.coverage_csv)
 
 
 def cmd_selfcheck(args) -> int:

@@ -58,6 +58,20 @@ def recompose(breakdown: dict) -> float:
     return inflation * body + remainder
 
 
+def _sqrt(x):
+    """math.sqrt of a scalar (a Python float back), np.sqrt of an array of
+    per-row statistics; both round the same IEEE square root."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _interval(center, level, breakdown, flags=()):
+    """The scalar assembly rule: an interval whose radius is
+    ``recompose(breakdown)``."""
+    return IntervalResult(
+        center=center, radius=recompose(breakdown), level=level, breakdown=breakdown, flags=flags
+    )
+
+
 @dataclass(frozen=True)
 class SampleSummary:
     """Sufficient statistics of one bounded sample.
@@ -147,15 +161,22 @@ class IntervalResult:
         return recompose(self.breakdown)
 
 
-@dataclass(frozen=True)
-class PenaltyReport:
-    """Exponential coverage loss from dropping the linear term, plus the
-    sample size from which the simplified radius is justified."""
+def _check_stat(x, name):
+    # An array of per-row statistics comes from the harness, which builds it
+    # non-negative; only a scalar is checked.
+    return x if isinstance(x, np.ndarray) else _check_nonneg(x, name)
 
-    penalty: float
-    threshold_n: int | None  # None means "not attained" within the scanned range
-    eta: float
-    xi: str
+
+def _freedman_terms(n, sigma2, b, delta) -> dict:
+    n = _check_count(n)
+    _check_nonneg(sigma2, "sigma2")
+    _check_nonneg(b, "b")
+    delta = _check_prob(delta, "delta")
+    log_term = math.log(1.0 / delta)
+    return {
+        "leading": math.sqrt(2.0 * sigma2 * log_term / n),
+        "linear": b * log_term / (3.0 * n),
+    }
 
 
 def freedman_radius(n: int, sigma2: float, b: float, delta: float) -> float:
@@ -166,12 +187,13 @@ def freedman_radius(n: int, sigma2: float, b: float, delta: float) -> float:
     One-sided coverage at least ``1 - delta`` for bounded martingale
     differences with conditional variance ``sigma2`` and ``|Z_i| <= b``.
     """
-    n = _check_count(n)
-    _check_nonneg(sigma2, "sigma2")
-    _check_nonneg(b, "b")
-    delta = _check_prob(delta, "delta")
-    log_term = math.log(1.0 / delta)
-    return math.sqrt(2.0 * sigma2 * log_term / n) + b * log_term / (3.0 * n)
+    return recompose(_freedman_terms(n, sigma2, b, delta))
+
+
+def freedman_interval(center: float, n: int, sigma2: float, b: float, delta: float) -> IntervalResult:
+    """:func:`freedman_radius` around ``center``.  Each side misses with
+    probability at most ``delta``, so the two-sided level is ``1 - 2 delta``."""
+    return _interval(center, 1.0 - 2.0 * delta, _freedman_terms(n, sigma2, b, delta))
 
 
 def mds_predictable_radius(pred_qv: float, b: float, t: float) -> float:
@@ -186,16 +208,37 @@ def mds_predictable_radius(pred_qv: float, b: float, t: float) -> float:
     return math.sqrt(2.0 * pred_qv * t) + b * t / 3.0
 
 
-def mds_empirical_radius(qv: float, b: float, t: float) -> float:
+def mds_empirical_radius(qv, b: float, t: float):
     """Fully empirical radius for the unnormalized sum M_n in terms of the
     observable quadratic variation: sqrt(2 [M]_n t) + 3.15 b t.
 
-    Two-sided coverage at least ``1 - 3 exp(-t)``.
+    Two-sided coverage at least ``1 - 3 exp(-t)``.  ``qv`` may be an array
+    of per-row values.
     """
-    _check_nonneg(qv, "qv")
+    _check_stat(qv, "qv")
     _check_nonneg(b, "b")
     _check_nonneg(t, "t")
-    return math.sqrt(2.0 * qv * t) + EMPIRICAL_LINEAR_CONSTANT * b * t
+    return _sqrt(2.0 * qv * t) + EMPIRICAL_LINEAR_CONSTANT * b * t
+
+
+def mds_empirical_interval(values, b: float, delta: float) -> IntervalResult:
+    """Interval for the mean of bounded martingale increments ``values`` at
+    level ``1 - 3 delta``, centered at their sample mean.
+
+    With ``t = log(1/delta)`` the breakdown is ``leading = sqrt(2 [M]_n t) / n``
+    and ``linear = 3.15 b t / n``: :func:`mds_empirical_radius` over n.
+    """
+    x = np.asarray(values, dtype=float)
+    if x.ndim != 1 or x.size < 1:
+        raise DomainError("values must be a nonempty 1-d sequence")
+    b = _check_nonneg(b, "b")
+    delta = _check_prob(delta, "delta")
+    n, t = x.size, math.log(1.0 / delta)
+    breakdown = {
+        "leading": math.sqrt(2.0 * float(np.sum(x * x)) * t) / n,
+        "linear": EMPIRICAL_LINEAR_CONSTANT * b * t / n,
+    }
+    return _interval(float(np.mean(x)), 1.0 - 3.0 * delta, breakdown)
 
 
 def inflation_factor(n_eff: int, delta: float) -> float:
@@ -214,6 +257,19 @@ def inflation_factor(n_eff: int, delta: float) -> float:
     return 1.0 / (1.0 - math.sqrt(2.0 * log_term / n_eff))
 
 
+def eb_leading(css, n: int, log_term: float):
+    """Leading empirical-Bernstein term sqrt(2 css log(1/delta)) / n; ``css``
+    may be an array of per-row values."""
+    return _sqrt(2.0 * css * log_term) / n
+
+
+def eb_terms(n: int, b: float, delta: float) -> dict:
+    """The empirical-Bernstein terms that do not depend on the data: the
+    linear term 3.15 b log(1/delta) / n and the inflation over n samples."""
+    nu = inflation_factor(n, delta)
+    return {"linear": EMPIRICAL_LINEAR_CONSTANT * b * math.log(1.0 / delta) / n, "inflation": nu}
+
+
 def eb_interval(summary: SampleSummary, delta: float) -> IntervalResult:
     """Empirical-Bernstein interval for the marginal mean at level ``1 - 3 delta``.
 
@@ -224,21 +280,11 @@ def eb_interval(summary: SampleSummary, delta: float) -> IntervalResult:
     is vacuous; the interval is still computed and flagged.
     """
     delta = _check_prob(delta, "delta")
-    nu = inflation_factor(summary.n, delta)
-    n = summary.n
-    log_term = math.log(1.0 / delta)
-    leading = math.sqrt(2.0 * summary.css * log_term) / n
-    linear = EMPIRICAL_LINEAR_CONSTANT * summary.b * log_term / n
-    radius = nu * (leading + linear)
+    terms = eb_terms(summary.n, summary.b, delta)
+    leading = eb_leading(summary.css, summary.n, math.log(1.0 / delta))
     level = 1.0 - 3.0 * delta
     flags = ("vacuous_level",) if level <= 0.0 else ()
-    return IntervalResult(
-        center=summary.mean,
-        radius=radius,
-        level=level,
-        breakdown={"leading": leading, "linear": linear, "inflation": nu},
-        flags=flags,
-    )
+    return _interval(summary.mean, level, {"leading": leading, **terms}, flags)
 
 
 def eb_interval_alpha(summary: SampleSummary, alpha: float) -> IntervalResult:
@@ -247,6 +293,12 @@ def eb_interval_alpha(summary: SampleSummary, alpha: float) -> IntervalResult:
     if not (0.0 < alpha < 1.5):
         raise DomainError(f"alpha must lie in (0, 1.5), got {alpha!r}")
     return eb_interval(summary, delta=2.0 * alpha / 3.0)
+
+
+def ignore_linear_rows(css, n: int, log_term: float, nu: float, xi_n: float):
+    """:func:`ignore_linear_radius` from ``css``, which may be an array of
+    per-row values, and the unchecked constants ``nu`` and ``xi_n``."""
+    return nu * (1.0 + xi_n) * _sqrt(2.0 * log_term * css) / n
 
 
 def ignore_linear_radius(summary: SampleSummary, delta: float, xi_n: float) -> float:
@@ -260,9 +312,36 @@ def ignore_linear_radius(summary: SampleSummary, delta: float, xi_n: float) -> f
     delta = _check_prob(delta, "delta")
     _check_nonneg(xi_n, "xi_n")
     nu = inflation_factor(summary.n, delta)
-    n = summary.n
-    log_term = math.log(1.0 / delta)
-    return nu * (1.0 + xi_n) * math.sqrt(2.0 * log_term * summary.css) / n
+    return ignore_linear_rows(summary.css, summary.n, math.log(1.0 / delta), nu, xi_n)
+
+
+def ignore_linear_interval(summary: SampleSummary, delta: float, xi_n: float) -> IntervalResult:
+    """:func:`ignore_linear_radius` as an interval at level ``1 - 3 delta``
+    (before the penalty), with breakdown ``leading = (1 + xi_n) sqrt(2
+    log(1/delta) css) / n`` and the inflation.  Its radius, inflation times
+    leading, may differ from :func:`ignore_linear_radius` in the last bit."""
+    delta = _check_prob(delta, "delta")
+    _check_nonneg(xi_n, "xi_n")
+    nu = inflation_factor(summary.n, delta)
+    leading = (1.0 + xi_n) * math.sqrt(2.0 * math.log(1.0 / delta) * summary.css) / summary.n
+    return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, "inflation": nu})
+
+
+def maurer_pontil_radius(n: int, sample_var_unbiased, delta: float):
+    """External empirical-Bernstein baseline for [0,1]-valued IID data
+    (Maurer and Pontil, 2009):
+
+    sqrt(2 vhat log(2/delta) / n) + 7 log(2/delta) / (3 (n - 1))
+
+    ``sample_var_unbiased`` may be an array of per-row values.
+    """
+    if n != int(n) or int(n) < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    _check_stat(sample_var_unbiased, "sample variance")
+    if not (0.0 < delta < 1.0):
+        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    log_term = math.log(2.0 / delta)
+    return _sqrt(2.0 * sample_var_unbiased * log_term / n) + 7.0 * log_term / (3.0 * (n - 1))
 
 
 def ignorance_penalty(n: int, sigma2: float, m4: float, b: float, eta: float) -> float:
@@ -318,13 +397,27 @@ def burn_in_threshold(delta, eta, sigma2, b, xi, n_max) -> int | None:
     return None
 
 
-def penalty_report(
-    n, sigma2, m4, b, eta, delta, xi, xi_label: str = "", n_max: int = 10**6
-) -> PenaltyReport:
-    """Bundle the ignorance penalty and burn-in threshold for reporting."""
-    return PenaltyReport(
-        penalty=ignorance_penalty(n, sigma2, m4, b, eta),
-        threshold_n=burn_in_threshold(delta, eta, sigma2, b, xi, n_max),
-        eta=float(eta),
-        xi=xi_label or "user-supplied sequence",
-    )
+def burn_in_power_law(delta, eta, sigma2, b, scale, power, n_max: int = 10**6) -> int | None:
+    """:func:`burn_in_threshold` for ``xi_n = scale * n**power`` in closed form.
+
+    The condition reads ``eta sigma2 scale^2 n^(1 + 2 power) >= 5 b^2
+    log(1/delta)``.  For ``1 + 2 power > 0`` it first holds at the ceiling of
+    ``(5 b^2 log(1/delta) / (eta sigma2 scale^2))^(1 / (1 + 2 power))``;
+    otherwise its left side never grows, so only n = 1 can qualify.  The
+    candidate and its neighbours are checked with the float predicate
+    ``eta * sigma2 * n * xi_n * xi_n >= threshold`` on a NumPy array, which
+    decides rounding ties; the result is the first n <= n_max on which it
+    holds, or ``None``.  ``delta``, ``eta``, ``sigma2`` and ``b`` are as in
+    :func:`burn_in_threshold` but are not checked here.
+    """
+    threshold = 5.0 * b * b * math.log(1.0 / delta)
+    exponent = 1.0 + 2.0 * power
+    lo = hi = 1
+    if exponent > 0.0:
+        log_n = math.log(threshold / (eta * sigma2 * scale * scale)) / exponent
+        guess = math.ceil(math.exp(min(log_n, math.log(n_max + 3.0))))
+        lo, hi = max(1, guess - 2), min(n_max, guess + 2)
+    ns = np.arange(lo, hi + 1, dtype=float)
+    xi = scale * ns**power
+    hits = np.flatnonzero(eta * sigma2 * ns * xi * xi >= threshold)
+    return lo + int(hits[0]) if hits.size else None

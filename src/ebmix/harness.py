@@ -9,6 +9,7 @@ measured two-sided against the process's marginal mean.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
-from .core_bounds import EMPIRICAL_LINEAR_CONSTANT
+from .blocking import block_partition
 from .errors import ConfigError, DomainError, PreconditionError
 
 BOUNDS = (
@@ -58,9 +59,27 @@ def resolve_bound(name: str) -> str:
     return canonical
 
 
+class _Policy:
+    """JSON round trip of the policy dataclasses below.  A missing key takes
+    the field's default; ``_FIELD`` and ``_EXPECTED`` word the error for a
+    value that is not an object."""
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"field {cls._FIELD!r}: expected {cls._EXPECTED}")
+        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d})
+
+
 @dataclass(frozen=True)
-class LPolicy:
+class LPolicy(_Policy):
     """Block-length rule: either l = n**value or a fixed l = value."""
+
+    _FIELD = "l_policy"
+    _EXPECTED = "an object with 'kind' and 'value'"
 
     kind: str = "exponent"
     value: float = 0.4
@@ -80,19 +99,13 @@ class LPolicy:
     def label(self) -> str:
         return f"n^{self.value:g}" if self.kind == "exponent" else f"l={self.value:g}"
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "value": self.value}
-
-    @classmethod
-    def from_dict(cls, d) -> "LPolicy":
-        if not isinstance(d, dict):
-            raise ConfigError("field 'l_policy': expected an object with 'kind' and 'value'")
-        return cls(kind=d.get("kind", "exponent"), value=float(d.get("value", 0.4)))
-
 
 @dataclass(frozen=True)
-class XiPolicy:
+class XiPolicy(_Policy):
     """Vanishing-sequence rule xi_n = scale * n**power."""
+
+    _FIELD = "xi"
+    _EXPECTED = "an object with 'scale' and 'power'"
 
     scale: float = 1.0
     power: float = -1.0
@@ -111,23 +124,17 @@ class XiPolicy:
     def label(self) -> str:
         return f"{self.scale:g}*n^{self.power:g}"
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale, "power": self.power}
-
-    @classmethod
-    def from_dict(cls, d) -> "XiPolicy":
-        if not isinstance(d, dict):
-            raise ConfigError("field 'xi': expected an object with 'scale' and 'power'")
-        return cls(scale=float(d.get("scale", 1.0)), power=float(d.get("power", -1.0)))
-
 
 @dataclass(frozen=True)
-class KnobPolicy:
+class KnobPolicy(_Policy):
     """Rules for the agnostic-bound knobs, evaluated at each n.
 
     ``c_mode='remainder'`` sets c_n to the almost-sure bound
     ``remainder_size * range_width / n`` (zero when the blocks tile n).
     """
+
+    _FIELD = "knobs"
+    _EXPECTED = "an object"
 
     t_scale: float = 1.0
     t_power: float = -0.45
@@ -152,23 +159,6 @@ class KnobPolicy:
             t_n=self.t_scale * float(n) ** self.t_power,
             s_n=self.s_scale * float(n) ** self.s_power,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "t_scale": self.t_scale,
-            "t_power": self.t_power,
-            "s_scale": self.s_scale,
-            "s_power": self.s_power,
-            "c_mode": self.c_mode,
-            "c_value": self.c_value,
-        }
-
-    @classmethod
-    def from_dict(cls, d) -> "KnobPolicy":
-        if not isinstance(d, dict):
-            raise ConfigError("field 'knobs': expected an object")
-        kwargs = {k: d[k] for k in ("t_scale", "t_power", "s_scale", "s_power", "c_mode", "c_value") if k in d}
-        return cls(**kwargs)
 
 
 _DEFAULT_XI = {"eb_ignore_linear": XiPolicy(1.0, -0.25)}
@@ -370,8 +360,8 @@ class _FlaggedCell(Exception):
 
 
 class _CellPlan:
-    """Deterministic per-cell context: scalar terms reused across chunks and
-    a vectorized radius evaluator."""
+    """Deterministic per-cell context: the library's cell terms, computed
+    once, and a vectorized radius evaluator."""
 
     def __init__(self, config: ExperimentConfig, bound: str, n: int, l_policy: LPolicy):
         self.bound = bound
@@ -391,18 +381,16 @@ class _CellPlan:
         self._prepare(config)
 
     def _prepare(self, config):
-        truth, n, bound = self.truth, self.n, self.bound
-        delta, log_term = self.delta, self.log_term
+        truth, n, bound, delta = self.truth, self.n, self.bound, self.delta
         if bound == "freedman_oracle":
-            self.scalar_radius = core_bounds.freedman_radius(
-                n, truth.sigma2_marginal, truth.b_centered, self.alpha
+            res = core_bounds.freedman_interval(
+                0.0, n, truth.sigma2_marginal, truth.b_centered, self.alpha
             )
-            self.level = 1.0 - 2.0 * self.alpha
+            self.scalar_radius, self.level = res.radius, res.level
         elif bound == "mds_empirical":
             self.b = truth.b_abs
         elif bound == "empirical_bernstein":
-            self.nu = core_bounds.inflation_factor(n, delta)
-            self.b = truth.b_abs
+            self._use_terms(core_bounds.eb_terms(n, truth.b_abs, delta))
         elif bound == "eb_ignore_linear":
             self.nu = core_bounds.inflation_factor(n, delta)
             xi_policy = config.xi_for(bound)
@@ -411,67 +399,36 @@ class _CellPlan:
                 self.penalty = core_bounds.ignorance_penalty(
                     n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
                 )
-                self.burn_in_n = _burn_in_vectorized(
-                    delta, config.eta, truth.sigma2_marginal, truth.b_abs, xi_policy
+                self.burn_in_n = core_bounds.burn_in_power_law(
+                    delta, config.eta, truth.sigma2_marginal, truth.b_abs,
+                    xi_policy.scale, xi_policy.power,
                 )
                 if self.burn_in_n is None or n < self.burn_in_n:
                     self.flags.append("below_burn_in")
             else:
                 self.flags.append("penalty_unavailable")
         elif bound == "maurer_pontil_baseline":
-            log2d = math.log(2.0 / self.alpha)
-            self.mp_log = log2d
+            core_bounds.maurer_pontil_radius(n, 0.0, self.alpha)  # checks n >= 2 once per cell
             self.level = 1.0 - 2.0 * self.alpha
         elif bound == "dedecker_baseline":
             budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
             eps = 3.0 * delta
             if eps >= 1.0:
-                raise _FlaggedCell("precondition: total miss probability 3*delta >= 1")
+                raise PreconditionError("total miss probability 3*delta >= 1")
             self.scalar_radius = mixing_bounds.dedecker_prieur_radius(
                 n, budget.tv_norm, budget.phi_sum, eps
             )
         elif bound in _BLOCK_BOUNDS:
-            from .blocking import block_partition
-
-            partition = block_partition(n, self.l_policy.block_length(n))
-            self.partition = partition
+            self.partition = partition = block_partition(n, self.l_policy.block_length(n))
             self.block_len, self.blocks = partition.floor_l, partition.m
             self.remainder = partition.remainder_size
-            self.nut = mixing_bounds.block_inflation(partition.m, delta)
             rw = truth.range_width
-            self.range_width = rw
-            m, fl = partition.m, partition.floor_l
-            self.rem_term = (n - m * fl) / n * rw
-            if bound == "phi_mixing":
-                budget = processes.mixing_budget_for(config.process, "phi", n)
-                self.xi_n = float(config.xi_for(bound).evaluate(n))
-                self.sqrt_terms = (
-                    4.0 * rw * budget.phi_sum * math.sqrt(2.0 * log_term * m) / n
-                    + math.sqrt(2.0 * log_term * self.xi_n) / n
-                )
-                self.linear_terms = (
-                    EMPIRICAL_LINEAR_CONSTANT * fl * rw * log_term / n
-                    + 2.0 * budget.phi_sum * rw * log_term / n
-                )
-            elif bound == "tilde_phi_mixing":
-                budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
-                tv_phi = budget.tv_norm * budget.phi_sum
-                self.xi_n = float(config.xi_for(bound).evaluate(n))
-                self.sqrt_terms = (
-                    2.0 * tv_phi * math.sqrt(2.0 * log_term * m) / n
-                    + math.sqrt(2.0 * log_term * self.xi_n) / n
-                )
-                self.linear_terms = (
-                    EMPIRICAL_LINEAR_CONSTANT * fl * rw * log_term / n
-                    + EMPIRICAL_LINEAR_CONSTANT * tv_phi * log_term / n
-                )
-            else:  # mixing_agnostic
+            if bound == "mixing_agnostic":
                 knobs = config.knobs.evaluate(n, partition.remainder_size, rw)
-                self.knobs = knobs
+                self._use_terms(mixing_bounds.agnostic_terms(partition, rw, knobs, delta))
                 budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
                 if budget is None:
                     errors = None
-                    self.flags.append("errors_unquantified")
                 elif budget.phi_sum == 0.0:
                     errors = mixing_bounds.ErrorBudget(0.0, 0.0, 0.0)
                 else:
@@ -480,37 +437,44 @@ class _CellPlan:
                     )
                 if errors is not None:
                     self.error_total = errors.total
-                    self.level = 1.0 - 3.0 * delta - errors.total
-                self.sqrt_terms = (1.0 + 1.0 / n) * knobs.t_n * math.sqrt(2.0 * log_term)
-                self.linear_terms = (
-                    EMPIRICAL_LINEAR_CONSTANT * log_term * (fl * rw / n + knobs.s_n) + knobs.c_n
-                )
-                self.rem_term = 0.0
+                self.level, flags = mixing_bounds.agnostic_level(delta, errors)
+                self.flags.extend(flags)
+            else:
+                regime = "phi" if bound == "phi_mixing" else "phi_tilde"
+                budget = processes.mixing_budget_for(config.process, regime, n)
+                xi_n = float(config.xi_for(bound).evaluate(n))
+                self._use_terms(mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n))
         else:  # pragma: no cover - resolve_bound guards this
             raise ConfigError(f"unknown bound {self.bound!r}")
+
+    def _use_terms(self, terms: dict):
+        """Pre-sum the cell terms for the row rule
+        ``inflation * (leading + A + B) + remainder``: A adds the terms
+        before ``linear``, B the terms from ``linear`` on."""
+        keys = [k for k in terms if k not in ("inflation", "remainder")]
+        split = keys.index("linear")
+        self.inflation = terms["inflation"]
+        self.sqrt_terms = sum(terms[k] for k in keys[:split])
+        self.linear_terms = sum(terms[k] for k in keys[split:])
+        self.rem_term = terms.get("remainder", 0.0)
 
     def evaluate(self, vals: np.ndarray, means: np.ndarray):
         """Per-replication radii (and block variances where applicable)."""
         bound, n = self.bound, self.n
         vhat = None
         if bound in ("freedman_oracle", "dedecker_baseline"):
-            radii = np.full(vals.shape[0], self.scalar_radius)
-        elif bound == "mds_empirical":
+            return np.full(vals.shape[0], self.scalar_radius), None
+        if bound == "mds_empirical":
             qv = np.einsum("ij,ij->i", vals, vals)
-            t = self.log_term
-            radii = (np.sqrt(2.0 * qv * t) + EMPIRICAL_LINEAR_CONSTANT * self.b * t) / n
-        elif bound == "empirical_bernstein":
+            return core_bounds.mds_empirical_radius(qv, self.b, self.log_term) / n, None
+        if bound == "eb_ignore_linear":
             css = _row_css(vals, means)
-            radii = self.nu * (
-                np.sqrt(2.0 * css * self.log_term) / n
-                + EMPIRICAL_LINEAR_CONSTANT * self.b * self.log_term / n
-            )
-        elif bound == "eb_ignore_linear":
-            css = _row_css(vals, means)
-            radii = self.nu * (1.0 + self.xi_n) * np.sqrt(2.0 * self.log_term * css) / n
-        elif bound == "maurer_pontil_baseline":
-            vhat_u = _row_css(vals, means) / (n - 1)
-            radii = np.sqrt(2.0 * vhat_u * self.mp_log / n) + 7.0 * self.mp_log / (3.0 * (n - 1))
+            return core_bounds.ignore_linear_rows(css, n, self.log_term, self.nu, self.xi_n), None
+        if bound == "maurer_pontil_baseline":
+            var_u = _row_css(vals, means) / (n - 1)
+            return core_bounds.maurer_pontil_radius(n, var_u, self.alpha), None
+        if bound == "empirical_bernstein":
+            leading = core_bounds.eb_leading(_row_css(vals, means), n, self.log_term)
         else:  # block bounds
             p = self.partition
             m, fl = p.m, p.floor_l
@@ -519,8 +483,8 @@ class _CellPlan:
             h_bar = block_sums.sum(axis=1) / (m * fl)
             centered = block_sums - fl * h_bar[:, None]
             vhat = np.einsum("ij,ij->i", centered, centered) / n
-            leading = np.sqrt(2.0 * self.log_term * vhat / n)
-            radii = self.nut * (leading + self.sqrt_terms + self.linear_terms) + self.rem_term
+            leading = mixing_bounds.block_leading(vhat, n, self.log_term)
+        radii = self.inflation * (leading + self.sqrt_terms + self.linear_terms) + self.rem_term
         return radii, vhat
 
 
@@ -529,23 +493,11 @@ def _row_css(vals, means):
     return np.einsum("ij,ij->i", d, d)
 
 
-def _burn_in_vectorized(delta, eta, sigma2, b, xi_policy: XiPolicy, n_max: int = 10**6):
-    """First n with eta*sigma2 >= 5 b^2 log(1/delta) / (n xi_n^2), or None.
-
-    Same contract as core_bounds.burn_in_threshold, evaluated on an arange
-    for speed inside the harness.
-    """
-    threshold = 5.0 * b * b * math.log(1.0 / delta)
-    ns = np.arange(1, n_max + 1, dtype=float)
-    xi = xi_policy.evaluate(ns)
-    ok = eta * sigma2 * ns * xi * xi >= threshold
-    hits = np.flatnonzero(ok)
-    return int(hits[0]) + 1 if hits.size else None
-
-
 def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:
-    rows = max(1, min(replications, _CHUNK_VALUES // max(1, n)))
-    return [(lo, min(lo + rows, replications)) for lo in range(0, replications, rows)]
+    """The fewest chunks of at most ~8M values, their sizes differing by at most one."""
+    cap = max(1, min(replications, _CHUNK_VALUES // max(1, n)))
+    k = -(-replications // cap)
+    return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
 
 
 def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ...]:
@@ -721,23 +673,3 @@ def run_block_sensitivity(config: ExperimentConfig, n_jobs: int = 1) -> Coverage
     if not any(b in _BLOCK_BOUNDS for b in config.bounds):
         raise ConfigError("field 'bounds': block sensitivity needs a block-based bound")
     return CoverageReport(config=config, rows=run_cells(config, n_jobs=n_jobs))
-
-
-def compare_bounds(config: ExperimentConfig, n_jobs: int = 1) -> CoverageReport:
-    """Side-by-side table over the configured bounds (paths shared per n)."""
-    return CoverageReport(config=config, rows=run_cells(config, n_jobs=n_jobs))
-
-
-def maurer_pontil_radius(n: int, sample_var_unbiased: float, delta: float) -> float:
-    """External empirical-Bernstein baseline for [0,1]-valued IID data:
-
-    sqrt(2 vhat log(2/delta) / n) + 7 log(2/delta) / (3 (n - 1))
-    """
-    if n != int(n) or int(n) < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if sample_var_unbiased < 0:
-        raise DomainError("sample variance must be nonnegative")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    log_term = math.log(2.0 / delta)
-    return math.sqrt(2.0 * sample_var_unbiased * log_term / n) + 7.0 * log_term / (3.0 * (n - 1))

@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .blocking import BlockPartition, BlockSummary
-from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _check_nonneg, _check_prob
+from .core_bounds import (
+    EMPIRICAL_LINEAR_CONSTANT,
+    IntervalResult,
+    _check_nonneg,
+    _check_prob,
+    _interval,
+    _sqrt,
+)
 from .errors import DomainError, PreconditionError
 
 REGIMES = ("phi", "phi_tilde", "agnostic")
@@ -95,20 +102,15 @@ def block_inflation(m: int, delta: float) -> float:
     return 1.0 / (1.0 - math.sqrt(2.0 * log_term / m))
 
 
-# Shared term builders.  phi_interval and tilde_phi_interval must reduce to
-# the *identical* float result when the budget is zero, so the common terms
-# are computed by one code path.
+# Term builders.  phi_interval and tilde_phi_interval must reduce to the
+# *identical* float result when the budget is zero, so the common terms are
+# computed by one code path.  The harness evaluates the same terms once per
+# cell and the leading term per replication.
 
-def _leading_term(v_hat, log_term, n):
-    return math.sqrt(2.0 * log_term * v_hat / n)
-
-
-def _slack_term(xi_n, log_term, n):
-    return math.sqrt(2.0 * log_term * xi_n) / n
-
-
-def _linear_block_term(floor_l, range_width, log_term, n):
-    return EMPIRICAL_LINEAR_CONSTANT * floor_l * range_width * log_term / n
+def block_leading(v_hat, n: int, log_term: float):
+    """Leading term sqrt(2 log(1/delta) vhat / n); ``v_hat`` may be an array
+    of per-row block variances."""
+    return _sqrt(2.0 * log_term * v_hat / n)
 
 
 def _resolve_xi(xi_n, n):
@@ -117,36 +119,43 @@ def _resolve_xi(xi_n, n):
     return _check_nonneg(xi_n, "xi_n")
 
 
-def _blocked_interval(summary, range_width, delta, xi_n, budget_sqrt, budget_linear, flags=()):
-    p = summary.partition
-    n, m, fl = p.n, p.m, p.floor_l
+def mixing_terms(
+    partition: BlockPartition,
+    range_width: float,
+    budget: MixingBudget,
+    delta: float,
+    xi_n: float | None = None,
+) -> dict:
+    """Every term but the leading one of :func:`phi_interval` (for a 'phi'
+    budget) or of :func:`tilde_phi_interval` (for a 'phi_tilde' budget)."""
+    delta = _check_prob(delta, "delta")
+    _check_nonneg(range_width, "range_width")
+    n, m, fl = partition.n, partition.m, partition.floor_l
+    xi = _resolve_xi(xi_n, n)
     log_term = math.log(1.0 / delta)
+    if budget.regime == "phi":
+        budget_sqrt = 4.0 * range_width * budget.phi_sum * math.sqrt(2.0 * log_term * m) / n
+        budget_linear = 2.0 * budget.phi_sum * range_width * log_term / n
+    else:
+        tv_phi = budget.tv_norm * budget.phi_sum
+        budget_sqrt = 2.0 * tv_phi * math.sqrt(2.0 * log_term * m) / n
+        budget_linear = EMPIRICAL_LINEAR_CONSTANT * tv_phi * log_term / n
     inflation = block_inflation(m, delta)
-    leading = _leading_term(summary.v_hat, log_term, n)
-    slack = _slack_term(xi_n, log_term, n)
-    linear_block = _linear_block_term(fl, range_width, log_term, n)
-    remainder = (n - m * fl) / n * range_width
-    radius = (
-        inflation * (leading + budget_sqrt + slack + linear_block + budget_linear) + remainder
-    )
-    level = 1.0 - 3.0 * delta
-    if level <= 0.0:
+    return {
+        "mixing_sqrt": budget_sqrt,
+        "slack": math.sqrt(2.0 * log_term * xi) / n,
+        "linear": EMPIRICAL_LINEAR_CONSTANT * fl * range_width * log_term / n,
+        "linear_mixing": budget_linear,
+        "inflation": inflation,
+        "remainder": (n - m * fl) / n * range_width,
+    }
+
+
+def _blocked_interval(summary, delta, terms, level, flags=()):
+    if 1.0 - 3.0 * delta <= 0.0:
         flags = flags + ("vacuous_level",)
-    return IntervalResult(
-        center=summary.mean,
-        radius=radius,
-        level=level,
-        breakdown={
-            "leading": leading,
-            "mixing_sqrt": budget_sqrt,
-            "slack": slack,
-            "linear": linear_block,
-            "linear_mixing": budget_linear,
-            "inflation": inflation,
-            "remainder": remainder,
-        },
-        flags=flags,
-    )
+    leading = block_leading(summary.v_hat, summary.partition.n, math.log(1.0 / delta))
+    return _interval(summary.mean, level, {"leading": leading, **terms}, flags)
 
 
 def phi_interval(
@@ -169,15 +178,8 @@ def phi_interval(
     """
     if budget.regime != "phi":
         raise DomainError(f"phi_interval needs a 'phi' budget, got {budget.regime!r}")
-    delta = _check_prob(delta, "delta")
-    _check_nonneg(range_width, "range_width")
-    p = summary.partition
-    n = p.n
-    xi = _resolve_xi(xi_n, n)
-    log_term = math.log(1.0 / delta)
-    budget_sqrt = 4.0 * range_width * budget.phi_sum * math.sqrt(2.0 * log_term * p.m) / n
-    budget_linear = 2.0 * budget.phi_sum * range_width * log_term / n
-    return _blocked_interval(summary, range_width, delta, xi, budget_sqrt, budget_linear)
+    terms = mixing_terms(summary.partition, range_width, budget, delta, xi_n)
+    return _blocked_interval(summary, delta, terms, 1.0 - 3.0 * delta)
 
 
 def tilde_phi_interval(
@@ -200,16 +202,33 @@ def tilde_phi_interval(
         raise DomainError(f"tilde_phi_interval needs a 'phi_tilde' budget, got {budget.regime!r}")
     if budget.tv_norm is None:
         raise DomainError("tilde_phi_interval requires budget.tv_norm")
+    terms = mixing_terms(summary.partition, range_width, budget, delta, xi_n)
+    return _blocked_interval(summary, delta, terms, 1.0 - 3.0 * delta)
+
+
+def agnostic_terms(
+    partition: BlockPartition, range_width: float, knobs: AgnosticKnobs, delta: float
+) -> dict:
+    """Every term of :func:`agnostic_interval` but the leading one."""
     delta = _check_prob(delta, "delta")
     _check_nonneg(range_width, "range_width")
-    p = summary.partition
-    n = p.n
-    xi = _resolve_xi(xi_n, n)
+    n, m, fl = partition.n, partition.m, partition.floor_l
     log_term = math.log(1.0 / delta)
-    tv_phi = budget.tv_norm * budget.phi_sum
-    budget_sqrt = 2.0 * tv_phi * math.sqrt(2.0 * log_term * p.m) / n
-    budget_linear = EMPIRICAL_LINEAR_CONSTANT * tv_phi * log_term / n
-    return _blocked_interval(summary, range_width, delta, xi, budget_sqrt, budget_linear)
+    inflation = block_inflation(m, delta)
+    return {
+        "knob_t": (1.0 + 1.0 / n) * knobs.t_n * math.sqrt(2.0 * log_term),
+        "linear": EMPIRICAL_LINEAR_CONSTANT * log_term * (fl * range_width / n + knobs.s_n),
+        "knob_c": knobs.c_n,
+        "inflation": inflation,
+    }
+
+
+def agnostic_level(delta: float, errors: ErrorBudget | None) -> tuple[float, tuple[str, ...]]:
+    """Nominal level ``1 - 3 delta`` less the error budget, flagged
+    ``errors_unquantified`` when there is no budget."""
+    if errors is None:
+        return 1.0 - 3.0 * delta, ("errors_unquantified",)
+    return 1.0 - 3.0 * delta - errors.total, ()
 
 
 def agnostic_interval(
@@ -231,38 +250,9 @@ def agnostic_interval(
     positive ``c_n`` only adds conservatism (and Error1 is identically zero,
     see :func:`agnostic_error_budget`).
     """
-    delta = _check_prob(delta, "delta")
-    _check_nonneg(range_width, "range_width")
-    p = summary.partition
-    n, m, fl = p.n, p.m, p.floor_l
-    log_term = math.log(1.0 / delta)
-    inflation = block_inflation(m, delta)
-    c_n = knobs.c_n
-    leading = _leading_term(summary.v_hat, log_term, n)
-    knob_t = (1.0 + 1.0 / n) * knobs.t_n * math.sqrt(2.0 * log_term)
-    linear = EMPIRICAL_LINEAR_CONSTANT * log_term * (fl * range_width / n + knobs.s_n)
-    radius = inflation * (leading + knob_t + linear + c_n)
-    flags: tuple[str, ...] = ()
-    if errors is None:
-        level = 1.0 - 3.0 * delta
-        flags = ("errors_unquantified",)
-    else:
-        level = 1.0 - 3.0 * delta - errors.total
-    if 1.0 - 3.0 * delta <= 0.0:
-        flags = flags + ("vacuous_level",)
-    return IntervalResult(
-        center=summary.mean,
-        radius=radius,
-        level=level,
-        breakdown={
-            "leading": leading,
-            "knob_t": knob_t,
-            "linear": linear,
-            "knob_c": c_n,
-            "inflation": inflation,
-        },
-        flags=flags,
-    )
+    terms = agnostic_terms(summary.partition, range_width, knobs, delta)
+    level, flags = agnostic_level(delta, errors)
+    return _blocked_interval(summary, delta, terms, level, flags)
 
 
 def agnostic_error_budget(

@@ -13,6 +13,7 @@ time segments of all paths together (see its docstring).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,10 +135,16 @@ def _check_ergodic(P: np.ndarray) -> None:
     rows = P.sum(axis=1)
     if np.any(np.abs(rows - 1.0) > 1e-9):
         raise DomainError("P must be row-stochastic")
-    s = P.shape[0]
-    # Primitivity (irreducible + aperiodic) via Wielandt's exponent bound.
-    power = np.linalg.matrix_power(P, (s - 1) ** 2 + 1)
-    if np.any(power <= 0):
+    # Primitivity (irreducible + aperiodic): some power of the 0/1 adjacency
+    # matrix is all ones, and by Wielandt's bound the ((s-1)^2 + 1)-th power
+    # is when any is.  Every row has a successor, so A^k > 0 implies
+    # A^(k+1) > 0 and repeated squaring may overshoot the exponent.  Clipping
+    # each product to 0/1 keeps tiny probabilities from underflowing, which a
+    # matrix power of P does not; the clipped counts are exact in floats.
+    reach = (P > 0).astype(float)
+    for _ in range(max(1, math.ceil(math.log2((P.shape[0] - 1) ** 2 + 1)))):
+        reach = np.minimum(reach @ reach, 1.0)
+    if not reach.all():
         raise DomainError("P must be ergodic (irreducible and aperiodic)")
 
 

@@ -128,6 +128,17 @@ def test_bound_on_nan_data_exits_2(tmp_path, capsys):
     assert captured.out == "" and "not finite" in captured.err
 
 
+@pytest.mark.parametrize("method", ["eb", "eb_ignore_linear", "mds_empirical"])
+def test_bound_refuses_data_above_b(tmp_path, capsys, method):
+    # A value above --b voids the interval; this was once a warning and exit 0.
+    data = tmp_path / "wide.txt"
+    data.write_text("0.5\n-0.25\n-1.5\n0.125\n" * 10, encoding="utf-8")
+    assert main(["bound", "--method", method, "--delta", "0.01", "--b", "1",
+                 "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "value -1.5 exceeds --b 1.0" in captured.err
+
+
 def test_bound_mds_empirical_reads_its_data_once(tmp_path, capsys, monkeypatch):
     data = tmp_path / "inc.txt"
     data.write_text("0.5\n-0.25\n0.125\n-0.5\n" * 25, encoding="utf-8")

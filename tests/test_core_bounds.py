@@ -22,7 +22,6 @@ from ebmix import (
     inflation_factor,
     mds_empirical_radius,
     mds_predictable_radius,
-    penalty_report,
     recompose,
     summarize,
 )
@@ -180,15 +179,6 @@ def test_burn_in_threshold_immediate():
 def test_burn_in_threshold_not_attained():
     # n * xi_n^2 = n^(-0.2) decreases, so the condition can never start holding
     assert burn_in_threshold(math.exp(-1), 0.5, 0.25, 1.0, lambda n: n**-0.6, 50_000) is None
-
-
-def test_penalty_report_bundles_both():
-    rep = penalty_report(
-        2000, 1.0, 1.0, 1.0, 0.5, 0.05 / 3, lambda n: n**-0.25, xi_label="n^-0.25"
-    )
-    assert rep.threshold_n == 1677
-    assert 0.0 <= rep.penalty < 1e-90
-    assert rep.eta == 0.5
 
 
 def test_summarize_matches_two_pass_and_resists_cancellation():

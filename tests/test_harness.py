@@ -2,9 +2,11 @@
 invariance, coverage/comparison behavior at small scale."""
 
 import hashlib
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ebmix import (
@@ -15,7 +17,6 @@ from ebmix import (
     XiPolicy,
     bernoulli_ar1,
     burn_in_threshold,
-    compare_bounds,
     finite_markov,
     hetero_mds,
     iid_bernoulli,
@@ -25,7 +26,8 @@ from ebmix import (
     run_coverage,
     run_sharpness_sweep,
 )
-from ebmix.harness import _burn_in_vectorized, resolve_bound
+from ebmix.core_bounds import burn_in_power_law
+from ebmix.harness import _CHUNK_VALUES, _chunk_edges, resolve_bound
 from ebmix import reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
@@ -172,7 +174,7 @@ def test_eb_coverage_meets_lower_bound_iid_and_mds():
 
 def test_same_paths_shared_across_bounds():
     cfg = _config(bounds=("empirical_bernstein", "eb_ignore_linear"), process=iid_bernoulli(0.5))
-    rows = compare_bounds(cfg).rows
+    rows = run_coverage(cfg).rows
     assert [r.bound for r in rows] == ["empirical_bernstein", "eb_ignore_linear"]
     # with xi_n = n^(-1/4) small, dropping the linear term wins on average
     assert rows[1].mean_radius < rows[0].mean_radius
@@ -220,6 +222,24 @@ def test_precondition_cell_is_flagged_not_fatal():
     row = run_coverage(cfg).rows[0]
     assert row.empirical_coverage is None
     assert any("precondition" in f for f in row.flags)
+
+
+def test_small_n_and_large_delta_cells_are_flagged_not_fatal():
+    # Both once raised out of run_coverage: maurer_pontil_baseline at n = 1
+    # divided by n - 1 = 0, and dedecker_baseline's 3*delta >= 1 check raised
+    # an exception that run_cells did not catch.
+    rows = run_coverage(
+        _config(bounds=("maurer_pontil_baseline",), n_grid=(1, 50), replications=20)
+    ).rows
+    assert rows[0].empirical_coverage is None
+    assert rows[0].flags == ("precondition: n must be an integer >= 2, got 1",)
+    assert rows[1].empirical_coverage is not None
+    row = run_coverage(
+        _config(process=bernoulli_ar1(), bounds=("dedecker_baseline",), n_grid=(200,),
+                replications=20, delta=0.4, alpha=None)
+    ).rows[0]
+    assert row.empirical_coverage is None
+    assert row.flags == ("precondition: total miss probability 3*delta >= 1",)
 
 
 def test_sweep_requires_increasing_grid():
@@ -273,14 +293,25 @@ def test_iid_vhat_tracks_marginal_variance_for_all_l():
 
 
 def test_burn_in_vectorized_matches_reference_op():
-    for scale, power in ((1.0, -0.25), (0.5, -0.3), (2.0, -0.45)):
-        pol = XiPolicy(scale, power)
-        fast = _burn_in_vectorized(0.05, 0.5, 0.25, 1.0, pol, n_max=50_000)
-        slow = burn_in_threshold(0.05, 0.5, 0.25, 1.0, lambda n: pol.scale * n**pol.power, 50_000)
-        assert fast == slow
-    pol = XiPolicy(1.0, -0.6)  # n * xi^2 decreasing: never attained
-    assert _burn_in_vectorized(0.05, 0.5, 0.25, 1.0, pol, n_max=20_000) is None
-    assert burn_in_threshold(0.05, 0.5, 0.25, 1.0, lambda n: n**-0.6, 20_000) is None
+    # The closed form against the reference loop.  Powers at and below -1/2
+    # make n * xi_n^2 non-increasing, large sigma2 qualifies at n = 1, and
+    # small ones run past n_max.
+    n_max = 20_000
+    grid = itertools.product(
+        (0.5, 1.0, 2.0),  # scale
+        (-0.1, -0.25, -0.45, -0.5, -0.6),  # power
+        (0.05, 1e-4),  # delta
+        (0.3, 0.9),  # eta
+        (0.01, 0.25, 1e3),  # sigma2
+        (1.0, 3.0),  # b
+    )
+    outcomes = set()
+    for scale, power, delta, eta, sigma2, b in grid:
+        fast = burn_in_power_law(delta, eta, sigma2, b, scale, power, n_max=n_max)
+        slow = burn_in_threshold(delta, eta, sigma2, b, lambda n: scale * n**power, n_max)
+        assert fast == slow, (scale, power, delta, eta, sigma2, b)
+        outcomes.add("none" if fast is None else "one" if fast == 1 else "later")
+    assert outcomes == {"none", "one", "later"}
 
 
 def test_maurer_pontil_radius_formula():
@@ -348,34 +379,67 @@ def test_single_block_policy_is_flagged_degenerate():
 def test_harness_radius_matches_unit_ops_on_same_path():
     import ebmix
 
-    n, seed = 2000, 77
-    spec = bernoulli_ar1()
-    cfg = _config(
-        process=spec,
-        bounds=("tilde_phi_mixing",),
-        n_grid=(n,),
-        replications=1,
-        master_seed=seed,
-        delta=0.01,
-        alpha=None,
-    )
-    row = run_coverage(cfg).rows[0]
-    values, truth = ebmix.simulate(spec, n, (seed, 0))
-    part = ebmix.block_partition(n, float(n) ** 0.4)
-    blocks = ebmix.block_summary(values, part)
-    budget = ebmix.mixing_budget_for(spec, "phi_tilde", n)
-    direct = ebmix.tilde_phi_interval(blocks, truth.range_width, budget, 0.01, xi_n=1.0 / n)
-    assert row.mean_radius == pytest.approx(direct.radius, rel=1e-12)
+    n, seed, delta = 2000, 77, 0.01
+    alpha = 1.5 * delta
+    two_state = finite_markov(TWO_STATE, [0.0, 1.0])
+    for bound, spec in (
+        ("freedman_oracle", iid_bernoulli(0.5)),
+        ("mds_empirical", iid_rademacher()),
+        ("empirical_bernstein", iid_bernoulli(0.5)),
+        ("eb_ignore_linear", iid_bernoulli(0.5)),
+        ("phi_mixing", two_state),
+        ("tilde_phi_mixing", bernoulli_ar1()),
+        ("mixing_agnostic", bernoulli_ar1()),
+        ("dedecker_baseline", bernoulli_ar1()),
+        ("maurer_pontil_baseline", iid_bernoulli(0.5)),
+    ):
+        cfg = _config(process=spec, bounds=(bound,), n_grid=(n,), replications=1,
+                      master_seed=seed, delta=delta, alpha=None)
+        row = run_coverage(cfg).rows[0]
+        values, truth = ebmix.simulate(spec, n, (seed, 0))
+        summary = ebmix.summarize(values, b=truth.b_abs)
+        blocks = ebmix.block_summary(values, ebmix.block_partition(n, float(n) ** 0.4))
+        rw = truth.range_width
+        if bound == "freedman_oracle":
+            direct = ebmix.freedman_radius(n, truth.sigma2_marginal, truth.b_centered, alpha)
+        elif bound == "mds_empirical":
+            direct = ebmix.core_bounds.mds_empirical_interval(values, truth.b_abs, delta).radius
+        elif bound == "empirical_bernstein":
+            direct = ebmix.eb_interval(summary, delta).radius
+        elif bound == "eb_ignore_linear":
+            direct = ebmix.ignore_linear_radius(summary, delta, n**-0.25)
+        elif bound == "phi_mixing":
+            budget = ebmix.mixing_budget_for(spec, "phi", n)
+            direct = ebmix.phi_interval(blocks, rw, budget, delta, xi_n=1.0 / n).radius
+        elif bound == "tilde_phi_mixing":
+            budget = ebmix.mixing_budget_for(spec, "phi_tilde", n)
+            direct = ebmix.tilde_phi_interval(blocks, rw, budget, delta, xi_n=1.0 / n).radius
+        elif bound == "mixing_agnostic":
+            knobs = KnobPolicy().evaluate(n, blocks.partition.remainder_size, rw)
+            direct = ebmix.agnostic_interval(blocks, rw, knobs, delta).radius
+        elif bound == "dedecker_baseline":
+            budget = ebmix.mixing_budget_for(spec, "phi_tilde", n)
+            direct = ebmix.dedecker_prieur_radius(n, budget.tv_norm, budget.phi_sum, 3 * delta)
+        else:
+            direct = maurer_pontil_radius(n, float(np.var(values, ddof=1)), alpha)
+        # The harness and the library group some sums differently, and the
+        # library's css is shift-stabilized, so agreement is to rounding.
+        assert row.mean_radius == pytest.approx(direct, rel=1e-9), bound
 
-    iid = iid_bernoulli(0.5)
-    cfg_eb = _config(
-        process=iid, bounds=("empirical_bernstein",), n_grid=(n,), replications=1,
-        master_seed=seed, delta=0.01, alpha=None,
-    )
-    row_eb = run_coverage(cfg_eb).rows[0]
-    values_eb, truth_eb = ebmix.simulate(iid, n, (seed, 0))
-    direct_eb = ebmix.eb_interval(ebmix.summarize(values_eb, b=truth_eb.b_abs), 0.01)
-    assert row_eb.mean_radius == pytest.approx(direct_eb.radius, rel=1e-9)
+
+def test_chunk_edges_are_balanced_and_cover_exactly():
+    # 850 rows of 10^4 values fit 838 to a chunk; two even chunks keep both
+    # threads of a --jobs 2 run busy.
+    assert _chunk_edges(850, 10_000) == [(0, 425), (425, 850)]
+    for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
+                 (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
+        edges = _chunk_edges(r, n)
+        cap = max(1, _CHUNK_VALUES // n)
+        sizes = [hi - lo for lo, hi in edges]
+        assert edges[0][0] == 0 and edges[-1][1] == r
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
+        assert len(edges) == -(-r // cap)
 
 
 def test_cell_result_exact_coverage_ratio():

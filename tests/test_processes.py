@@ -242,6 +242,18 @@ def test_non_ergodic_chains_rejected():
         finite_markov([[0.5, 0.4], [0.1, 0.9]], H01)
 
 
+def test_ergodicity_check_sees_tiny_transition_probabilities():
+    # A float power of P underflows these entries to zero and once rejected
+    # this primitive chain; dropping the entry that closes the cycle makes it
+    # reducible.
+    eps = 1e-200
+    finite_markov([[1 - eps, eps, 0.0], [0.0, 1 - eps, eps], [eps, 0.0, 1 - eps]], [0.0, 0.5, 1.0])
+    with pytest.raises(DomainError, match="ergodic"):
+        finite_markov([[1.0, 0.0, 0.0], [0.0, 1 - eps, eps], [eps, 0.0, 1 - eps]], [0.0, 0.5, 1.0])
+    with pytest.raises(DomainError, match="ergodic"):
+        finite_markov([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0.0, 0.5, 1.0])
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(DomainError):
         iid_bernoulli(1.5)
