@@ -7,6 +7,7 @@ validation error, 3 refusal to overwrite an output file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -136,7 +137,8 @@ def cmd_bound(args) -> int:
         if method == "eb":
             res = core_bounds.eb_interval(summary, delta)
         else:
-            xi = args.xi if args.xi is not None else summary.n ** -0.25
+            default_xi = float(harness._DEFAULT_XI[method].evaluate(summary.n))
+            xi = args.xi if args.xi is not None else default_xi
             res = core_bounds.ignore_linear_interval(summary, delta, xi)
     else:  # block-based methods need raw data and a block length
         _require(args, ["data", "l", "range_width"])
@@ -157,12 +159,12 @@ def cmd_bound(args) -> int:
             )
         else:  # agnostic
             n = values.size
-            rem = summary.partition.remainder_size
-            knobs = mixing_bounds.AgnosticKnobs(
-                c_n=args.c if args.c is not None else rem * args.range_width / n,
-                t_n=args.t if args.t is not None else n**-0.45,
-                s_n=args.s if args.s is not None else n**-0.45,
-            )
+            policy = harness.KnobPolicy()
+            if args.c is not None:
+                policy = harness.KnobPolicy(c_mode="fixed", c_value=args.c)
+            knobs = policy.evaluate(n, summary.partition.remainder_size, args.range_width)
+            given = {"t_n": args.t, "s_n": args.s}
+            knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
             errors = None
             if args.tv_norm is not None and args.phi_sum is not None and args.phi_sum > 0:
                 errors = mixing_bounds.agnostic_error_budget(

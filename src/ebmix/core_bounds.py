@@ -208,6 +208,12 @@ def mds_predictable_radius(pred_qv: float, b: float, t: float) -> float:
     return math.sqrt(2.0 * pred_qv * t) + b * t / 3.0
 
 
+def mds_empirical_terms(qv, b: float, t: float) -> dict:
+    """The terms ``leading = sqrt(2 [M]_n t)`` and ``linear = 3.15 b t`` of
+    :func:`mds_empirical_radius`, unchecked; ``qv`` may be an array."""
+    return {"leading": _sqrt(2.0 * qv * t), "linear": EMPIRICAL_LINEAR_CONSTANT * b * t}
+
+
 def mds_empirical_radius(qv, b: float, t: float):
     """Fully empirical radius for the unnormalized sum M_n in terms of the
     observable quadratic variation: sqrt(2 [M]_n t) + 3.15 b t.
@@ -218,15 +224,16 @@ def mds_empirical_radius(qv, b: float, t: float):
     _check_stat(qv, "qv")
     _check_nonneg(b, "b")
     _check_nonneg(t, "t")
-    return _sqrt(2.0 * qv * t) + EMPIRICAL_LINEAR_CONSTANT * b * t
+    terms = mds_empirical_terms(qv, b, t)
+    return terms["leading"] + terms["linear"]
 
 
 def mds_empirical_interval(values, b: float, delta: float) -> IntervalResult:
     """Interval for the mean of bounded martingale increments ``values`` at
     level ``1 - 3 delta``, centered at their sample mean.
 
-    With ``t = log(1/delta)`` the breakdown is ``leading = sqrt(2 [M]_n t) / n``
-    and ``linear = 3.15 b t / n``: :func:`mds_empirical_radius` over n.
+    With ``t = log(1/delta)`` the breakdown is :func:`mds_empirical_terms`
+    with each term divided by n.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -234,10 +241,8 @@ def mds_empirical_interval(values, b: float, delta: float) -> IntervalResult:
     b = _check_nonneg(b, "b")
     delta = _check_prob(delta, "delta")
     n, t = x.size, math.log(1.0 / delta)
-    breakdown = {
-        "leading": math.sqrt(2.0 * float(np.sum(x * x)) * t) / n,
-        "linear": EMPIRICAL_LINEAR_CONSTANT * b * t / n,
-    }
+    terms = mds_empirical_terms(float(np.sum(x * x)), b, t)
+    breakdown = {k: v / n for k, v in terms.items()}
     return _interval(float(np.mean(x)), 1.0 - 3.0 * delta, breakdown)
 
 
@@ -317,14 +322,30 @@ def ignore_linear_radius(summary: SampleSummary, delta: float, xi_n: float) -> f
 
 def ignore_linear_interval(summary: SampleSummary, delta: float, xi_n: float) -> IntervalResult:
     """:func:`ignore_linear_radius` as an interval at level ``1 - 3 delta``
-    (before the penalty), with breakdown ``leading = (1 + xi_n) sqrt(2
-    log(1/delta) css) / n`` and the inflation.  Its radius, inflation times
-    leading, may differ from :func:`ignore_linear_radius` in the last bit."""
+    (before the penalty), with breakdown ``leading`` (:func:`ignore_linear_rows`
+    at ``nu = 1``) and the inflation.  Its radius, inflation times leading,
+    may differ from :func:`ignore_linear_radius` in the last bit."""
     delta = _check_prob(delta, "delta")
     _check_nonneg(xi_n, "xi_n")
     nu = inflation_factor(summary.n, delta)
-    leading = (1.0 + xi_n) * math.sqrt(2.0 * math.log(1.0 / delta) * summary.css) / summary.n
+    leading = ignore_linear_rows(summary.css, summary.n, math.log(1.0 / delta), 1.0, xi_n)
     return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, "inflation": nu})
+
+
+def maurer_pontil_log_term(n: int, delta: float) -> float:
+    """Check the arguments of :func:`maurer_pontil_radius` and return its
+    ``log(2/delta)``."""
+    if n != int(n) or int(n) < 2:
+        raise DomainError(f"n must be an integer >= 2, got {n!r}")
+    if not (0.0 < delta < 1.0):
+        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
+    return math.log(2.0 / delta)
+
+
+def maurer_pontil_rows(sample_var_unbiased, n: int, log_term: float):
+    """:func:`maurer_pontil_radius` from the per-row unbiased variances and
+    the unchecked ``log_term = log(2/delta)``."""
+    return _sqrt(2.0 * sample_var_unbiased * log_term / n) + 7.0 * log_term / (3.0 * (n - 1))
 
 
 def maurer_pontil_radius(n: int, sample_var_unbiased, delta: float):
@@ -335,13 +356,8 @@ def maurer_pontil_radius(n: int, sample_var_unbiased, delta: float):
 
     ``sample_var_unbiased`` may be an array of per-row values.
     """
-    if n != int(n) or int(n) < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    _check_stat(sample_var_unbiased, "sample variance")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    log_term = math.log(2.0 / delta)
-    return _sqrt(2.0 * sample_var_unbiased * log_term / n) + 7.0 * log_term / (3.0 * (n - 1))
+    log_term = maurer_pontil_log_term(n, delta)
+    return maurer_pontil_rows(_check_stat(sample_var_unbiased, "sample variance"), n, log_term)
 
 
 def ignorance_penalty(n: int, sigma2: float, m4: float, b: float, eta: float) -> float:

@@ -383,10 +383,10 @@ class _CellPlan:
     def _prepare(self, config):
         truth, n, bound, delta = self.truth, self.n, self.bound, self.delta
         if bound == "freedman_oracle":
-            res = core_bounds.freedman_interval(
-                0.0, n, truth.sigma2_marginal, truth.b_centered, self.alpha
+            self.scalar_radius = core_bounds.freedman_radius(
+                n, truth.sigma2_marginal, truth.b_centered, self.alpha
             )
-            self.scalar_radius, self.level = res.radius, res.level
+            self.level = 1.0 - 2.0 * self.alpha
         elif bound == "mds_empirical":
             self.b = truth.b_abs
         elif bound == "empirical_bernstein":
@@ -408,7 +408,7 @@ class _CellPlan:
             else:
                 self.flags.append("penalty_unavailable")
         elif bound == "maurer_pontil_baseline":
-            core_bounds.maurer_pontil_radius(n, 0.0, self.alpha)  # checks n >= 2 once per cell
+            self.mp_log_term = core_bounds.maurer_pontil_log_term(n, self.alpha)
             self.level = 1.0 - 2.0 * self.alpha
         elif bound == "dedecker_baseline":
             budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
@@ -472,7 +472,7 @@ class _CellPlan:
             return core_bounds.ignore_linear_rows(css, n, self.log_term, self.nu, self.xi_n), None
         if bound == "maurer_pontil_baseline":
             var_u = _row_css(vals, means) / (n - 1)
-            return core_bounds.maurer_pontil_radius(n, var_u, self.alpha), None
+            return core_bounds.maurer_pontil_rows(var_u, n, self.mp_log_term), None
         if bound == "empirical_bernstein":
             leading = core_bounds.eb_leading(_row_css(vals, means), n, self.log_term)
         else:  # block bounds

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 from .blocking import BlockPartition, BlockSummary
 from .core_bounds import (
-    EMPIRICAL_LINEAR_CONSTANT,
-    IntervalResult,
-    _check_nonneg,
-    _check_prob,
-    _interval,
-    _sqrt,
+    EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _check_nonneg, _check_prob, _interval, _sqrt,
 )
 from .errors import DomainError, PreconditionError
 

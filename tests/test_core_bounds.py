@@ -25,6 +25,7 @@ from ebmix import (
     recompose,
     summarize,
 )
+from ebmix.core_bounds import ignore_linear_interval, mds_empirical_interval
 
 RTOL = 1e-9
 
@@ -222,6 +223,33 @@ def test_mds_empirical_scale_equivariance(qv, b, t, c):
     lhs = mds_empirical_radius(c * c * qv, c * b, t)
     rhs = c * mds_empirical_radius(qv, b, t)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300)
+
+
+@given(
+    css=nonneg,
+    n=st.integers(min_value=100, max_value=10**7),
+    delta=st.floats(min_value=1e-6, max_value=0.3),
+    xi=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_ignore_linear_interval_matches_radius(css, n, delta, xi):
+    # The interval's radius, nu * ((1 + xi) sqrt(...) / n), groups the
+    # product differently from ignore_linear_radius; it may only round apart.
+    s = SampleSummary(n=n, mean=0.25, css=css, b=1.0)
+    res = ignore_linear_interval(s, delta, xi)
+    assert res.level == 1.0 - 3.0 * delta
+    assert res.radius == pytest.approx(ignore_linear_radius(s, delta, xi), rel=1e-14, abs=1e-300)
+
+
+@given(
+    values=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=50),
+    delta=st.floats(min_value=1e-6, max_value=0.3),
+)
+def test_mds_empirical_interval_is_radius_over_n(values, delta):
+    x = np.asarray(values)
+    t = math.log(1.0 / delta)
+    res = mds_empirical_interval(x, 1.0, delta)
+    expected = mds_empirical_radius(float(np.sum(x * x)), 1.0, t) / x.size
+    assert res.radius == pytest.approx(expected, rel=1e-14)
 
 
 @given(

@@ -422,9 +422,13 @@ def test_harness_radius_matches_unit_ops_on_same_path():
             direct = ebmix.dedecker_prieur_radius(n, budget.tv_norm, budget.phi_sum, 3 * delta)
         else:
             direct = maurer_pontil_radius(n, float(np.var(values, ddof=1)), alpha)
-        # The harness and the library group some sums differently, and the
-        # library's css is shift-stabilized, so agreement is to rounding.
-        assert row.mean_radius == pytest.approx(direct, rel=1e-9), bound
+        # The harness and the library group some sums differently, so
+        # agreement is to rounding.  The library's css is shift-stabilized
+        # (and np.var is a third accumulation), so the css-based bounds get
+        # the wider tolerance.
+        css_based = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
+        rel = 1e-9 if bound in css_based else 1e-12
+        assert row.mean_radius == pytest.approx(direct, rel=rel), bound
 
 
 def test_chunk_edges_are_balanced_and_cover_exactly():
