@@ -50,6 +50,8 @@ _LONGRUN_BOUNDS = _BLOCK_BOUNDS + ("dedecker_baseline",)
 
 # Rows per simulation chunk are capped so a chunk holds ~8M values.
 _CHUNK_VALUES = 1 << 23
+# _row_css centers about this many values at a time.
+_CSS_VALUES = 1 << 16
 
 
 def resolve_bound(name: str) -> str:
@@ -489,8 +491,21 @@ class _CellPlan:
 
 
 def _row_css(vals, means):
-    d = vals - means[:, None]
-    return np.einsum("ij,ij->i", d, d)
+    """Each row's sum of squares about its mean, ``einsum("ij,ij->i", d, d)``
+    with ``d = vals - means[:, None]``, over blocks of rows so that no centered
+    copy of the whole chunk is held.  einsum reduces a lone row with another
+    kernel, which can differ in the last bit, so a block of a chunk with more
+    than one row never holds just one; the last block takes the rest."""
+    rows, n = vals.shape
+    step = max(2, _CSS_VALUES // n)
+    css = np.empty(rows)
+    lo = 0
+    while lo < rows:
+        hi = rows if rows - lo < 2 * step else lo + step
+        d = vals[lo:hi] - means[lo:hi, None]
+        css[lo:hi] = np.einsum("ij,ij->i", d, d)
+        lo = hi
+    return css
 
 
 def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:

@@ -1,10 +1,13 @@
 """Bounded stochastic-process generators with analytically known ground truth.
 
-Reproducibility: every path is drawn from a Philox counter-based generator
-seeded with ``numpy.random.SeedSequence(seed)``, where ``seed`` is either a
+Reproducibility: every path is drawn from the Philox counter-based generator
+that ``numpy.random.SeedSequence(seed)`` seeds, where ``seed`` is either a
 plain integer or a ``(master_seed, replication_index)`` pair.  Replications
 therefore use disjoint substreams and results are identical across platforms
-and across serial/parallel execution.
+and across serial/parallel execution.  The Philox keys come from
+``_philox_keys``, a port of SeedSequence's hash to NumPy arrays that derives
+the keys of a whole batch of replications at once; it is tested bit for bit
+against numpy's own.  Negative seeds and indices are refused with DomainError.
 
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
@@ -14,6 +17,7 @@ time segments of all paths together (see its docstring).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +38,18 @@ _PHI_BLOCK = 256
 # guessed segment start is driven through this many inputs before it is used.
 _RECUR_STATES = 1 << 12
 _RECUR_WARMUP = 128
+
+# numpy.random.SeedSequence's pool size and hash constants
+# (numpy/random/bit_generator.pyx), for _philox_keys.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -350,12 +366,125 @@ def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | 
     return None
 
 
-def _generator(seed) -> np.random.Generator:
-    if isinstance(seed, (tuple, list)):
-        entropy = tuple(int(v) for v in seed)
-    else:
-        entropy = int(seed)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def entropy_words(seed) -> np.ndarray:
+    """The uint32 entropy words ``numpy.random.SeedSequence(seed)`` hashes, for
+    an int seed or a sequence of ints: each int as its 32-bit words, least
+    significant first, concatenated.  Negative or non-integer parts are refused."""
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    words = []
+    for part in parts:
+        try:
+            value = operator.index(part)
+        except TypeError:
+            raise DomainError(f"seed must be a nonnegative integer, got {part!r}") from None
+        if value < 0:
+            raise DomainError(f"seed must be a nonnegative integer, got {value}")
+        words.append(value & _MASK32)
+        while value > _MASK32:
+            value >>= 32
+            words.append(value & _MASK32)
+    return np.array(words, dtype=np.uint32)
+
+
+def _index_array(indices) -> np.ndarray:
+    """Replication indices as an int64 or uint64 array, refusing negatives and
+    values at or above 2^64."""
+    if not isinstance(indices, (range, np.ndarray)):
+        indices = list(indices)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":
+        # Ints beyond int64 come back as float or object: check them exactly.
+        try:
+            idx = np.array([operator.index(i) for i in indices], dtype=object)
+        except TypeError:
+            raise DomainError("replication indices must be integers") from None
+    if idx.size and idx.min() < 0:
+        raise DomainError(f"replication index must be nonnegative, got {idx.min()}")
+    if idx.size and idx.max() >= 2**64:
+        raise DomainError(f"replication index must be below 2^64, got {idx.max()}")
+    return idx if idx.dtype.kind in "iu" else idx.astype(np.uint64)
+
+
+def _entropy_rows(master_seed: int, indices) -> tuple[np.ndarray, np.ndarray | None]:
+    """``entropy_words((master_seed, i))`` for every index i, as zero-padded
+    uint32 rows, and each row's word count (None when all rows are full): the
+    seed's words, then i as one word below 2^32 or two words at or above it."""
+    head = entropy_words(master_seed)
+    idx = _index_array(indices)
+    high = idx >> 32
+    wide = bool(high.any())
+    entropy = np.zeros((idx.size, head.size + 1 + wide), dtype=np.uint32)
+    entropy[:, : head.size] = head
+    entropy[:, head.size] = idx & _MASK32
+    if not wide:
+        return entropy, None
+    entropy[:, -1] = high
+    return entropy, head.size + 1 + (high > 0)
+
+
+def _philox_keys(entropy, lengths=None) -> np.ndarray:
+    """``SeedSequence(row).generate_state(2, np.uint64)``, the key
+    ``Philox(SeedSequence(row))`` starts from, for every row of a (rows, words)
+    uint32 entropy array, as (rows, 2) uint64.
+
+    A port of NumPy's ``mix_entropy`` and ``generate_state``
+    (``numpy/random/bit_generator.pyx``) to wrapping uint32 array arithmetic.
+    The hash constants advance independently of the data, so one sequence of
+    them serves every row.  Row r holds its first ``lengths[r]`` words
+    (default: all of them) and zeros after; a zero below the pool size hashes
+    the same as a missing word, and words past ``lengths[r]`` are skipped.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    rows, width = entropy.shape
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> np.uint32(_XSHIFT))
+
+    zero = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, width):
+        for dst in range(_POOL_SIZE):
+            mixed = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = mixed if lengths is None else np.where(lengths > src, mixed, pool[dst])
+    hash_const = _INIT_B
+    state = np.stack([hashmix(word, _MULT_B) for word in pool], axis=1).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
+
+
+def _new_generator() -> np.random.Generator:
+    """A Philox Generator for ``_generator`` to re-key; one per call, so
+    threads share none."""
+    return np.random.Generator(np.random.Philox(key=[0, 0]))
+
+
+def _generator(generator: np.random.Generator, key) -> np.random.Generator:
+    """``generator`` set to the state ``Philox(SeedSequence(...))`` starts
+    from for the substream with ``key``: that key, a zero counter and an
+    empty buffer."""
+    # The state setter reads counter and buffer element by element, which is
+    # cheaper from a list than from an array.
+    generator.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # past the end of the 4-word buffer: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return generator
 
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
@@ -462,7 +591,8 @@ def simulate(spec: ProcessSpec, n: int, seed) -> tuple[np.ndarray, GroundTruth]:
     if n != int(n) or int(n) < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    u = _generator(seed).random((1, n))
+    key = _philox_keys(entropy_words(seed)[None, :])[0]
+    u = _generator(_new_generator(), key).random((1, n))
     values = _paths_from_uniforms(spec, u)[0]
     return values, ground_truth(spec)
 
@@ -472,8 +602,9 @@ def simulate_paths(spec: ProcessSpec, n: int, master_seed: int, indices) -> np.n
     if n != int(n) or int(n) < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
-    idx = list(indices)
-    u = np.empty((len(idx), n), dtype=float)
-    for row, i in enumerate(idx):
-        u[row] = _generator((master_seed, i)).random(n)
+    keys = _philox_keys(*_entropy_rows(master_seed, indices))
+    u = np.empty((keys.shape[0], n), dtype=float)
+    generator = _new_generator()
+    for row, key in zip(u, keys):
+        _generator(generator, key).random(out=row)
     return _paths_from_uniforms(spec, u)

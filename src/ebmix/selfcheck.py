@@ -8,8 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core_bounds, mixing_bounds
+from . import core_bounds, mixing_bounds, processes
 from .blocking import block_identity_residual, block_partition, block_summary
+from .errors import DomainError
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """The Philox stream of ``SeedSequence((seed, stream))``; a negative seed
+    is refused with DomainError."""
+    entropy = processes.entropy_words((seed, stream))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
 @dataclass(frozen=True)
@@ -23,7 +31,7 @@ class CheckResult:
 def check_block_identity(cases: int = 1000, seed: int = 0, inject_fault: bool = False) -> CheckResult:
     """Recentering identity residual stays below 1e-9 relative on random
     (m, l, values, mu) instances with m, l <= 20."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 101))))
+    rng = _rng(seed, 101)
     worst = 0.0
     for _ in range(cases):
         m = int(rng.integers(1, 21))
@@ -47,7 +55,7 @@ def check_block_identity(cases: int = 1000, seed: int = 0, inject_fault: bool = 
 
 def check_partition_exactness(cases: int = 1000, seed: int = 0) -> CheckResult:
     """Blocks plus remainder tile {0..n-1} disjointly for random (n, l)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 202))))
+    rng = _rng(seed, 202)
     for _ in range(cases):
         n = int(rng.integers(1, 10_001))
         l = float(rng.uniform(1.0, n + 0.999))
@@ -66,7 +74,7 @@ def check_partition_exactness(cases: int = 1000, seed: int = 0) -> CheckResult:
 def check_radius_monotonicity(cases: int = 1000, seed: int = 0) -> CheckResult:
     """Each radius is nondecreasing in its exponent, bound, and variance
     arguments (randomized pairwise comparisons)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 303))))
+    rng = _rng(seed, 303)
     for i in range(cases):
         qv = float(rng.uniform(0, 50))
         b = float(rng.uniform(0, 5))
@@ -95,7 +103,7 @@ def check_radius_monotonicity(cases: int = 1000, seed: int = 0) -> CheckResult:
 
 def check_scale_equivariance(cases: int = 1000, seed: int = 0) -> CheckResult:
     """mds_empirical_radius(c^2 qv, c b, t) == c * mds_empirical_radius(qv, b, t)."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 404))))
+    rng = _rng(seed, 404)
     worst = 0.0
     for _ in range(cases):
         qv = float(rng.uniform(0, 100))
@@ -117,7 +125,7 @@ def check_scale_equivariance(cases: int = 1000, seed: int = 0) -> CheckResult:
 def check_zero_budget_reduction(cases: int = 200, seed: int = 0) -> CheckResult:
     """With zero mixing budget, empty remainder and xi = 0, the phi and
     phi_tilde radii coincide exactly."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 505))))
+    rng = _rng(seed, 505)
     for i in range(cases):
         fl = int(rng.integers(2, 20))
         m = int(rng.integers(30, 80))  # enough blocks for any delta below
@@ -138,6 +146,8 @@ def check_zero_budget_reduction(cases: int = 200, seed: int = 0) -> CheckResult:
 
 
 def run_all(seed: int = 0, cases: int = 1000, inject_fault: bool = False) -> list[CheckResult]:
+    if cases < 1:
+        raise DomainError(f"cases must be a positive integer, got {cases}")
     return [
         check_block_identity(cases=cases, seed=seed, inject_fault=inject_fault),
         check_partition_exactness(cases=cases, seed=seed),

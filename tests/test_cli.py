@@ -295,3 +295,23 @@ def test_selfcheck_deterministic_and_fault_injection(capsys):
     assert out1.count("PASS") == 5
     assert main(["selfcheck", "--cases", "40", "--inject-fault"]) == 1
     assert "FAIL block_identity_residual" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--kind", "bernoulli_ar1", "--n", "5", "--seed", "-3"],
+        ["selfcheck", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2_naming_it(argv, capsys):
+    assert main(argv) == 2
+    assert f"got {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cases", ["0", "-4"])
+def test_selfcheck_refuses_fewer_than_one_case(cases, capsys):
+    assert main(["selfcheck", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert f"got {cases}" in captured.err

@@ -27,7 +27,7 @@ from ebmix import (
     run_sharpness_sweep,
 )
 from ebmix.core_bounds import burn_in_power_law
-from ebmix.harness import _CHUNK_VALUES, _chunk_edges, resolve_bound
+from ebmix.harness import _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _row_css, resolve_bound
 from ebmix import reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
@@ -444,6 +444,20 @@ def test_chunk_edges_are_balanced_and_cover_exactly():
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
         assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
         assert len(edges) == -(-r // cap)
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [(1, 1000), (2, 1 << 17), (5, 40_000), (131, 1000), (196, 1000), (64, 1000), (4001, 200)],
+)
+def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
+    # 196 rows of 1000 values: blocks of 65, 65 and 66 rows, never a lone row.
+    assert _CSS_VALUES // 1000 == 65
+    vals = np.random.default_rng([rows, n]).random((rows, n)) * 1e3
+    means = vals.mean(axis=1)
+    d = vals - means[:, None]
+    expected = np.einsum("ij,ij->i", d, d)
+    assert np.array_equal(_row_css(vals, means).view(np.uint64), expected.view(np.uint64))
 
 
 def test_cell_result_exact_coverage_ratio():

@@ -61,6 +61,78 @@ def test_batch_rows_equal_single_paths(spec):
         assert np.array_equal(batch[i], single)
 
 
+def _numpy_generator(seed) -> np.random.Generator:
+    """numpy's own substream for ``seed``, the reference the vectorized key
+    derivation is checked against."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _numpy_uniforms(master_seed, indices, n):
+    return np.array([_numpy_generator((master_seed, i)).random(n) for i in indices])
+
+
+def _numpy_keys(seeds):
+    return np.array([_numpy_generator(s).bit_generator.state["state"]["key"] for s in seeds])
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**70]
+INDEX_LISTS = [
+    [0, 2**32 - 1, 2**32, 2**64 - 1],
+    [17, 3, 2**40 + 1, 0, 9],  # unsorted, non-contiguous, mixed word counts
+    range(3, 9),
+]
+UNIFORM = iid_uniform(0.0, 1.0)  # the path is the uniforms themselves
+
+
+@pytest.mark.parametrize("master_seed", SEEDS)
+@pytest.mark.parametrize("indices", INDEX_LISTS, ids=["edges", "unsorted", "range"])
+def test_philox_keys_and_uniforms_match_numpy_seed_sequence(master_seed, indices):
+    keys = processes._philox_keys(*processes._entropy_rows(master_seed, indices))
+    expected = _numpy_keys([(master_seed, i) for i in indices])
+    assert keys.dtype == np.uint64 and np.array_equal(keys, expected)
+    paths = simulate_paths(UNIFORM, 40, master_seed, indices)
+    assert np.array_equal(paths.view(np.uint64), _numpy_uniforms(master_seed, indices, 40).view(np.uint64))
+
+
+@pytest.mark.parametrize("seed", SEEDS + [(2**70, 5), (7, 2**64 - 1)])
+def test_simulate_seed_matches_numpy_seed_sequence(seed):
+    key = processes._philox_keys(processes.entropy_words(seed)[None, :])
+    assert np.array_equal(key, _numpy_keys([seed]))
+    values, _ = simulate(UNIFORM, 40, seed)
+    assert np.array_equal(values.view(np.uint64), _numpy_generator(seed).random(40).view(np.uint64))
+
+
+def test_chunked_simulate_paths_equal_one_call():
+    # The first chunk has only one-word indices, so its rows are a word shorter.
+    whole = simulate_paths(UNIFORM, 30, 2**70, [5, 0, 2**32, 12, 2**40 + 1])
+    parts = np.vstack([
+        simulate_paths(UNIFORM, 30, 2**70, [5, 0]),
+        simulate_paths(UNIFORM, 30, 2**70, [2**32, 12, 2**40 + 1]),
+    ])
+    assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
+
+
+@pytest.mark.parametrize("indices", [[-1], [3, -2], [2**64], [0, 2**64 + 7]])
+def test_simulate_paths_refuses_indices_outside_uint64(indices):
+    with pytest.raises(DomainError, match="replication index"):
+        simulate_paths(UNIFORM, 5, 0, indices)
+
+
+@pytest.mark.parametrize("seed", [-3, (-1, 0), (4, -1)])
+def test_simulate_refuses_negative_seed(seed):
+    with pytest.raises(DomainError, match="nonnegative integer, got -"):
+        simulate(UNIFORM, 5, seed)
+
+
+def test_simulate_paths_refuses_negative_master_seed():
+    with pytest.raises(DomainError, match="nonnegative integer, got -3"):
+        simulate_paths(UNIFORM, 5, -3, range(2))
+
+
+def test_simulate_paths_of_no_indices_is_empty():
+    assert simulate_paths(UNIFORM, 5, 0, []).shape == (0, 5)
+
+
 @pytest.mark.parametrize(
     "spec",
     [iid_bernoulli(0.3), iid_rademacher(), iid_uniform(-0.5, 2.0)],
@@ -370,7 +442,7 @@ def test_sticky_chain_forces_repairs_and_stays_exact():
 
 def test_simulate_long_ar1_path_matches_sequential_loop():
     values, _ = simulate(AR1, 50_001, (9, 2))
-    u = processes._generator((9, 2)).random((1, 50_001))
+    u = _numpy_generator((9, 2)).random((1, 50_001))
     assert np.array_equal(values.view(np.uint64), _sequential_paths(AR1, u)[0].view(np.uint64))
 
 
