@@ -460,34 +460,49 @@ class _CellPlan:
         self.linear_terms = sum(terms[k] for k in keys[split:])
         self.rem_term = terms.get("remainder", 0.0)
 
-    def evaluate(self, vals: np.ndarray, means: np.ndarray):
-        """Per-replication radii (and block variances where applicable)."""
+    def evaluate(self, vals: np.ndarray, means: np.ndarray, memo: dict | None = None):
+        """Per-replication radii (and block variances where applicable).
+
+        ``memo`` holds the row statistics of one chunk (the css, and the
+        block variances per partition), so the plans evaluated on the same
+        chunk compute each of them once; pass a new dict for every chunk."""
         bound, n = self.bound, self.n
+        memo = {} if memo is None else memo
         vhat = None
         if bound in ("freedman_oracle", "dedecker_baseline"):
             return np.full(vals.shape[0], self.scalar_radius), None
         if bound == "mds_empirical":
             qv = np.einsum("ij,ij->i", vals, vals)
             return core_bounds.mds_empirical_radius(qv, self.b, self.log_term) / n, None
-        if bound == "eb_ignore_linear":
-            css = _row_css(vals, means)
-            return core_bounds.ignore_linear_rows(css, n, self.log_term, self.nu, self.xi_n), None
-        if bound == "maurer_pontil_baseline":
-            var_u = _row_css(vals, means) / (n - 1)
-            return core_bounds.maurer_pontil_rows(var_u, n, self.mp_log_term), None
-        if bound == "empirical_bernstein":
-            leading = core_bounds.eb_leading(_row_css(vals, means), n, self.log_term)
-        else:  # block bounds
+        if self.uses_blocks:
             p = self.partition
-            m, fl = p.m, p.floor_l
-            head = vals[:, : m * fl].reshape(vals.shape[0], m, fl)
-            block_sums = head.sum(axis=2)
-            h_bar = block_sums.sum(axis=1) / (m * fl)
-            centered = block_sums - fl * h_bar[:, None]
-            vhat = np.einsum("ij,ij->i", centered, centered) / n
+            key = ("vhat", p.m, p.floor_l)
+            if key not in memo:
+                memo[key] = _row_vhat(vals, p.m, p.floor_l)
+            vhat = memo[key]
             leading = mixing_bounds.block_leading(vhat, n, self.log_term)
+        else:
+            if "css" not in memo:
+                memo["css"] = _row_css(vals, means)
+            css = memo["css"]
+            if bound == "eb_ignore_linear":
+                return core_bounds.ignore_linear_rows(css, n, self.log_term, self.nu, self.xi_n), None
+            if bound == "maurer_pontil_baseline":
+                return core_bounds.maurer_pontil_rows(css / (n - 1), n, self.mp_log_term), None
+            leading = core_bounds.eb_leading(css, n, self.log_term)
         radii = self.inflation * (leading + self.sqrt_terms + self.linear_terms) + self.rem_term
         return radii, vhat
+
+
+def _row_vhat(vals, m, fl):
+    """Each row's block variance: the squared deviations of its ``m`` block
+    sums of length ``fl`` (the first ``m * fl`` values) from their mean,
+    summed and divided by the full row length."""
+    rows, n = vals.shape
+    block_sums = vals[:, : m * fl].reshape(rows, m, fl).sum(axis=2)
+    h_bar = block_sums.sum(axis=1) / (m * fl)
+    centered = block_sums - fl * h_bar[:, None]
+    return np.einsum("ij,ij->i", centered, centered) / n
 
 
 def _row_css(vals, means):
@@ -546,8 +561,9 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             lo, hi = chunk
             vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
             means = vals.mean(axis=1)
+            memo = {}
             for key, plan in live.items():
-                rad, vh = plan.evaluate(vals, means)
+                rad, vh = plan.evaluate(vals, means, memo)
                 radii[key][lo:hi] = rad
                 covered[key][lo:hi] = np.abs(means - mu) <= rad
                 if vh is not None:

@@ -11,11 +11,16 @@ against numpy's own.  Negative seeds and indices are refused with DomainError.
 
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
-time segments of all paths together (see its docstring).
+time segments of all paths together, a tile of time indices at a time (see
+its docstring).  Finite-Markov states are held in the smallest integer dtype
+that holds the largest state index, and one step counts, column by column,
+the cumulative transition probabilities of the current state that lie at or
+below the uniform.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -38,6 +43,8 @@ _PHI_BLOCK = 256
 # guessed segment start is driven through this many inputs before it is used.
 _RECUR_STATES = 1 << 12
 _RECUR_WARMUP = 128
+# _recur steps through this many time indices per contiguous tile.
+_TILE = 8
 
 # numpy.random.SeedSequence's pool size and hash constants
 # (numpy/random/bit_generator.pyx), for _philox_keys.
@@ -202,12 +209,22 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
 
     This TV quantity upper-bounds the mixing coefficient of the chain's
     natural filtration, hence provenance "analytic_bound".  Terms below
-    1e-15 are dropped (the remaining geometric tail is negligible).
+    1e-15 are dropped (the remaining geometric tail is negligible).  The sum
+    is computed once per (P, n) and then served from a cache; a P that is not
+    ergodic raises on every call.
     """
     P = np.asarray(P, dtype=float)
     if n != int(n) or int(n) < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    total = _phi_sum(P.tobytes(), P.shape, int(n))
+    return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
+
+
+@functools.lru_cache(maxsize=64)
+def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
+    """``markov_phi_budget``'s sum for the float64 matrix with these bytes and
+    shape.  Exceptions are not cached."""
+    P = np.frombuffer(p_bytes).reshape(shape)
     pi = stationary_distribution(P)
     total = 0.0
     power = np.eye(P.shape[0])
@@ -224,7 +241,7 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
         total = float(np.cumsum(np.concatenate(([total], phi[:stop])))[-1])
         if below.size:
             break
-    return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
+    return total
 
 
 def bernoulli_ar1_budget(n: int) -> MixingBudget:
@@ -488,14 +505,17 @@ def _generator(generator: np.random.Generator, key) -> np.random.Generator:
 
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
-    """Map uniforms of shape (paths, n) to process values, one row per path."""
+    """Map uniforms of shape (paths, n) to process values, one row per path.
+    IID Bernoulli and uniform values overwrite ``u`` and are returned in it."""
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
         if p["dist"] == "bernoulli":
-            return (u < p["p"]).astype(float)
+            return np.less(u, p["p"], out=u)
         if p["dist"] == "rademacher":
             return np.where(u < 0.5, -1.0, 1.0)
-        return p["a"] + (p["b"] - p["a"]) * u
+        u *= p["b"] - p["a"]
+        u += p["a"]
+        return u
     if kind == "hetero_mds":
         scales = np.asarray(p["scales"], dtype=float)
         pattern = scales[np.arange(u.shape[1]) % scales.size]
@@ -508,13 +528,18 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         cum_rows = np.cumsum(P, axis=1)
         cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
         cum_rows[:, -1] = 1.0
-        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
-        states = _recur(
-            lambda state, ut: (np.take(cum_rows, state, axis=0) <= ut[..., None]).sum(axis=-1),
-            first,
-            u,
-        )
-        return h[states]
+        dtype = np.min_scalar_type(P.shape[0] - 1)
+        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1).astype(dtype)
+        # u < 1 never reaches the last column, 1.0, so it is left out.
+        cols = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
+
+        def step(state, ut):
+            nxt = np.zeros_like(state)
+            for col in cols:
+                nxt += np.take(col, state) <= ut
+            return nxt
+
+        return h[_recur(step, first, u)]
     # bernoulli_ar1
     return _recur(lambda x, ut: 0.5 * x + 0.5 * (ut < 0.5), u[:, 0], u)
 
@@ -538,7 +563,11 @@ def _recur(step, first: np.ndarray, u: np.ndarray) -> np.ndarray:
     produces, bit for bit, for uniforms ``u`` of shape (paths, n).
 
     Each path is cut into S segments of length L and all paths x segments
-    advance together, one vectorized step per index within a segment.
+    advance together, one vectorized step per index within a segment.  The
+    steps run over time tiles of _TILE indices: a tile's inputs are copied
+    into a contiguous (tile, paths, segments) buffer, the state is kept as a
+    contiguous (paths, segments) array, and the tile's states are written
+    back into the output together, so no step touches a strided slice.
     Segments after the first start from a guess (the path's first state)
     driven through the last _RECUR_WARMUP inputs of the previous segment.
     ``step`` is deterministic in (state, u_t), so chains fed the same inputs
@@ -561,8 +590,16 @@ def _recur(step, first: np.ndarray, u: np.ndarray) -> np.ndarray:
         for j in range(length - _RECUR_WARMUP + 1, length):
             guess = step(guess, us[:, :-1, j])
         xs[:, 1:, 0] = step(guess, us[:, 1:, 0])
-    for j in range(1, length):
-        xs[:, :, j] = step(xs[:, :, j - 1], us[:, :, j])
+    u_tile = np.empty((_TILE, rows, segments), dtype=u.dtype)
+    x_tile = np.empty((_TILE, rows, segments), dtype=out.dtype)
+    state = np.ascontiguousarray(xs[:, :, 0])
+    for j0 in range(1, length, _TILE):
+        j1 = min(j0 + _TILE, length)
+        tu, tx = u_tile[: j1 - j0], x_tile[: j1 - j0]
+        np.copyto(tu, us[:, :, j0:j1].transpose(2, 0, 1))
+        for t in range(j1 - j0):
+            state = tx[t] = step(state, tu[t])
+        np.copyto(xs[:, :, j0:j1].transpose(2, 0, 1), tx)
     if segments > 1:
         unsure = (step(xs[:, :-1, -1], us[:, 1:, 0]) != xs[:, 1:, 0]).any(axis=0)
         repaired = False

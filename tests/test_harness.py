@@ -468,3 +468,49 @@ def test_cell_result_exact_coverage_ratio():
         math.sqrt(row.empirical_coverage * (1 - row.empirical_coverage) / row.replications)
     )
 
+
+
+def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
+    from ebmix import harness, processes
+
+    calls = {"css": 0, "vhat": 0}
+    row_css, row_vhat = harness._row_css, harness._row_vhat
+
+    def counted_css(*args):
+        calls["css"] += 1
+        return row_css(*args)
+
+    def counted_vhat(*args):
+        calls["vhat"] += 1
+        return row_vhat(*args)
+
+    monkeypatch.setattr(harness, "_row_css", counted_css)
+    monkeypatch.setattr(harness, "_row_vhat", counted_vhat)
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    css_bounds = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
+    policies = (LPolicy("exponent", 0.4), LPolicy("exponent", 0.5))  # l = 8 and l = 14
+    cfg = _config(
+        process=iid_bernoulli(0.3),
+        bounds=css_bounds + ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic"),
+        n_grid=(200,),
+        replications=50,
+        l_policies=policies,
+    )
+    chunks = len(_chunk_edges(50, 200))
+    assert chunks == 3
+    rows = harness.run_cells(cfg)
+    assert calls == {"css": chunks, "vhat": 2 * chunks}
+    assert all(row.covered is not None for row in rows)
+
+    # A shared memo gives each plan the radii it computes on its own.
+    vals = processes.simulate_paths(cfg.process, 200, cfg.master_seed, range(20))
+    means = vals.mean(axis=1)
+    memo = {}
+    for lp in policies:
+        for bound in cfg.bounds:
+            plan = harness._CellPlan(cfg, bound, 200, lp)
+            shared, shared_vhat = plan.evaluate(vals, means, memo)
+            alone, alone_vhat = plan.evaluate(vals, means)
+            assert np.array_equal(shared.view(np.uint64), alone.view(np.uint64)), bound
+            if alone_vhat is not None:
+                assert np.array_equal(shared_vhat.view(np.uint64), alone_vhat.view(np.uint64))

@@ -414,6 +414,48 @@ def test_recurrence_matches_sequential_loop(spec, rows, n, regime):
     _assert_bit_equal(spec, u)
 
 
+TILE = processes._TILE
+
+
+@pytest.mark.parametrize("spec", [AR1, MARKOV_3], ids=lambda s: s.label())
+@pytest.mark.parametrize(
+    "rows, n, regime",
+    [
+        (3, TILE - 3, "shorter than a tile"),
+        (2, TILE, "one partial tile"),
+        (2, TILE + 1, "whole tiles"),
+        (5, 3 * TILE + 4, "partial last tile"),
+        (4, 1000, "segments with a partial last tile"),
+    ],
+)
+def test_recurrence_tiles_of_any_length(spec, rows, n, regime):
+    segments = processes._segment_count(rows, n)
+    steps = n // segments - 1  # indices the tiles of each segment cover
+    if regime == "shorter than a tile":
+        assert segments == 1 and n < TILE
+    elif regime == "whole tiles":
+        assert segments == 1 and steps % TILE == 0
+    elif regime == "segments with a partial last tile":
+        assert segments > 1 and steps % TILE != 0 and n % segments != 0
+    else:
+        assert segments == 1 and steps % TILE != 0
+    u = np.random.default_rng(rows * 31 + n).random((rows, n))
+    _assert_bit_equal(spec, u)
+
+
+def test_chain_with_more_states_than_a_byte_holds():
+    # State indices above 255 need a wider dtype than uint8; h is the index,
+    # so the values show which states were visited.
+    k = 300
+    P = np.random.default_rng(6).uniform(0.5, 1.0, size=(k, k))
+    P /= P.sum(axis=1, keepdims=True)
+    spec = finite_markov(P, np.arange(k, dtype=float))
+    u = np.random.default_rng(7).random((4, 600))
+    assert processes._segment_count(4, 600) > 1
+    assert _sequential_paths(spec, u).max() > 255
+    _assert_bit_equal(spec, u)
+
+
 def test_ar1_without_coalescence_is_repaired():
     # u >= 0.5 gives X_t = X_{t-1} / 2 exactly: a guessed start never meets the
     # true path before both underflow, so segments have to be recomputed.
@@ -480,3 +522,28 @@ def test_markov_phi_budget_equals_running_sum_loop_on_a_larger_chain():
     P = rng.uniform(0.0, 1.0, size=(12, 12)) ** 4
     P /= P.sum(axis=1, keepdims=True)
     assert markov_phi_budget(P, 700).phi_sum == _sequential_phi_sum(P, 700)
+
+
+def test_repeated_markov_phi_budget_calls_equal_the_loop():
+    P = np.asarray(SLOW_3)
+    want = _sequential_phi_sum(P, 3_001)
+    hits = processes._phi_sum.cache_info().hits
+    assert markov_phi_budget(P, 3_001).phi_sum == want
+    assert markov_phi_budget(P.tolist(), 3_001).phi_sum == want
+    assert processes._phi_sum.cache_info().hits == hits + 1
+
+
+def test_markov_phi_budget_of_another_chain_of_the_same_shape_is_its_own():
+    other = [[0.8, 0.15, 0.05], [0.1, 0.8, 0.1], [0.05, 0.15, 0.8]]
+    first = markov_phi_budget(np.asarray(SLOW_3), 2_000).phi_sum
+    second = markov_phi_budget(np.asarray(other), 2_000).phi_sum
+    assert first == _sequential_phi_sum(SLOW_3, 2_000)
+    assert second == _sequential_phi_sum(other, 2_000)
+    assert second != first
+
+
+def test_markov_phi_budget_refuses_a_non_ergodic_chain_on_every_call():
+    periodic = np.asarray([[0.0, 1.0], [1.0, 0.0]])
+    for _ in range(2):
+        with pytest.raises(DomainError, match="ergodic"):
+            markov_phi_budget(periodic, 10)
