@@ -73,29 +73,36 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
     """Compute block sums, h_bar and v_hat for one sample.
 
     Summation order inside each block is the storage order, so results are
-    deterministic and independent of how blocks are scheduled.
+    deterministic and independent of how blocks are scheduled.  ``v_hat`` is
+    :func:`row_vhat` of the lone row, the reduction the harness uses.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size != partition.n:
         raise DomainError(f"values must have length n = {partition.n}, got {x.size}")
     m, fl, n = partition.m, partition.floor_l, partition.n
     used = m * fl
-    head = x[:used].reshape(m, fl)
-    block_sums = head.sum(axis=1)
-    h_bar = float(block_sums.sum()) / used
-    if m == 1:
-        v_hat = 0.0  # the single block sum equals floor_l * h_bar identically
-    else:
-        centered = block_sums - fl * h_bar
-        v_hat = float(np.sum(centered * centered)) / n
+    block_sums = x[:used].reshape(m, fl).sum(axis=1)
+    # the single block sum equals floor_l * h_bar identically
+    v_hat = 0.0 if m == 1 else float(row_vhat(x[None, :], m, fl)[0])
     return BlockSummary(
         partition=partition,
         block_sums=tuple(float(s) for s in block_sums),
-        h_bar=h_bar,
+        h_bar=float(block_sums.sum()) / used,
         v_hat=v_hat,
         mean=float(np.sum(x)) / n,
         values_used=used,
     )
+
+
+def row_vhat(vals, m: int, fl: int) -> np.ndarray:
+    """Each row's block variance: the squared deviations of its ``m`` block
+    sums of length ``fl`` (the first ``m * fl`` values) from their mean,
+    summed and divided by the full row length."""
+    rows, n = vals.shape
+    block_sums = vals[:, : m * fl].reshape(rows, m, fl).sum(axis=2)
+    h_bar = block_sums.sum(axis=1) / (m * fl)
+    centered = block_sums - fl * h_bar[:, None]
+    return np.einsum("ij,ij->i", centered, centered) / n
 
 
 def block_identity_residual(values, m: int, l: int, mu: float) -> float:

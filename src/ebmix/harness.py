@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
-from .blocking import block_partition
+from .blocking import block_partition, row_vhat
 from .errors import ConfigError, DomainError, PreconditionError
 
 BOUNDS = (
@@ -163,6 +164,13 @@ class KnobPolicy(_Policy):
         )
 
 
+def _is_whole(value) -> bool:
+    """A whole number given as an int or a float; a bool is not one."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 _DEFAULT_XI = {"eb_ignore_linear": XiPolicy(1.0, -0.25)}
 _MIXING_XI = XiPolicy(1.0, -1.0)
 
@@ -190,13 +198,14 @@ class ExperimentConfig:
         object.__setattr__(self, "bounds", tuple(resolve_bound(b) for b in self.bounds))
         if not self.n_grid:
             raise ConfigError("field 'n_grid': must be nonempty")
-        if any(n != int(n) or int(n) < 1 for n in self.n_grid):
+        if not all(_is_whole(n) and n >= 1 for n in self.n_grid):
             raise ConfigError(f"field 'n_grid': entries must be positive integers, got {self.n_grid!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if self.replications < 1:
-            raise ConfigError(f"field 'replications': must be >= 1, got {self.replications!r}")
-        if self.master_seed < 0:
-            raise ConfigError(f"field 'master_seed': must be a nonnegative integer, got {self.master_seed!r}")
+        for name, low in (("replications", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            if not _is_whole(value) or value < low:
+                raise ConfigError(f"field {name!r}: must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if (self.delta is None) == (self.alpha is None):
             raise ConfigError("exactly one of 'delta' and 'alpha' must be set")
         level = self.delta if self.delta is not None else self.alpha
@@ -261,8 +270,8 @@ class ExperimentConfig:
             process=processes.ProcessSpec.from_dict(d["process"]),
             bounds=tuple(bounds),
             n_grid=tuple(d["n_grid"]),
-            replications=int(d["replications"]),
-            master_seed=int(d["master_seed"]),
+            replications=d["replications"],
+            master_seed=d["master_seed"],
             delta=None if d.get("delta") is None else float(d["delta"]),
             alpha=None if d.get("alpha") is None else float(d["alpha"]),
             l_policy=LPolicy.from_dict(d["l_policy"]) if d.get("l_policy") else LPolicy(),
@@ -271,38 +280,39 @@ class ExperimentConfig:
             ),
             xi=XiPolicy.from_dict(d["xi"]) if d.get("xi") else None,
             knobs=KnobPolicy.from_dict(d["knobs"]) if d.get("knobs") else KnobPolicy(),
-            eta=float(d.get("eta", 0.5)),
+            eta=0.5 if d.get("eta") is None else float(d["eta"]),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CellResult:
-    """One (n, bound, block policy) cell of a report."""
+    """One (n, bound, block policy) cell of a report.  A flagged cell sets
+    only the identifying fields and its flag; the rest keep their defaults."""
 
     process: str
     bound: str
     n: int
     delta: float
     alpha: float
-    level: float | None
+    level: float | None = None
     replications: int
-    covered: int | None
-    empirical_coverage: float | None
-    mc_se: float | None
-    mean_radius: float | None
-    median_radius: float | None
-    sharpness_ratio: float | None
-    sharpness_limit: float | None
-    sigma_ref: float | None
-    sigma_ref_source: str
+    covered: int | None = None
+    empirical_coverage: float | None = None
+    mc_se: float | None = None
+    mean_radius: float | None = None
+    median_radius: float | None = None
+    sharpness_ratio: float | None = None
+    sharpness_limit: float | None = None
+    sigma_ref: float | None = None
+    sigma_ref_source: str = "n/a"
     l_policy: str
-    block_len: int | None
-    blocks: int | None
-    remainder: int | None
-    mean_vhat: float | None
-    error_total: float | None
-    penalty: float | None
-    burn_in_n: int | None
+    block_len: int | None = None
+    blocks: int | None = None
+    remainder: int | None = None
+    mean_vhat: float | None = None
+    error_total: float | None = None
+    penalty: float | None = None
+    burn_in_n: int | None = None
     master_seed: int
     flags: tuple[str, ...] = ()
 
@@ -353,12 +363,6 @@ def validate_config(config: ExperimentConfig) -> None:
                 f"bound {bound!r} is incompatible with process "
                 f"{config.process.label()!r}; requires: " + "; ".join(unmet)
             )
-
-
-class _FlaggedCell(Exception):
-    def __init__(self, message):
-        super().__init__(message)
-        self.message = message
 
 
 class _CellPlan:
@@ -478,7 +482,7 @@ class _CellPlan:
             p = self.partition
             key = ("vhat", p.m, p.floor_l)
             if key not in memo:
-                memo[key] = _row_vhat(vals, p.m, p.floor_l)
+                memo[key] = row_vhat(vals, p.m, p.floor_l)
             vhat = memo[key]
             leading = mixing_bounds.block_leading(vhat, n, self.log_term)
         else:
@@ -492,17 +496,6 @@ class _CellPlan:
             leading = core_bounds.eb_leading(css, n, self.log_term)
         radii = self.inflation * (leading + self.sqrt_terms + self.linear_terms) + self.rem_term
         return radii, vhat
-
-
-def _row_vhat(vals, m, fl):
-    """Each row's block variance: the squared deviations of its ``m`` block
-    sums of length ``fl`` (the first ``m * fl`` values) from their mean,
-    summed and divided by the full row length."""
-    rows, n = vals.shape
-    block_sums = vals[:, : m * fl].reshape(rows, m, fl).sum(axis=2)
-    h_bar = block_sums.sum(axis=1) / (m * fl)
-    centered = block_sums - fl * h_bar[:, None]
-    return np.einsum("ij,ij->i", centered, centered) / n
 
 
 def _row_css(vals, means):
@@ -531,41 +524,42 @@ def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:
 
 
 def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ...]:
-    """Evaluate every (n, bound, l_policy) cell of the config.
+    """Evaluate every (n, bound, l_policy) cell of the config, running the
+    chunks of replications on up to ``n_jobs`` (>= 1) threads.
 
-    Simulated paths are shared by all bounds at a given n, so comparison
-    tables are paired across bounds by construction.
+    Rows come by n, then l policy, then bound; a bound without blocks gets
+    one row per n, under the first policy.  All cells at an n share the
+    simulated paths, so comparison tables are paired by construction.  A
+    cell whose preconditions fail gets a ``precondition:`` flag, no coverage.
     """
+    if n_jobs < 1:
+        raise ConfigError(f"n_jobs (--jobs): must be >= 1, got {n_jobs!r}")
     validate_config(config)
     l_policies = config.l_policies if config.l_policies else (config.l_policy,)
+    keys = [(bound, lp) for lp in l_policies for bound in config.bounds
+            if bound in _BLOCK_BOUNDS or lp is l_policies[0]]
+    r = config.replications
+    mu = processes.ground_truth(config.process).mu
     results = []
     for n in config.n_grid:
-        plans: dict[tuple, _CellPlan | _FlaggedCell] = {}
-        for lp in l_policies:
-            for bound in config.bounds:
-                if bound not in _BLOCK_BOUNDS and lp is not l_policies[0]:
-                    continue  # non-block bounds do not depend on the l policy
-                key = (bound, lp)
-                try:
-                    plans[key] = _CellPlan(config, bound, n, lp)
-                except (PreconditionError, DomainError) as exc:
-                    plans[key] = _FlaggedCell(f"precondition: {exc}")
+        plans: dict[tuple, _CellPlan | str] = {}
+        for bound, lp in keys:
+            try:
+                plans[bound, lp] = _CellPlan(config, bound, n, lp)
+            except (PreconditionError, DomainError) as exc:
+                plans[bound, lp] = f"precondition: {exc}"
         live = {k: p for k, p in plans.items() if isinstance(p, _CellPlan)}
-        r = config.replications
+        centers = np.empty(r)
         radii = {k: np.empty(r) for k in live}
-        covered = {k: np.empty(r, dtype=bool) for k in live}
         vhats = {k: np.empty(r) for k, p in live.items() if p.uses_blocks}
-        mu = processes.ground_truth(config.process).mu
 
         def work(chunk):
             lo, hi = chunk
             vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
-            means = vals.mean(axis=1)
+            centers[lo:hi] = means = vals.mean(axis=1)
             memo = {}
             for key, plan in live.items():
-                rad, vh = plan.evaluate(vals, means, memo)
-                radii[key][lo:hi] = rad
-                covered[key][lo:hi] = np.abs(means - mu) <= rad
+                radii[key][lo:hi], vh = plan.evaluate(vals, means, memo)
                 if vh is not None:
                     vhats[key][lo:hi] = vh
 
@@ -577,48 +571,18 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             for chunk in chunks:
                 work(chunk)
 
-        for lp in l_policies:
-            for bound in config.bounds:
-                key = (bound, lp)
-                if key not in plans:
-                    continue
-                plan = plans[key]
-                if isinstance(plan, _FlaggedCell):
-                    results.append(_flagged_result(config, bound, n, lp, plan.message))
-                    continue
-                results.append(_finish_cell(config, plan, radii[key], covered[key], vhats.get(key)))
+        for (bound, lp), plan in plans.items():
+            if isinstance(plan, str):
+                results.append(CellResult(
+                    process=config.process.label(), bound=bound, n=n, delta=config.delta_eff,
+                    alpha=config.alpha_eff, replications=r, l_policy=lp.label(),
+                    master_seed=config.master_seed, flags=(plan,),
+                ))
+                continue
+            rad = radii[bound, lp]
+            covered = int(np.count_nonzero(np.abs(centers - mu) <= rad))
+            results.append(_finish_cell(config, plan, rad, covered, vhats.get((bound, lp))))
     return tuple(results)
-
-
-def _flagged_result(config, bound, n, lp, message) -> CellResult:
-    return CellResult(
-        process=config.process.label(),
-        bound=bound,
-        n=n,
-        delta=config.delta_eff,
-        alpha=config.alpha_eff,
-        level=None,
-        replications=config.replications,
-        covered=None,
-        empirical_coverage=None,
-        mc_se=None,
-        mean_radius=None,
-        median_radius=None,
-        sharpness_ratio=None,
-        sharpness_limit=None,
-        sigma_ref=None,
-        sigma_ref_source="n/a",
-        l_policy=lp.label(),
-        block_len=None,
-        blocks=None,
-        remainder=None,
-        mean_vhat=None,
-        error_total=None,
-        penalty=None,
-        burn_in_n=None,
-        master_seed=config.master_seed,
-        flags=(message,),
-    )
 
 
 def _sharpness_limit(bound: str, delta: float, alpha: float) -> float | None:
@@ -632,12 +596,11 @@ def _sharpness_limit(bound: str, delta: float, alpha: float) -> float | None:
     return math.sqrt(math.log(1.0 / delta) / log_a)
 
 
-def _finish_cell(config, plan: _CellPlan, radii, covered, vhat) -> CellResult:
+def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResult:
     truth = plan.truth
     n, bound = plan.n, plan.bound
     r = config.replications
-    n_covered = int(np.count_nonzero(covered))
-    p_hat = n_covered / r
+    p_hat = covered / r
     mc_se = math.sqrt(p_hat * (1.0 - p_hat) / r)
     mean_radius = float(np.mean(radii))
     if bound in _LONGRUN_BOUNDS and truth.sigma2_longrun is not None:
@@ -659,7 +622,7 @@ def _finish_cell(config, plan: _CellPlan, radii, covered, vhat) -> CellResult:
         alpha=plan.alpha,
         level=plan.level,
         replications=r,
-        covered=n_covered,
+        covered=covered,
         empirical_coverage=p_hat,
         mc_se=mc_se,
         mean_radius=mean_radius,

@@ -260,6 +260,27 @@ def test_config_schema_error_exit_2(tmp_path, capsys):
     assert "phi budget required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, named",
+    [({"master_seed": 7.5}, "master_seed"), ({"replications": 10.9}, "replications"),
+     ({"master_seed": True}, "master_seed")],
+)
+def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"field '{named}'" in capsys.readouterr().err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_coverage_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path / "cfg.json")
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path),
+                 "--jobs", jobs]) == 2
+    assert f"got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
 def test_compare_and_sweep_subcommands(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cmp.json", bounds=["eb", "maurer_pontil_baseline"], n_grid=[200, 400]

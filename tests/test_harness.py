@@ -88,6 +88,27 @@ def test_config_round_trip_is_idempotent():
     assert d1["bounds"] == ["empirical_bernstein", "phi_mixing"]
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("master_seed", 7.5), ("master_seed", True), ("master_seed", "7"), ("master_seed", -1),
+     ("replications", 10.9), ("replications", True), ("replications", 0),
+     ("replications", float("inf")), ("n_grid", [True])],
+)
+def test_config_refuses_non_integral_counts_and_booleans(field, value):
+    raw = _config().to_dict()
+    raw[field] = value
+    with pytest.raises(ConfigError, match=f"field '{field}'"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_takes_integral_floats_and_null_eta_as_default():
+    raw = _config().to_dict()
+    raw.update(master_seed=7.0, replications=10.0, eta=None)
+    cfg = ExperimentConfig.from_dict(raw)
+    assert (cfg.master_seed, cfg.replications, cfg.eta) == (7, 10, 0.5)
+    assert type(cfg.master_seed) is int and type(cfg.replications) is int
+
+
 def test_config_accepts_single_bound_field():
     raw = _config().to_dict()
     del raw["bounds"]
@@ -151,6 +172,30 @@ def test_pinned_coverage_csv_digest(name, process, bounds, n, replications):
                   master_seed=2024)
     csv_text = reporting.coverage_csv(run_coverage(cfg))
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == PINNED_CSV_SHA256[name]
+
+
+# The one pinned report that holds flagged rows, of each kind:
+# maurer_pontil_baseline at n = 1, block cells with too few blocks, and a
+# block length longer than n.  A flagged row takes most of its fields from
+# the CellResult defaults, so this pins those defaults too.  A non-block
+# bound listed after a block bound pins the row order: by l policy, then
+# by bound.
+PINNED_FLAGGED_SHA256 = (
+    "71f47596f6040730e25f4805298db98969c5e3d10cde3958a61d06b9c41d7ef4",  # CSV
+    "4d859b9dfcf02968e127a3378ca16563b2ddaee7135faceb25932b3d46cc8798",  # JSON
+)
+
+
+def test_pinned_flagged_report_digest():
+    cfg = _config(bounds=("tilde_phi_mixing", "maurer_pontil_baseline"), n_grid=(1, 50),
+                  replications=20, l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 50)))
+    report = run_coverage(cfg)
+    flags = [row.flags for row in report.rows]
+    assert sum(1 for f in flags if f and f[0].startswith("precondition:")) == 4
+    assert any("too few blocks" in f[0] for f in flags if f)
+    digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    for text in (reporting.coverage_csv(report), reporting.report_json(report)))
+    assert digests == PINNED_FLAGGED_SHA256
 
 
 def test_coverage_of_constant_process_is_one():
@@ -422,13 +467,14 @@ def test_harness_radius_matches_unit_ops_on_same_path():
             direct = ebmix.dedecker_prieur_radius(n, budget.tv_norm, budget.phi_sum, 3 * delta)
         else:
             direct = maurer_pontil_radius(n, float(np.var(values, ddof=1)), alpha)
-        # The harness and the library group some sums differently, so
-        # agreement is to rounding.  The library's css is shift-stabilized
-        # (and np.var is a third accumulation), so the css-based bounds get
-        # the wider tolerance.
-        css_based = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
-        rel = 1e-9 if bound in css_based else 1e-12
-        assert row.mean_radius == pytest.approx(direct, rel=rel), bound
+        # The block variance is one reduction, shared by the library and the
+        # harness, so every bound but the css-based ones agrees bit for bit.
+        # The library's css is shift-stabilized (and np.var is a third
+        # accumulation), so those agree to rounding.
+        if bound in ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline"):
+            assert row.mean_radius == pytest.approx(direct, rel=1e-12), bound
+        else:
+            assert row.mean_radius == direct, bound
 
 
 def test_chunk_edges_are_balanced_and_cover_exactly():
@@ -474,7 +520,7 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
     from ebmix import harness, processes
 
     calls = {"css": 0, "vhat": 0}
-    row_css, row_vhat = harness._row_css, harness._row_vhat
+    row_css, row_vhat = harness._row_css, harness.row_vhat
 
     def counted_css(*args):
         calls["css"] += 1
@@ -485,7 +531,7 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
         return row_vhat(*args)
 
     monkeypatch.setattr(harness, "_row_css", counted_css)
-    monkeypatch.setattr(harness, "_row_vhat", counted_vhat)
+    monkeypatch.setattr(harness, "row_vhat", counted_vhat)
     monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
     css_bounds = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
     policies = (LPolicy("exponent", 0.4), LPolicy("exponent", 0.5))  # l = 8 and l = 14
