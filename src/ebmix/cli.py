@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -28,10 +29,36 @@ def read_values(path: str) -> np.ndarray:
     """Newline-separated finite decimal reals; blank lines and '#' comments ignored."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
+    lines = text.splitlines()
+    # One pass when every line is a number.  float() raises on a blank line
+    # and on a comment, so any file it accepts here the line loop accepts
+    # too, with the same bits; any other file takes the loop.
+    try:
+        array = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+    except ValueError:
+        array = _parse_lines(path, lines)
+    if array.size == 0:
+        raise InputError(f"{path}: no numeric data found")
+    finite = np.isfinite(array)
+    if not finite.all():
+        # Checked once on the array to keep the parse lean; the offending
+        # line is looked up only on this error path.
+        index = int(np.argmin(finite))
+        lineno, line = [
+            (lineno, raw.strip())
+            for lineno, raw in enumerate(lines, start=1)
+            if raw.strip() and not raw.strip().startswith("#")
+        ][index]
+        raise InputError(f"{path}: line {lineno}: value is not finite: {line!r}")
+    return array
+
+
+def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+    """The line loop: skips blank and '#' lines and names a line that is not a number."""
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -39,21 +66,7 @@ def read_values(path: str) -> np.ndarray:
             values.append(float(line))
         except ValueError:
             raise InputError(f"{path}: line {lineno}: not a number: {line!r}") from None
-    if not values:
-        raise InputError(f"{path}: no numeric data found")
-    array = np.asarray(values, dtype=float)
-    finite = np.isfinite(array)
-    if not finite.all():
-        # Checked once on the array to keep the per-line loop lean; the
-        # offending line is looked up only on this error path.
-        index = int(np.argmin(finite))
-        lineno, line = [
-            (lineno, raw.strip())
-            for lineno, raw in enumerate(text.splitlines(), start=1)
-            if raw.strip() and not raw.strip().startswith("#")
-        ][index]
-        raise InputError(f"{path}: line {lineno}: value is not finite: {line!r}")
-    return array
+    return np.asarray(values, dtype=float)
 
 
 def _interval_payload(res: core_bounds.IntervalResult) -> dict:
@@ -100,6 +113,19 @@ def _values_within_b(args) -> np.ndarray:
     return values
 
 
+def _values_within_range_width(args) -> np.ndarray:
+    """The data file's values.  A spread above --range-width makes the
+    interval void, so it is an input error, as for --b."""
+    values = read_values(args.data)
+    spread = float(values.max() - values.min())
+    if spread > args.range_width * (1 + 1e-12):
+        raise InputError(
+            f"{args.data}: values span {spread!r} (max - min), more than --range-width "
+            f"{args.range_width!r}, so the interval would be void"
+        )
+    return values
+
+
 def _summary_from_args(args) -> core_bounds.SampleSummary:
     if args.data is not None:
         return core_bounds.summarize(_values_within_b(args), b=args.b)
@@ -122,7 +148,12 @@ def cmd_bound(args) -> int:
         # Each side misses with probability at most delta; --alpha is that
         # delta, as in the harness's freedman_oracle.
         delta = args.delta if args.delta is not None else args.alpha
-        center = float(np.mean(read_values(args.data))) if args.data else 0.0
+        center = 0.0
+        if args.data is not None:
+            values = _values_within_b(args)
+            if values.size != args.n:
+                raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
+            center = float(np.mean(values))
         res = core_bounds.freedman_interval(center, args.n, args.sigma2, args.b, delta)
     elif method == "mds_empirical":  # data are treated as zero-mean increments
         _require(args, ["b"])
@@ -143,7 +174,7 @@ def cmd_bound(args) -> int:
     else:  # block-based methods need raw data and a block length
         _require(args, ["data", "l", "range_width"])
         delta = _delta_from_args(args)
-        values = read_values(args.data)
+        values = _values_within_range_width(args)
         summary = block_summary(values, block_partition(values.size, args.l))
         if method == "phi":
             _require(args, ["phi_sum"])
@@ -207,7 +238,7 @@ def _load_config(args) -> harness.ExperimentConfig:
         raise ConfigError("--config FILE is required")
     try:
         raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
@@ -278,7 +309,9 @@ def cmd_selfcheck(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: argparse keeps no state between parse_args calls."""
     parser = argparse.ArgumentParser(
         prog="ebmix",
         description="Concentration radii, process simulators, and Monte Carlo coverage experiments.",
@@ -304,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--s", type=float)
     p_bound.add_argument("--c", type=float)
     p_bound.add_argument("--format", choices=("json", "human"), default="json")
-    p_bound.set_defaults(func=cmd_bound)
 
     p_sim = sub.add_parser("simulate", help="draw one process path with known ground truth")
     p_sim.add_argument("--kind", choices=processes.KINDS)
@@ -314,13 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", help="write values here (default: stdout)")
     p_sim.add_argument("--force", action="store_true")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    for name, fn, help_text in (
-        ("coverage", cmd_coverage, "empirical coverage experiment from a config file"),
-        ("sweep", cmd_sweep, "sharpness sweep over an increasing n grid"),
-        ("sensitivity", cmd_sensitivity, "block-length sensitivity table"),
-        ("compare", cmd_compare, "side-by-side bound comparison table"),
+    for name, help_text in (
+        ("coverage", "empirical coverage experiment from a config file"),
+        ("sweep", "sharpness sweep over an increasing n grid"),
+        ("sensitivity", "block-length sensitivity table"),
+        ("compare", "side-by-side bound comparison table"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
@@ -336,20 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--l", type=float, help="override: fixed block length")
         p.add_argument("--l-exponent", type=float, dest="l_exponent")
-        p.set_defaults(func=fn)
 
     p_check = sub.add_parser("selfcheck", help="run the randomized property oracles")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--cases", type=int, default=1000)
     p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-    p_check.set_defaults(func=cmd_selfcheck)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # The command is looked up by name on each call, not bound into the
+    # cached parser, so a replaced cmd_* function is the one that runs.
+    command = globals()["cmd_" + args.subcommand]
     try:
-        return args.func(args)
+        return command(args)
     except OutputExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -56,10 +56,26 @@ _CSS_VALUES = 1 << 16
 
 
 def resolve_bound(name: str) -> str:
-    canonical = BOUND_ALIASES.get(name, name)
+    canonical = BOUND_ALIASES.get(name, name) if isinstance(name, str) else name
     if canonical not in BOUNDS:
         raise ConfigError(f"field 'bounds': unknown bound {name!r}; known: {sorted(BOUNDS)}")
     return canonical
+
+
+def _as_float(field: str, value) -> float:
+    """``float(value)``, or a ConfigError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"field {field!r}: must be a number, got {value!r}") from None
+
+
+def _as_tuple(field: str, value) -> tuple:
+    """``tuple(value)``, or a ConfigError naming the field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ConfigError(f"field {field!r}: must be a list, got {value!r}") from None
 
 
 class _Policy:
@@ -69,6 +85,11 @@ class _Policy:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+    def _floats(self, *names) -> None:
+        for name in names:
+            value = _as_float(f"{self._FIELD}.{name}", getattr(self, name))
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_dict(cls, d):
@@ -88,7 +109,7 @@ class LPolicy(_Policy):
     value: float = 0.4
 
     def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
+        self._floats("value")
         if self.kind not in ("exponent", "fixed"):
             raise ConfigError(f"field 'l_policy.kind': must be 'exponent' or 'fixed', got {self.kind!r}")
         if self.kind == "exponent" and not (0.0 < self.value < 1.0):
@@ -114,8 +135,7 @@ class XiPolicy(_Policy):
     power: float = -1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "scale", float(self.scale))
-        object.__setattr__(self, "power", float(self.power))
+        self._floats("scale", "power")
         if self.scale <= 0:
             raise ConfigError(f"field 'xi.scale': must be > 0, got {self.scale!r}")
         if self.power >= 0:
@@ -147,8 +167,7 @@ class KnobPolicy(_Policy):
     c_value: float = 0.0
 
     def __post_init__(self):
-        for name in ("t_scale", "t_power", "s_scale", "s_power", "c_value"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        self._floats("t_scale", "t_power", "s_scale", "s_power", "c_value")
         if self.c_mode not in ("remainder", "fixed"):
             raise ConfigError(f"field 'knobs.c_mode': must be 'remainder' or 'fixed', got {self.c_mode!r}")
 
@@ -263,24 +282,30 @@ class ExperimentConfig:
             single = d.get("bound")
             if single is None:
                 raise ConfigError("field 'bounds': required (a name or list of names)")
-            bounds = [single] if isinstance(single, str) else list(single)
-        elif isinstance(bounds, str):
+            bounds = single
+        if isinstance(bounds, str):
             bounds = [bounds]
+
+        def number(key, default=None):
+            return default if d.get(key) is None else _as_float(key, d[key])
+
         return cls(
             process=processes.ProcessSpec.from_dict(d["process"]),
-            bounds=tuple(bounds),
-            n_grid=tuple(d["n_grid"]),
+            bounds=_as_tuple("bounds", bounds),
+            n_grid=_as_tuple("n_grid", d["n_grid"]),
             replications=d["replications"],
             master_seed=d["master_seed"],
-            delta=None if d.get("delta") is None else float(d["delta"]),
-            alpha=None if d.get("alpha") is None else float(d["alpha"]),
+            delta=number("delta"),
+            alpha=number("alpha"),
             l_policy=LPolicy.from_dict(d["l_policy"]) if d.get("l_policy") else LPolicy(),
             l_policies=(
-                tuple(LPolicy.from_dict(p) for p in d["l_policies"]) if d.get("l_policies") else None
+                tuple(LPolicy.from_dict(p) for p in _as_tuple("l_policies", d["l_policies"]))
+                if d.get("l_policies")
+                else None
             ),
             xi=XiPolicy.from_dict(d["xi"]) if d.get("xi") else None,
             knobs=KnobPolicy.from_dict(d["knobs"]) if d.get("knobs") else KnobPolicy(),
-            eta=0.5 if d.get("eta") is None else float(d["eta"]),
+            eta=number("eta", 0.5),
         )
 
 

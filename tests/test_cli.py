@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from ebmix import cli, core_bounds
+from ebmix import cli, core_bounds, harness
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
@@ -119,6 +119,89 @@ def test_read_values_rejects_non_finite_values(tmp_path, token):
         read_values(str(bad))
 
 
+def test_read_values_one_pass_and_line_loop_give_the_same_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    tokens = [repr(float(v)) for v in rng.normal(size=200)]
+    tokens += ["-0.0", "5e-324", "1e308", " 0.1 ", "\t2.5", "1_0", "7"]
+    plain = tmp_path / "plain.txt"
+    plain.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    headed = tmp_path / "headed.txt"
+    headed.write_text('# truth: {"mu": 0}\n' + "\n".join(tokens) + "\n", encoding="utf-8")
+    loop = cli._parse_lines(str(plain), plain.read_text(encoding="utf-8").splitlines())
+    bits = [a.view(np.uint64).tolist() for a in (read_values(str(plain)), loop,
+                                                  read_values(str(headed)))]
+    assert bits[0] == bits[1] == bits[2]
+
+
+def test_read_values_parses_a_comment_free_file_in_one_pass(tmp_path, monkeypatch):
+    data = tmp_path / "plain.txt"
+    data.write_text("0.5\n-0.25\n1e-3\n", encoding="utf-8")
+
+    def no_loop(path, lines):
+        raise AssertionError("the line loop ran on a comment-free file")
+
+    monkeypatch.setattr(cli, "_parse_lines", no_loop)
+    assert read_values(str(data)).tolist() == [0.5, -0.25, 1e-3]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5\r\n\t0.25 \r\n  1_0\r\n", "# head\r\n0.5\r\n\r\n\t0.25 \r\n  1_0\r\n"],
+    ids=["one-pass", "line-loop"],
+)
+def test_read_values_accepts_crlf_tabs_spaces_and_underscores(tmp_path, text):
+    data = tmp_path / "data.txt"
+    data.write_bytes(text.encode("utf-8"))
+    assert read_values(str(data)).tolist() == [0.5, 0.25, 10.0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.25\n0.5 # x\n", "line 2: not a number: '0.5 # x'"),
+        ("0.25\n1 2\n", "line 2: not a number: '1 2'"),
+        ("# h\n\n1 2\n", "line 3: not a number: '1 2'"),
+        ("", "no numeric data found"),
+        (" \n\t\n\n", "no numeric data found"),
+        ("# a\n  # b\n", "no numeric data found"),
+    ],
+    ids=["trailing-comment", "two-numbers", "two-numbers-after-comment", "empty",
+         "whitespace-only", "comments-only"],
+)
+def test_read_values_refuses_with_exact_messages(tmp_path, text, message):
+    data = tmp_path / "bad.txt"
+    data.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0.5\nnan\n", "line 2: value is not finite: 'nan'"),
+        ("# h\n\n0.5\n\n  inf \n0.25\n", "line 5: value is not finite: 'inf'"),
+        ("\n# h\n0.5\n# mid\n\n-nan\n", "line 6: value is not finite: '-nan'"),
+    ],
+    ids=["one-pass", "after-comment-and-blank", "after-two-comments"],
+)
+def test_read_values_names_the_non_finite_line(tmp_path, text, message):
+    data = tmp_path / "bad.txt"
+    data.write_text(text, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: {message}"
+
+
+def test_read_values_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
+    data = tmp_path / "latin1.txt"
+    data.write_bytes(b"0.5\n\xff0.25\n")
+    with pytest.raises(InputError, match="cannot read data file"):
+        read_values(str(data))
+    assert main(["bound", "--method", "eb", "--alpha", "0.05", "--b", "1",
+                 "--data", str(data)]) == 2
+
+
 def test_bound_on_nan_data_exits_2(tmp_path, capsys):
     # A NaN once gave exit 0 and an invalid-JSON "center": NaN.
     data = tmp_path / "nan.txt"
@@ -192,6 +275,73 @@ def test_bound_freedman_delta_reports_two_sided_level(capsys):
     assert main(["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--b", "1",
                  "--delta", "0.01", "--alpha", "0.05"]) == 2
     assert "exactly one" in capsys.readouterr().err
+
+
+def test_bound_freedman_refuses_data_that_disagree_with_its_flags(tmp_path, capsys):
+    # Both once gave exit 0: the n = 100000 radius for a 3-value file, and a
+    # radius at --b 1 for data holding 5.
+    data = tmp_path / "three.txt"
+    data.write_text("0.1\n0.2\n0.3\n", encoding="utf-8")
+    argv = ["bound", "--method", "freedman", "--sigma2", "1", "--b", "1", "--delta", "0.01",
+            "--data", str(data)]
+    assert main(argv + ["--n", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "holds 3 values but --n is 100000" in captured.err
+    assert main(argv + ["--n", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["center"] == float(np.mean([0.1, 0.2, 0.3]))
+    data.write_text("0.1\n5\n0.3\n", encoding="utf-8")
+    assert main(argv + ["--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "value 5.0 exceeds --b 1.0" in captured.err
+
+
+@pytest.mark.parametrize("method", ["phi", "tilde_phi", "agnostic"])
+def test_bound_block_methods_refuse_data_wider_than_range_width(tmp_path, capsys, method):
+    data = tmp_path / "wide.txt"
+    data.write_text("0.5\n" * 500 + "5.0\n", encoding="utf-8")
+    argv = ["bound", "--method", method, "--delta", "0.01", "--l", "20", "--phi-sum", "1",
+            "--tv-norm", "1", "--data", str(data)]
+    assert main(argv + ["--range-width", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "values span 4.5 (max - min)" in captured.err
+    assert main(argv + ["--range-width", "4.5"]) == 0
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text("0.2\n0.4\n0.6\n0.8\n" * 50, encoding="utf-8")
+    argv = ["bound", "--method", "eb_ignore_linear", "--delta", "0.01", "--b", "1",
+            "--data", str(data)]
+    assert cli.build_parser() is cli.build_parser()
+    assert main(argv + ["--xi", "0.3"]) == 0
+    with_xi = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    default = json.loads(capsys.readouterr().out)
+    summary = core_bounds.summarize(read_values(str(data)), b=1.0)
+    xi = float(harness._DEFAULT_XI["eb_ignore_linear"].evaluate(summary.n))
+    assert default["radius"] == core_bounds.ignore_linear_interval(summary, 0.01, xi).radius
+    assert with_xi["radius"] == core_bounds.ignore_linear_interval(summary, 0.01, 0.3).radius
+    assert with_xi["radius"] != default["radius"]
+
+    cli.build_parser.cache_clear()
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["bound", "--method", "eb", "--b", "not-a-number"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr() == alone
+
+
+def test_cached_parser_runs_the_current_command_function(capsys, monkeypatch):
+    # Callers that wrap cli.cmd_bound after the parser is built (the
+    # benchmark's tracer does) must still see their wrapper run.
+    assert main(["selfcheck", "--cases", "1", "--seed", "-1"]) == 2
+    calls = []
+    monkeypatch.setattr(cli, "cmd_bound", lambda args: calls.append(args.method) or 0)
+    assert main(["bound", "--method", "eb"]) == 0
+    assert calls == ["eb"]
 
 
 def test_simulate_writes_identical_bytes(tmp_path, capsys):
@@ -269,6 +419,28 @@ def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert f"field '{named}'" in capsys.readouterr().err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"alpha": None, "delta": "abc"}, "field 'delta': must be a number, got 'abc'"),
+        ({"n_grid": 5}, "field 'n_grid': must be a list, got 5"),
+        ({"bounds": 3}, "field 'bounds': must be a list, got 3"),
+        ({"bounds": [["eb"]]}, "field 'bounds': unknown bound ['eb']"),
+        ({"l_policy": {"kind": "exponent", "value": "x"}},
+         "field 'l_policy.value': must be a number, got 'x'"),
+        ({"xi": {"scale": "big"}}, "field 'xi.scale': must be a number, got 'big'"),
+        ({"knobs": {"t_power": [1]}}, "field 'knobs.t_power': must be a number, got [1]"),
+    ],
+    ids=["delta", "n_grid", "bounds", "bounds-entry", "l_policy", "xi", "knobs"],
+)
+def test_config_mistyped_field_exits_2(tmp_path, capsys, overrides, message):
+    # Each once exited 1 with a ValueError or TypeError traceback.
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "coverage.csv").exists()
 
 
