@@ -32,11 +32,17 @@ def read_values(path: str) -> np.ndarray:
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
     lines = text.splitlines()
-    # One pass when every line is a number.  float() raises on a blank line
-    # and on a comment, so any file it accepts here the line loop accepts
-    # too, with the same bits; any other file takes the loop.
+    # One pass when every line after the leading blank and '#' lines (such
+    # as the '# truth:' line of `ebmix simulate`) is a number.  float()
+    # raises on a blank line and on a comment, so any file it accepts here
+    # the line loop accepts too, with the same bits; any other file takes
+    # the loop, which numbers the lines of the whole file.
+    head = 0
+    while head < len(lines) and (not lines[head].strip() or lines[head].lstrip().startswith("#")):
+        head += 1
     try:
-        array = np.fromiter(map(float, lines), dtype=float, count=len(lines))
+        data = lines[head:] if head else lines
+        array = np.fromiter(map(float, data), dtype=float, count=len(data))
     except ValueError:
         array = _parse_lines(path, lines)
     if array.size == 0:

@@ -12,10 +12,15 @@ against numpy's own.  Negative seeds and indices are refused with DomainError.
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
 time segments of all paths together, a tile of time indices at a time (see
-its docstring).  Finite-Markov states are held in the smallest integer dtype
-that holds the largest state index, and one step counts, column by column,
-the cumulative transition probabilities of the current state that lie at or
-below the uniform.
+its docstring).  Each recurrence reads one byte per time index, not the
+float64 uniform: the AR(1) reads its noise bit ``u < 0.5``, and a small
+finite chain reads the uniform's bucket, the number of its distinct
+cumulative transition probabilities at or below the uniform.  A chain whose
+(state, bucket) table has at most ``_TABLE_SIZE`` entries, with at most 256
+buckets, steps by one lookup in that table; a larger chain reads the uniform
+and counts, column by column, the cumulative transition probabilities of the
+current state that lie at or below it.  Both recurrences write their path
+into the uniform buffer.
 """
 
 from __future__ import annotations
@@ -45,6 +50,12 @@ _RECUR_STATES = 1 << 12
 _RECUR_WARMUP = 128
 # _recur steps through this many time indices per contiguous tile.
 _TILE = 8
+# A finite chain steps by table lookup when its (state, bucket) table has at
+# most this many entries.
+_TABLE_SIZE = 1 << 16
+# Element-wise passes over a (paths, n) array take blocks of this many
+# elements at most, so their temporaries stay small.
+_BLOCK = 1 << 16
 
 # numpy.random.SeedSequence's pool size and hash constants
 # (numpy/random/bit_generator.pyx), for _philox_keys.
@@ -92,7 +103,8 @@ class ProcessSpec:
     def from_dict(cls, d: dict) -> "ProcessSpec":
         if not isinstance(d, dict) or "kind" not in d:
             raise DomainError("process spec must be a mapping with a 'kind' field")
-        return cls(kind=d["kind"], params=dict(d.get("params", {})))
+        params = d.get("params", {})
+        return cls(kind=d["kind"], params=dict(params) if isinstance(params, dict) else params)
 
 
 def iid_bernoulli(p: float) -> ProcessSpec:
@@ -126,33 +138,49 @@ def bernoulli_ar1() -> ProcessSpec:
 
 
 def _validate_params(kind: str, params: dict) -> None:
+    if not isinstance(params, dict):
+        raise DomainError(f"process params must be a mapping, got {params!r}")
     if kind == "iid_bounded":
         dist = params.get("dist")
         if dist not in IID_DISTS:
             raise DomainError(f"iid_bounded dist must be one of {IID_DISTS}, got {dist!r}")
         if dist == "bernoulli":
             p = params.get("p")
-            if p is None or not (0.0 <= p <= 1.0):
+            if _numbers(p, 0) is None or not (0.0 <= p <= 1.0):
                 raise DomainError(f"bernoulli needs p in [0, 1], got {p!r}")
         if dist == "uniform":
             a, b = params.get("a"), params.get("b")
-            if a is None or b is None or not (a < b):
-                raise DomainError(f"uniform needs a < b, got a={a!r}, b={b!r}")
+            if _numbers(a, 0) is None or _numbers(b, 0) is None or not (a < b):
+                raise DomainError(f"uniform needs finite a < b, got a={a!r}, b={b!r}")
     elif kind == "hetero_mds":
-        scales = params.get("scales")
-        if not scales or any(s <= 0 for s in scales):
-            raise DomainError("hetero_mds needs a nonempty list of positive scales")
+        scales = _numbers(params.get("scales"), 1)
+        if scales is None or not scales.size or np.any(scales <= 0):
+            raise DomainError("hetero_mds needs a nonempty list of finite positive scales")
     elif kind == "finite_markov":
-        P = np.asarray(params.get("P"), dtype=float)
-        h = params.get("h")
-        if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 1:
-            raise DomainError("P must be a square matrix")
-        if h is None or len(h) != P.shape[0]:
-            raise DomainError("h must list one value per state")
+        P = _numbers(params.get("P"), 2)
+        if P is None or P.shape[0] != P.shape[1] or P.shape[0] < 1:
+            raise DomainError("P must be a square matrix of finite numbers")
+        h = _numbers(params.get("h"), 1)
+        if h is None or h.size != P.shape[0]:
+            raise DomainError("h must list one finite number per state")
         _check_ergodic(P)
 
 
+def _numbers(value, ndim: int) -> np.ndarray | None:
+    """``value`` as a float array with ``ndim`` dimensions, or None unless it
+    holds only finite ints and floats (no bools, strings or ragged lists)."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    if array.ndim != ndim or array.dtype.kind not in "iuf" or not np.isfinite(array).all():
+        return None
+    return array.astype(float)
+
+
 def _check_ergodic(P: np.ndarray) -> None:
+    if not np.isfinite(P).all():
+        raise DomainError("P must hold finite numbers")
     if np.any(P < -1e-12):
         raise DomainError("P must be elementwise nonnegative")
     rows = P.sum(axis=1)
@@ -506,7 +534,8 @@ def _generator(generator: np.random.Generator, key) -> np.random.Generator:
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms of shape (paths, n) to process values, one row per path.
-    IID Bernoulli and uniform values overwrite ``u`` and are returned in it."""
+    IID Bernoulli and uniform, finite-Markov and AR(1) values overwrite ``u``
+    and are returned in it."""
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
         if p["dist"] == "bernoulli":
@@ -522,26 +551,86 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         return np.where(u < 0.5, -1.0, 1.0) * pattern
     if kind == "finite_markov":
         P = np.asarray(p["P"], dtype=float)
-        h = np.asarray(p["h"], dtype=float)
         pi = stationary_distribution(P)
         cum_pi = np.cumsum(pi)
         cum_rows = np.cumsum(P, axis=1)
         cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
         cum_rows[:, -1] = 1.0
-        dtype = np.min_scalar_type(P.shape[0] - 1)
-        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1).astype(dtype)
+        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
         # u < 1 never reaches the last column, 1.0, so it is left out.
-        cols = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
+        cuts = np.unique(cum_rows[:, :-1])
+        # Each cut costs the buckets one counting pass, and they fit a byte.
+        if cuts.size < 256 and P.shape[0] * (cuts.size + 1) <= _TABLE_SIZE:
+            step, width, inputs = _table_step(cum_rows, cuts), cuts.size + 1, _buckets(cuts, u)
+        else:
+            step, width, inputs = _column_step(cum_rows), 1, u
+        dtype = np.min_scalar_type(P.shape[0] * width - 1)
+        states = _recur(step, (first * width).astype(dtype), inputs)
+        # State s is held as s * width, so h is looked up through a repeat.
+        h = np.repeat(np.asarray(p["h"], dtype=float), width)
+        for block in _blocks(u.shape):
+            np.take(h, states[block], out=u[block], mode="clip")
+        return u
+    # bernoulli_ar1: the recurrence reads only the noise bits, so it can
+    # write the path over the uniforms.
+    bits = np.less(u, 0.5).view(np.uint8)
+    return _recur(lambda x, b: 0.5 * x + 0.5 * b, u[:, 0].copy(), bits, out=u)
 
-        def step(state, ut):
-            nxt = np.zeros_like(state)
-            for col in cols:
-                nxt += np.take(col, state) <= ut
-            return nxt
 
-        return h[_recur(step, first, u)]
-    # bernoulli_ar1
-    return _recur(lambda x, ut: 0.5 * x + 0.5 * (ut < 0.5), u[:, 0], u)
+def _blocks(shape):
+    """Index tuples that cut an array of ``shape`` (rows, n) into blocks of at
+    most _BLOCK elements, whole rows where they fit."""
+    rows, n = shape
+    width = min(n, _BLOCK)
+    height = max(1, _BLOCK // width)
+    for r in range(0, rows, height):
+        for c in range(0, n, width):
+            yield np.s_[r : r + height, c : c + width]
+
+
+def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
+    """The step from state s * width and bucket k, with width = cuts.size + 1,
+    to the next state times width, by one lookup.
+
+    A uniform in bucket k lies in [cuts[k-1], cuts[k]), and no threshold of
+    any row lies strictly inside, so the thresholds at or below it are those
+    at or below cuts[k-1] (none for k = 0): the column step's count, exactly.
+    """
+    width = cuts.size + 1
+    lows = np.concatenate(([-np.inf], cuts))
+    # A count does not depend on order, so sorting keeps it exact on a row
+    # that rounding left out of order.
+    rows = np.sort(cum_rows[:, :-1], axis=1)
+    table = np.array([np.searchsorted(row, lows, side="right") for row in rows]) * width
+    table = table.astype(np.min_scalar_type(table.size - 1)).ravel()
+    return lambda state, bucket: np.take(table, state + bucket, mode="clip")
+
+
+def _buckets(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The number of ``cuts`` (fewer than 256) at or below each uniform, as uint8."""
+    out = np.zeros(u.shape, dtype=np.uint8)
+    scratch = np.empty(_BLOCK, dtype=bool)
+    for block in _blocks(u.shape):
+        ub, ob = u[block], out[block]
+        hit = scratch[: ub.size].reshape(ub.shape)
+        for cut in cuts:
+            np.greater_equal(ub, cut, out=hit)
+            ob += hit
+    return out
+
+
+def _column_step(cum_rows: np.ndarray):
+    """The step that counts, column by column, the cumulative transition
+    probabilities of the current state at or below the uniform."""
+    cols = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
+
+    def step(state, ut):
+        nxt = np.zeros_like(state)
+        for col in cols:
+            nxt += np.take(col, state) <= ut
+        return nxt
+
+    return step
 
 
 def _segment_count(rows: int, n: int) -> int:
@@ -558,9 +647,10 @@ def _segment_view(a: np.ndarray, segments: int, length: int) -> np.ndarray:
     )
 
 
-def _recur(step, first: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The array the loop ``out[:, 0] = first; out[:, t] = step(out[:, t-1], u[:, t])``
-    produces, bit for bit, for uniforms ``u`` of shape (paths, n).
+    produces, bit for bit, for per-time inputs ``u`` of shape (paths, n),
+    written into ``out`` when given (it must not share memory with ``u``).
 
     Each path is cut into S segments of length L and all paths x segments
     advance together, one vectorized step per index within a segment.  The
@@ -579,7 +669,8 @@ def _recur(step, first: np.ndarray, u: np.ndarray) -> np.ndarray:
     identical results.
     """
     rows, n = u.shape
-    out = np.empty((rows, n), dtype=first.dtype)
+    if out is None:
+        out = np.empty((rows, n), dtype=first.dtype)
     out[:, 0] = first
     segments = _segment_count(rows, n)
     length = n // segments

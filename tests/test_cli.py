@@ -2,6 +2,7 @@
 files, frozen CSV headers, and environment-variable defaults."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ebmix import cli, core_bounds, harness
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
-from ebmix.processes import ground_truth, iid_rademacher
+from ebmix.processes import bernoulli_ar1, ground_truth, iid_rademacher, simulate
 from ebmix.reporting import COVERAGE_COLUMNS, SENSITIVITY_COLUMNS
 
 # Frozen interface: changing either header is a breaking change.
@@ -191,6 +192,45 @@ def test_read_values_names_the_non_finite_line(tmp_path, text, message):
     with pytest.raises(InputError) as info:
         read_values(str(data))
     assert str(info.value) == f"{data}: {message}"
+
+
+def test_read_values_parses_simulate_stdout_in_one_pass(tmp_path, capsys, monkeypatch):
+    # `ebmix simulate` without --out starts with a '# truth:' line.
+    assert main(["simulate", "--kind", "bernoulli_ar1", "--n", "500", "--seed", "4"]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("# truth: ")
+    data = tmp_path / "sim.txt"
+    data.write_text(text, encoding="utf-8")
+    loop = cli._parse_lines(str(data), text.splitlines())
+
+    def no_loop(path, lines):
+        raise AssertionError("the line loop ran on a file with only a leading comment")
+
+    monkeypatch.setattr(cli, "_parse_lines", no_loop)
+    values = read_values(str(data))
+    simulated, _ = simulate(bernoulli_ar1(), 500, 4)
+    assert values.view(np.uint64).tolist() == loop.view(np.uint64).tolist()
+    assert values.view(np.uint64).tolist() == simulated.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [("0.5\nabc\n", "line 4: not a number: 'abc'"),
+     ("0.5\n# mid\n  nan\n", "line 5: value is not finite: 'nan'")],
+    ids=["word", "nan"],
+)
+def test_read_values_behind_leading_comments_names_the_same_line(tmp_path, tail, message):
+    data = tmp_path / "bad.txt"
+    data.write_text("# truth: {}\n\n" + tail, encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: {message}"
+
+
+def test_read_values_behind_leading_comments_still_skips_later_ones(tmp_path):
+    data = tmp_path / "data.txt"
+    data.write_text("\n# truth: {}\n  # more\n0.5\n\n# mid\n0.25\n", encoding="utf-8")
+    assert read_values(str(data)).tolist() == [0.5, 0.25]
 
 
 def test_read_values_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
@@ -439,6 +479,48 @@ def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
 def test_config_mistyped_field_exits_2(tmp_path, capsys, overrides, message):
     # Each once exited 1 with a ValueError or TypeError traceback.
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "coverage.csv").exists()
+
+
+_MARKOV = {"P": [[0.9, 0.1], [0.1, 0.9]], "h": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize(
+    "process, message",
+    [
+        ({"kind": "finite_markov", "params": {**_MARKOV, "P": [[math.nan, 1.0], [0.5, 0.5]]}},
+         "P must be a square matrix of finite numbers"),
+        ({"kind": "finite_markov", "params": {**_MARKOV, "P": "x"}},
+         "P must be a square matrix of finite numbers"),
+        ({"kind": "finite_markov", "params": {**_MARKOV, "P": [[0.9, 0.1], [0.1]]}},
+         "P must be a square matrix of finite numbers"),
+        ({"kind": "finite_markov", "params": {**_MARKOV, "h": [0.0, math.inf]}},
+         "h must list one finite number per state"),
+        ({"kind": "finite_markov", "params": {**_MARKOV, "h": ["a", "b"]}},
+         "h must list one finite number per state"),
+        ({"kind": "iid_bounded", "params": {"dist": "uniform", "a": 0.0, "b": math.inf}},
+         "uniform needs finite a < b"),
+        ({"kind": "iid_bounded", "params": {"dist": "uniform", "a": "0", "b": 1.0}},
+         "uniform needs finite a < b"),
+        ({"kind": "iid_bounded", "params": {"dist": "bernoulli", "p": "x"}},
+         "bernoulli needs p in [0, 1], got 'x'"),
+        ({"kind": "iid_bounded", "params": {"dist": "bernoulli", "p": math.nan}},
+         "bernoulli needs p in [0, 1], got nan"),
+        ({"kind": "iid_bounded", "params": 5}, "process params must be a mapping, got 5"),
+        ({"kind": "hetero_mds", "params": {"scales": ["a"]}},
+         "hetero_mds needs a nonempty list of finite positive scales"),
+        ({"kind": "hetero_mds", "params": {"scales": [1.0, math.inf]}},
+         "hetero_mds needs a nonempty list of finite positive scales"),
+    ],
+    ids=["P-nan", "P-string", "P-ragged", "h-inf", "h-strings", "uniform-b-inf",
+         "uniform-a-string", "p-string", "p-nan", "params-not-a-mapping", "scales-strings",
+         "scales-inf"],
+)
+def test_config_process_params_must_be_finite_numbers(tmp_path, capsys, process, message):
+    # Each once exited 1 with a traceback, or 0 with NaN in the report.
+    cfg = _write_config(tmp_path / "cfg.json", process=process)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "coverage.csv").exists()

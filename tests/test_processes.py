@@ -1,6 +1,8 @@
 """Process generators: determinism, boundedness, moment agreement, and the
 brute-force oracles for mixing budgets and the long-run variance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -372,7 +374,8 @@ def _sequential_paths(spec, u):
 
 
 def _assert_bit_equal(spec, u):
-    got = processes._paths_from_uniforms(spec, u)
+    # The transform overwrites the uniforms it is given.
+    got = processes._paths_from_uniforms(spec, u.copy())
     want = _sequential_paths(spec, u)
     assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -480,6 +483,85 @@ def test_sticky_chain_forces_repairs_and_stays_exact():
     starts = seq[:, length : segments * length : length]
     assert np.any(starts != guess_state)
     _assert_bit_equal(spec, u)
+
+
+def _skip_one_chain(k):
+    # Row i is uniform over every state but 1 + i % (k - 2), so each row's
+    # cumulative values are multiples of 1/(k - 1), shared by all rows.
+    P = np.full((k, k), 1.0 / (k - 1))
+    P[np.arange(k), 1 + np.arange(k) % (k - 2)] = 0.0
+    return P
+
+
+@pytest.mark.parametrize(
+    "P, step",
+    [
+        # a zero probability puts a cumulative value of 1.0 before the last column
+        ([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]], "_table_step"),
+        # thresholds shared by several rows
+        ([[0.5, 0.25, 0.25], [0.5, 0.25, 0.25], [0.25, 0.25, 0.5]], "_table_step"),
+        # a tiny negative entry leaves a cumulative row out of order
+        ([[0.5, -1e-13, 0.5 + 1e-13], [0.25, 0.5, 0.25], [0.5, 0.25, 0.25]], "_table_step"),
+        (STICKY, "_table_step"),
+        ([[1.0]], "_table_step"),  # one state, no threshold
+        # 256 states x 256 buckets: exactly the table limit
+        (np.full((256, 256), 1.0 / 256), "_table_step"),
+        # 257 states x 256 buckets: just over it
+        (_skip_one_chain(257), "_column_step"),
+        # a small table, but 272 distinct thresholds: too many buckets for a byte
+        (np.random.default_rng(8).uniform(0.5, 1.0, (17, 17)), "_column_step"),
+    ],
+    ids=["zero-probability", "shared-thresholds", "unsorted-row", "sticky", "one-state",
+         "at-table-limit", "over-table-limit", "too-many-buckets"],
+)
+def test_markov_table_step_edge_cases_match_sequential_loop(monkeypatch, P, step):
+    P = np.asarray(P, dtype=float)
+    P /= P.sum(axis=1, keepdims=True)
+    k = P.shape[0]
+    spec = finite_markov(P, np.arange(k, dtype=float))
+    cum_rows = np.cumsum(P, axis=1)
+    cuts = np.unique(cum_rows[:, :-1])
+    if step == "_table_step":
+        assert k * (cuts.size + 1) <= processes._TABLE_SIZE and cuts.size < 256
+    else:
+        assert k * (cuts.size + 1) > processes._TABLE_SIZE or cuts.size >= 256
+    rng = np.random.default_rng(k)
+    u = rng.random((5, 1500))
+    # uniforms that sit exactly on a threshold, or just below one
+    hits = rng.integers(0, u.size, 500)
+    u.flat[hits] = rng.choice(cuts[cuts < 1.0], 500) if (cuts < 1.0).any() else 0.0
+    u.flat[hits[:100]] = np.nextafter(u.flat[hits[:100]], 0.0)
+    taken = []
+    for name in ("_table_step", "_column_step"):
+        def spy(*args, _name=name, _real=getattr(processes, name)):
+            taken.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(processes, name, spy)
+    _assert_bit_equal(spec, u)
+    assert taken == [step]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [iid_bernoulli(0.3), iid_uniform(-0.5, 2.0), MARKOV_3, AR1],
+    ids=lambda s: s.label(),
+)
+def test_paths_are_written_into_the_uniforms(spec):
+    u = np.random.default_rng(5).random((4, 3000))
+    assert np.shares_memory(processes._paths_from_uniforms(spec, u), u)
+
+
+@pytest.mark.parametrize("spec", [MARKOV_3, AR1], ids=lambda s: s.label())
+def test_dependent_paths_allocate_less_than_half_the_uniforms(spec):
+    u = np.random.default_rng(6).random((64, 20_000))
+    tracemalloc.start()
+    try:
+        processes._paths_from_uniforms(spec, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes / 2
 
 
 def test_simulate_long_ar1_path_matches_sequential_loop():
