@@ -49,8 +49,11 @@ BOUND_ALIASES = {
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 _LONGRUN_BOUNDS = _BLOCK_BOUNDS + ("dedecker_baseline",)
 
-# Rows per simulation chunk are capped so a chunk holds ~8M values.
-_CHUNK_VALUES = 1 << 23
+# A simulation chunk of rows that fit two to a chunk holds at most this many
+# values (8 MB of float64), with the one exception _chunk_edges names.  Chunks
+# of longer rows hold at most _LONG_CHUNK_VALUES values, or one row.
+_CHUNK_VALUES = 1 << 20
+_LONG_CHUNK_VALUES = 1 << 23
 # _row_css centers about this many values at a time.
 _CSS_VALUES = 1 << 16
 
@@ -542,9 +545,23 @@ def _row_css(vals, means):
 
 
 def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:
-    """The fewest chunks of at most ~8M values, their sizes differing by at most one."""
-    cap = max(1, min(replications, _CHUNK_VALUES // max(1, n)))
-    k = -(-replications // cap)
+    """Chunks of replications, their sizes differing by at most one.
+
+    Rows of at most _CHUNK_VALUES / 2 values take the fewest chunks of at
+    most _CHUNK_VALUES values that give every chunk two rows or more
+    (R >= 2): with R odd and _CHUNK_VALUES // n == 2, one chunk holds three
+    rows.  Longer rows take the fewest chunks of at most _LONG_CHUNK_VALUES
+    values, or one row.
+
+    A row alone in its chunk can get another css in the last bit (see
+    _row_css), so a row is alone exactly where the 2**23-value chunks of
+    earlier versions left one alone: R = 1, n > 2**22, or R odd with
+    2**23 / 3 < n <= 2**22.  Chunking therefore changes no report byte.
+    """
+    if n > _CHUNK_VALUES // 2:
+        k = -(-replications // max(1, _LONG_CHUNK_VALUES // n))
+    else:
+        k = max(1, min(-(-replications // (_CHUNK_VALUES // max(1, n))), replications // 2))
     return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
 
 

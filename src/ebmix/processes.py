@@ -202,6 +202,14 @@ def _check_ergodic(P: np.ndarray) -> None:
 def stationary_distribution(P) -> np.ndarray:
     """Stationary row vector pi of an ergodic chain via a least-squares solve."""
     P = np.asarray(P, dtype=float)
+    return _stationary(P.tobytes(), P.shape).copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _stationary(p_bytes: bytes, shape: tuple) -> np.ndarray:
+    """``stationary_distribution`` of the float64 matrix with these bytes and
+    shape, read-only.  Exceptions are not cached."""
+    P = np.frombuffer(p_bytes).reshape(shape)
     _check_ergodic(P)
     s = P.shape[0]
     a = np.vstack([P.T - np.eye(s), np.ones((1, s))])
@@ -209,7 +217,9 @@ def stationary_distribution(P) -> np.ndarray:
     b[-1] = 1.0
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
+    pi /= pi.sum()
+    pi.flags.writeable = False
+    return pi
 
 
 def markov_long_run_variance(P, h) -> float:
@@ -253,7 +263,7 @@ def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
     """``markov_phi_budget``'s sum for the float64 matrix with these bytes and
     shape.  Exceptions are not cached."""
     P = np.frombuffer(p_bytes).reshape(shape)
-    pi = stationary_distribution(P)
+    pi = _stationary(p_bytes, shape)
     total = 0.0
     power = np.eye(P.shape[0])
     powers = np.empty((min(n, _PHI_BLOCK),) + P.shape)
@@ -360,18 +370,7 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
     if kind == "finite_markov":
         P = np.asarray(p["P"], dtype=float)
         h = np.asarray(p["h"], dtype=float)
-        pi = stationary_distribution(P)
-        mu = float(pi @ h)
-        hc = h - mu
-        return GroundTruth(
-            mu=mu,
-            sigma2_marginal=float(pi @ (hc * hc)),
-            sigma2_longrun=markov_long_run_variance(P, h),
-            b_range=(float(np.min(h)), float(np.max(h))),
-            b_abs=float(np.max(np.abs(h))),
-            tv_norm=float(np.max(h) - np.min(h)),
-            m4=float(pi @ hc**4),
-        )
+        return _markov_truth(P.tobytes(), P.shape, h.tobytes())
     # bernoulli_ar1: stationary law is Uniform[0, 1]; AR coefficient 1/2
     # gives long-run variance (1/12) * (1 + 0.5) / (1 - 0.5) = 1/4.
     return GroundTruth(
@@ -382,6 +381,26 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
         b_abs=1.0,
         tv_norm=1.0,
         m4=1.0 / 80.0,
+    )
+
+
+@functools.lru_cache(maxsize=64)
+def _markov_truth(p_bytes: bytes, shape: tuple, h_bytes: bytes) -> GroundTruth:
+    """``ground_truth`` of the finite chain whose float64 P and h have these
+    bytes.  Exceptions are not cached."""
+    P = np.frombuffer(p_bytes).reshape(shape)
+    h = np.frombuffer(h_bytes)
+    pi = _stationary(p_bytes, shape)
+    mu = float(pi @ h)
+    hc = h - mu
+    return GroundTruth(
+        mu=mu,
+        sigma2_marginal=float(pi @ (hc * hc)),
+        sigma2_longrun=markov_long_run_variance(P, h),
+        b_range=(float(np.min(h)), float(np.max(h))),
+        b_abs=float(np.max(np.abs(h))),
+        tv_norm=float(np.max(h) - np.min(h)),
+        m4=float(pi @ hc**4),
     )
 
 
@@ -515,56 +534,56 @@ def _new_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[0, 0]))
 
 
-def _generator(generator: np.random.Generator, key) -> np.random.Generator:
-    """``generator`` set to the state ``Philox(SeedSequence(...))`` starts
-    from for the substream with ``key``: that key, a zero counter and an
-    empty buffer."""
-    # The state setter reads counter and buffer element by element, which is
-    # cheaper from a list than from an array.
-    generator.bit_generator.state = {
+def _philox_state() -> dict:
+    """A Philox state dict with a zero counter and an empty buffer, for
+    ``_generator`` to put a key in; one per call, so threads share none."""
+    # The state setter reads counter, key and buffer element by element,
+    # which is cheaper from lists of ints than from arrays.
+    return {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # past the end of the 4-word buffer: nothing buffered
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _generator(generator: np.random.Generator, key, state: dict | None = None) -> np.random.Generator:
+    """``generator`` set to the state ``Philox(SeedSequence(...))`` starts
+    from for the substream with ``key``: that key, a zero counter and an
+    empty buffer.  ``state``, a dict from ``_philox_state`` that no other
+    thread uses, is reused when given, so a loop over keys builds it once."""
+    if state is None:
+        state = _philox_state()
+    state["state"]["key"] = key
+    generator.bit_generator.state = state
     return generator
 
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms of shape (paths, n) to process values, one row per path.
-    IID Bernoulli and uniform, finite-Markov and AR(1) values overwrite ``u``
-    and are returned in it."""
+    The values of every kind overwrite ``u`` and are returned in it."""
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
         if p["dist"] == "bernoulli":
             return np.less(u, p["p"], out=u)
         if p["dist"] == "rademacher":
-            return np.where(u < 0.5, -1.0, 1.0)
+            return _signs(u)
         u *= p["b"] - p["a"]
         u += p["a"]
         return u
     if kind == "hetero_mds":
         scales = np.asarray(p["scales"], dtype=float)
-        pattern = scales[np.arange(u.shape[1]) % scales.size]
-        return np.where(u < 0.5, -1.0, 1.0) * pattern
+        # +-1 times a scale is exact, so the product may overwrite the signs.
+        _signs(u)
+        u *= scales[np.arange(u.shape[1]) % scales.size]
+        return u
     if kind == "finite_markov":
         P = np.asarray(p["P"], dtype=float)
-        pi = stationary_distribution(P)
-        cum_pi = np.cumsum(pi)
-        cum_rows = np.cumsum(P, axis=1)
-        cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
-        cum_rows[:, -1] = 1.0
+        cum_pi, cuts, step, width, dtype = _markov_steps(P.tobytes(), P.shape)
         first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
-        # u < 1 never reaches the last column, 1.0, so it is left out.
-        cuts = np.unique(cum_rows[:, :-1])
-        # Each cut costs the buckets one counting pass, and they fit a byte.
-        if cuts.size < 256 and P.shape[0] * (cuts.size + 1) <= _TABLE_SIZE:
-            step, width, inputs = _table_step(cum_rows, cuts), cuts.size + 1, _buckets(cuts, u)
-        else:
-            step, width, inputs = _column_step(cum_rows), 1, u
-        dtype = np.min_scalar_type(P.shape[0] * width - 1)
+        inputs = u if cuts is None else _buckets(cuts, u)
         states = _recur(step, (first * width).astype(dtype), inputs)
         # State s is held as s * width, so h is looked up through a repeat.
         h = np.repeat(np.asarray(p["h"], dtype=float), width)
@@ -575,6 +594,37 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     # write the path over the uniforms.
     bits = np.less(u, 0.5).view(np.uint8)
     return _recur(lambda x, b: 0.5 * x + 0.5 * b, u[:, 0].copy(), bits, out=u)
+
+
+def _signs(u: np.ndarray) -> np.ndarray:
+    """``np.where(u < 0.5, -1.0, 1.0)``, written into ``u``: ``u - 0.5`` is
+    negative exactly when ``u < 0.5``, and +0.0 when ``u == 0.5``."""
+    np.subtract(u, 0.5, out=u)
+    return np.copysign(1.0, u, out=u)
+
+
+@functools.lru_cache(maxsize=64)
+def _markov_steps(p_bytes: bytes, shape: tuple):
+    """The path set-up of the finite chain whose float64 P has these bytes,
+    built once per chain rather than once per chunk: the cumulative
+    stationary law, the cuts that bucket the uniforms (None when the step
+    reads the uniforms), the step, the state width and the state dtype.
+    The step only reads its arrays, so threads may share it.  Exceptions
+    are not cached."""
+    P = np.frombuffer(p_bytes).reshape(shape)
+    cum_pi = np.cumsum(_stationary(p_bytes, shape))
+    cum_rows = np.cumsum(P, axis=1)
+    cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
+    cum_rows[:, -1] = 1.0
+    # u < 1 never reaches the last column, 1.0, so it is left out.
+    cuts = np.unique(cum_rows[:, :-1])
+    cum_pi.flags.writeable = cuts.flags.writeable = False  # shared by every call
+    # Each cut costs the buckets one counting pass, and they fit a byte.
+    if cuts.size < 256 and P.shape[0] * (cuts.size + 1) <= _TABLE_SIZE:
+        step, width = _table_step(cum_rows, cuts), cuts.size + 1
+    else:
+        step, width, cuts = _column_step(cum_rows), 1, None
+    return cum_pi, cuts, step, width, np.min_scalar_type(P.shape[0] * width - 1)
 
 
 def _blocks(shape):
@@ -732,7 +782,7 @@ def simulate_paths(spec: ProcessSpec, n: int, master_seed: int, indices) -> np.n
     n = int(n)
     keys = _philox_keys(*_entropy_rows(master_seed, indices))
     u = np.empty((keys.shape[0], n), dtype=float)
-    generator = _new_generator()
-    for row, key in zip(u, keys):
-        _generator(generator, key).random(out=row)
+    generator, state = _new_generator(), _philox_state()
+    for row, key in zip(u, keys.tolist()):
+        _generator(generator, key, state).random(out=row)
     return _paths_from_uniforms(spec, u)

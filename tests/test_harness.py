@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +29,9 @@ from ebmix import (
     run_sharpness_sweep,
 )
 from ebmix.core_bounds import burn_in_power_law
-from ebmix.harness import _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _row_css, resolve_bound
+from ebmix.harness import (
+    _CHUNK_VALUES, _CSS_VALUES, _LONG_CHUNK_VALUES, _chunk_edges, _row_css, resolve_bound,
+)
 from ebmix import reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
@@ -478,18 +482,82 @@ def test_harness_radius_matches_unit_ops_on_same_path():
 
 
 def test_chunk_edges_are_balanced_and_cover_exactly():
-    # 850 rows of 10^4 values fit 838 to a chunk; two even chunks keep both
-    # threads of a --jobs 2 run busy.
-    assert _chunk_edges(850, 10_000) == [(0, 425), (425, 850)]
+    # 850 rows of 10^4 values fit 104 to an 8 MB chunk: nine even chunks.
+    assert _chunk_edges(850, 10_000) == [
+        (0, 94), (94, 188), (188, 283), (283, 377), (377, 472),
+        (472, 566), (566, 661), (661, 755), (755, 850),
+    ]
     for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
                  (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
         edges = _chunk_edges(r, n)
-        cap = max(1, _CHUNK_VALUES // n)
+        cap = _CHUNK_VALUES // n if 2 * n <= _CHUNK_VALUES else max(1, _LONG_CHUNK_VALUES // n)
         sizes = [hi - lo for lo, hi in edges]
         assert edges[0][0] == 0 and edges[-1][1] == r
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
         assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
         assert len(edges) == -(-r // cap)
+
+
+def _reference_chunk_edges(replications, n):
+    """_chunk_edges as it was with chunks of up to 2**23 values, the edges
+    every pinned report was made with."""
+    cap = max(1, min(replications, (1 << 23) // max(1, n)))
+    k = -(-replications // cap)
+    return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
+
+
+_EDGE_NS = sorted({
+    1, 2, 3, 200, 10_000, 200_000,
+    (1 << 20) // 3, (1 << 20) // 3 + 1, (1 << 19) - 1, 1 << 19, (1 << 19) + 1,
+    (1 << 23) // 3, (1 << 23) // 3 + 1, (1 << 22) - 1, 1 << 22, (1 << 22) + 1,
+    (1 << 23) - 1, 1 << 23, (1 << 23) + 1, 3 << 23,
+} | set(range(1, 1 << 20, 4099)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 850, 40_000])
+def test_chunk_edges_leave_a_row_alone_exactly_where_the_reference_did(r):
+    # A lone row's css can differ in the last bit, so the set of one-row
+    # chunks decides whether a report keeps its bytes.
+    for n in _EDGE_NS:
+        edges, reference = _chunk_edges(r, n), _reference_chunk_edges(r, n)
+        assert ({e for e in edges if e[1] - e[0] == 1}
+                == {e for e in reference if e[1] - e[0] == 1}), n
+        sizes = [hi - lo for lo, hi in edges]
+        assert edges[0][0] == 0 and edges[-1][1] == r
+        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+        assert max(sizes) - min(sizes) <= 1
+        if 2 * n > _CHUNK_VALUES:
+            assert edges == reference, n
+        elif r > 1:
+            # at least two rows a chunk, and 8 MB but for R odd at 2**20 // n == 2
+            assert min(sizes) >= 2, n
+            assert max(sizes) * n <= _CHUNK_VALUES or (
+                max(sizes) == 3 and r % 2 and _CHUNK_VALUES // n == 2), n
+
+
+# CSV and report-JSON SHA-256 of css-based bounds with one and with an odd
+# number of replications, at n on both sides of 2**19 and 2**20 // 3, made
+# with the 2**23-value chunks.
+PINNED_CSS_SHA256 = {
+    1: ("236cb38179da1daf652ae9a581888058bd47b2aeb0f48566b7dbbe02da4f0edd",
+        "62bb86651e40534f257046b115500064102de8ae792775ffea2997cc4b208e56"),
+    3: ("bfabe0e3d16f317d17d04c8f4b1c14b59f6a6ce2869b44b145cffe91677b089f",
+        "89a4b644bdff627963f8751116a74fb50dbbc6c0d3a8c5c93bbca5f21a3051b7"),
+    5: ("b16a5d06fb31859e848bb36bccd471c976d54e0e77e66e43353f27d6485450c0",
+        "8ea3f7d7255c71e1729c587ffd2ac21ae62bdba207ef256a8654ae0dacf77f64"),
+}
+
+
+@pytest.mark.parametrize("replications", sorted(PINNED_CSS_SHA256))
+def test_pinned_css_report_digests_with_few_replications(replications):
+    cfg = _config(process=iid_bernoulli(0.3),
+                  bounds=("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline"),
+                  n_grid=(200, 400_000, 600_000), replications=replications, master_seed=2024)
+    for jobs in (1, 2):
+        report = run_coverage(cfg, n_jobs=jobs)
+        digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                        for text in (reporting.coverage_csv(report), reporting.report_json(report)))
+        assert digests == PINNED_CSS_SHA256[replications], jobs
 
 
 @pytest.mark.parametrize(
@@ -560,3 +628,60 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
             assert np.array_equal(shared.view(np.uint64), alone.view(np.uint64)), bound
             if alone_vhat is not None:
                 assert np.array_equal(shared_vhat.view(np.uint64), alone_vhat.view(np.uint64))
+
+
+def test_iid_coverage_run_traces_under_16_mib():
+    # The iid_short_paths bounds on half its replications: 4 * 10^6 values,
+    # 32 MB as one array, streamed through chunks of at most 8 MB.
+    cfg = _config(process=iid_bernoulli(0.3),
+                  bounds=("freedman_oracle", "empirical_bernstein", "eb_ignore_linear",
+                          "phi_mixing", "tilde_phi_mixing", "mixing_agnostic",
+                          "maurer_pontil_baseline"),
+                  n_grid=(200,), replications=20_000, master_seed=0)
+    tracemalloc.start()
+    try:
+        run_coverage(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_chain_set_up_runs_once_per_run_not_per_plan_or_chunk(monkeypatch):
+    from ebmix import harness, processes
+
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 300)
+    cfg = _config(process=finite_markov(TWO_STATE, [0.0, 1.0]),
+                  bounds=("phi_mixing", "tilde_phi_mixing", "mixing_agnostic"),
+                  n_grid=(300, 600), replications=50,
+                  l_policies=(LPolicy("exponent", 0.4), LPolicy("exponent", 0.5)))
+    chunks = sum(len(_chunk_edges(50, n)) for n in cfg.n_grid)
+    assert chunks == 3 + 5
+    cached = (processes._stationary, processes._markov_truth, processes._markov_steps)
+    for fn in cached:
+        fn.cache_clear()
+    rows = harness.run_cells(cfg)
+    assert all(row.covered is not None for row in rows)
+    assert [fn.cache_info().misses for fn in cached] == [1, 1, 1]
+    # asked for by every plan, bound check and budget, and by every chunk
+    assert processes._markov_truth.cache_info().hits >= 2 * len(rows)
+    assert processes._markov_steps.cache_info().hits == chunks - 1
+
+
+def test_threads_sharing_a_cold_chain_set_up_write_the_serial_bytes(monkeypatch):
+    # More threads than cores, many small chunks and a short switch interval,
+    # with the chain's cached set-up cleared so that threads race to build it.
+    from ebmix import processes
+
+    monkeypatch.setattr("ebmix.harness._CHUNK_VALUES", 4 * 500)
+    cfg = _config(process=finite_markov([[0.99, 0.01], [0.01, 0.99]], [0.0, 1.0]),
+                  bounds=("phi_mixing", "tilde_phi_mixing"), n_grid=(500,), replications=120)
+    serial = reporting.coverage_csv(run_coverage(cfg))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            processes._markov_steps.cache_clear()
+            assert reporting.coverage_csv(run_coverage(cfg, n_jobs=8)) == serial
+    finally:
+        sys.setswitchinterval(interval)

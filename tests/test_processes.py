@@ -172,6 +172,16 @@ def test_bernoulli_ar1_marginal_is_uniform():
     assert abs(values.var() - 1.0 / 12.0) <= 0.005
 
 
+def test_cached_stationary_law_is_a_fresh_copy_and_a_bad_chain_raises_every_time():
+    pi = stationary_distribution(TWO_STATE)
+    kept = pi.copy()
+    pi[:] = 0.0
+    assert np.array_equal(stationary_distribution(TWO_STATE), kept)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="ergodic"):
+            stationary_distribution([[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_stationary_distribution_two_state():
     pi = stationary_distribution(TWO_STATE)
     assert pi == pytest.approx([0.5, 0.5], rel=1e-12)
@@ -385,6 +395,7 @@ WARMUP = processes._RECUR_WARMUP
 ROW_TARGET = processes._RECUR_STATES
 AR1 = bernoulli_ar1()
 MARKOV_3 = finite_markov(SLOW_3, [0.0, 0.5, 1.0])
+HETERO = hetero_mds([0.3, 0.6, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -538,13 +549,15 @@ def test_markov_table_step_edge_cases_match_sequential_loop(monkeypatch, P, step
             return _real(*args)
 
         monkeypatch.setattr(processes, name, spy)
+    # The step is built once per chain and cached; build this one afresh.
+    processes._markov_steps.cache_clear()
     _assert_bit_equal(spec, u)
     assert taken == [step]
 
 
 @pytest.mark.parametrize(
     "spec",
-    [iid_bernoulli(0.3), iid_uniform(-0.5, 2.0), MARKOV_3, AR1],
+    [iid_bernoulli(0.3), iid_uniform(-0.5, 2.0), iid_rademacher(), HETERO, MARKOV_3, AR1],
     ids=lambda s: s.label(),
 )
 def test_paths_are_written_into_the_uniforms(spec):
@@ -552,8 +565,20 @@ def test_paths_are_written_into_the_uniforms(spec):
     assert np.shares_memory(processes._paths_from_uniforms(spec, u), u)
 
 
-@pytest.mark.parametrize("spec", [MARKOV_3, AR1], ids=lambda s: s.label())
-def test_dependent_paths_allocate_less_than_half_the_uniforms(spec):
+@pytest.mark.parametrize("spec", [iid_rademacher(), HETERO], ids=lambda s: s.label())
+def test_sign_paths_equal_the_where_expression_bit_for_bit(spec):
+    u = np.random.default_rng(7).random((3, 4000))
+    u[0, :3] = [0.5, np.nextafter(0.5, 0.0), 0.0]
+    expected = np.where(u < 0.5, -1.0, 1.0)
+    if spec.kind == "hetero_mds":
+        scales = np.asarray(spec.params["scales"])
+        expected = expected * scales[np.arange(u.shape[1]) % scales.size]
+    got = processes._paths_from_uniforms(spec, u)
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [iid_rademacher(), HETERO, MARKOV_3, AR1], ids=lambda s: s.label())
+def test_paths_allocate_less_than_half_the_uniforms(spec):
     u = np.random.default_rng(6).random((64, 20_000))
     tracemalloc.start()
     try:
