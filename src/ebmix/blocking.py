@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_nonneg
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,8 @@ class BlockSummary:
 
 def block_partition(n: int, l: float) -> BlockPartition:
     """Partition {0..n-1} into m = floor(n / floor(l)) blocks of length floor(l)."""
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    floor_l = math.floor(l)
+    n = _check_count(n)
+    floor_l = math.floor(_check_nonneg(l, "l"))
     if floor_l < 1 or floor_l > n:
         raise DomainError(f"need 1 <= floor(l) <= n, got floor({l!r}) = {floor_l} with n = {n}")
     m = n // floor_l
@@ -115,9 +113,7 @@ def block_identity_residual(values, m: int, l: int, mu: float) -> float:
     pure algebra, so the residual must vanish up to floating error for every
     mu; it is used as a self-check oracle for the blocking code.
     """
-    if m != int(m) or int(m) < 1 or l != int(l) or int(l) < 1:
-        raise DomainError("m and l must be positive integers")
-    m, l = int(m), int(l)
+    m, l = _check_count(m, "m"), _check_count(l, "l")
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size != m * l:
         raise DomainError(f"values must have length m*l = {m * l}, got {x.size}")

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import core_bounds, harness, mixing_bounds, processes, reporting, selfcheck
 from .blocking import block_partition, block_summary
-from .errors import ConfigError, DomainError, InputError, OutputExistsError, PreconditionError
+from .errors import (
+    ConfigError, DomainError, InputError, OutputExistsError, PreconditionError, _check_nonneg,
+)
 
 OUT_DIR_ENV = "EBMIX_OUT_DIR"
 
@@ -106,57 +108,54 @@ def _require(args, names) -> None:
         raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing))
 
 
-def _values_within_b(args) -> np.ndarray:
-    """The data file's values.  One above --b in absolute value makes the
-    interval void, so it is an input error, not a warning."""
+def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
+    """The data file's values.  Data whose ``measure`` exceeds ``limit`` in
+    absolute value make the interval void, so that is an input error, not a
+    warning; ``message`` words it from the measured ``value`` and ``limit``."""
     values = read_values(args.data)
-    worst = float(values[int(np.argmax(np.abs(values)))])
-    if abs(worst) > args.b * (1 + 1e-12):
+    value = float(measure(values))
+    if abs(value) > limit * (1 + 1e-12):
         raise InputError(
-            f"{args.data}: value {worst!r} exceeds --b {args.b!r} in absolute value, "
-            "so the interval would be void"
+            f"{args.data}: {message.format(value=value, limit=limit)}, so the interval would be void"
         )
     return values
 
 
-def _values_within_range_width(args) -> np.ndarray:
-    """The data file's values.  A spread above --range-width makes the
-    interval void, so it is an input error, as for --b."""
-    values = read_values(args.data)
-    spread = float(values.max() - values.min())
-    if spread > args.range_width * (1 + 1e-12):
-        raise InputError(
-            f"{args.data}: values span {spread!r} (max - min), more than --range-width "
-            f"{args.range_width!r}, so the interval would be void"
-        )
-    return values
+def _extreme(values: np.ndarray) -> float:
+    """The value of largest magnitude, with its sign."""
+    return values[int(np.argmax(np.abs(values)))]
+
+
+_ABOVE_B = "value {value!r} exceeds --b {limit!r} in absolute value"
+_WIDER_THAN_RANGE = "values span {value!r} (max - min), more than --range-width {limit!r}"
 
 
 def _summary_from_args(args) -> core_bounds.SampleSummary:
     if args.data is not None:
-        return core_bounds.summarize(_values_within_b(args), b=args.b)
+        return core_bounds.summarize(_values_within(args, args.b, _extreme, _ABOVE_B), b=args.b)
     _require(args, ["n", "mean", "css"])
     return core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
 
 
-def _delta_from_args(args) -> float:
+def _delta_from_args(args, misses: int = 3) -> float:
+    """--delta, or the delta at which an interval that misses with
+    probability at most ``misses * delta`` has the level 1 - 2 alpha of
+    --alpha."""
     if (args.delta is None) == (args.alpha is None):
         raise DomainError("exactly one of --delta and --alpha is required")
-    return args.delta if args.delta is not None else 2.0 * args.alpha / 3.0
+    return args.delta if args.delta is not None else 2.0 * args.alpha / misses
 
 
 def cmd_bound(args) -> int:
     method = args.method
     if method == "freedman":
         _require(args, ["n", "sigma2", "b"])
-        if (args.delta is None) == (args.alpha is None):
-            raise DomainError("exactly one of --delta and --alpha is required")
-        # Each side misses with probability at most delta; --alpha is that
-        # delta, as in the harness's freedman_oracle.
-        delta = args.delta if args.delta is not None else args.alpha
+        # Each side misses with probability at most delta, so --alpha is
+        # that delta, as in the harness's freedman_oracle.
+        delta = _delta_from_args(args, misses=2)
         center = 0.0
         if args.data is not None:
-            values = _values_within_b(args)
+            values = _values_within(args, args.b, _extreme, _ABOVE_B)
             if values.size != args.n:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
             center = float(np.mean(values))
@@ -165,7 +164,7 @@ def cmd_bound(args) -> int:
         _require(args, ["b"])
         if args.data is None:
             raise DomainError("method 'mds_empirical' requires --data (raw increments)")
-        values = _values_within_b(args)
+        values = _values_within(args, args.b, _extreme, _ABOVE_B)
         res = core_bounds.mds_empirical_interval(values, args.b, _delta_from_args(args))
     elif method in ("eb", "eb_ignore_linear"):
         _require(args, ["b"])
@@ -180,7 +179,8 @@ def cmd_bound(args) -> int:
     else:  # block-based methods need raw data and a block length
         _require(args, ["data", "l", "range_width"])
         delta = _delta_from_args(args)
-        values = _values_within_range_width(args)
+        _check_nonneg(args.range_width, "range_width")  # before the agnostic knobs use it
+        values = _values_within(args, args.range_width, np.ptp, _WIDER_THAN_RANGE)
         summary = block_summary(values, block_partition(values.size, args.l))
         if method == "phi":
             _require(args, ["phi_sum"])
@@ -202,11 +202,12 @@ def cmd_bound(args) -> int:
             knobs = policy.evaluate(n, summary.partition.remainder_size, args.range_width)
             given = {"t_n": args.t, "s_n": args.s}
             knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
-            errors = None
-            if args.tv_norm is not None and args.phi_sum is not None and args.phi_sum > 0:
-                errors = mixing_bounds.agnostic_error_budget(
-                    n, summary.partition, knobs, args.tv_norm * args.phi_sum
+            budget = None
+            if args.tv_norm is not None and args.phi_sum is not None:
+                budget = mixing_bounds.MixingBudget(
+                    regime="phi_tilde", phi_sum=args.phi_sum, tv_norm=args.tv_norm
                 )
+            errors = mixing_bounds.agnostic_errors(summary.partition, knobs, budget)
             res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
     _print_interval(res, args.format)
     return 0

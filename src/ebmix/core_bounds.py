@@ -17,31 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import (
+    DomainError, PreconditionError, _check_count, _check_finite, _check_nonneg, _check_prob,
+)
 
 # Linear-term constant of the empirical-variance radius.  Fixed literal; do
 # not recompute it from its components.
 EMPIRICAL_LINEAR_CONSTANT = 3.15
 
 _RECOMPOSE_RTOL = 1e-12
-
-
-def _check_count(n, name="n"):
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n!r}")
-    return int(n)
-
-
-def _check_prob(p, name):
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"{name} must lie in the open interval (0, 1), got {p!r}")
-    return float(p)
-
-
-def _check_nonneg(x, name):
-    if x < 0:
-        raise DomainError(f"{name} must be nonnegative, got {x!r}")
-    return float(x)
 
 
 def recompose(breakdown: dict) -> float:
@@ -89,6 +73,7 @@ class SampleSummary:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_count(self.n))
+        _check_finite(self.mean, "mean")
         _check_nonneg(self.css, "css")
         _check_nonneg(self.b, "b")
         if self.range is not None:
@@ -335,11 +320,8 @@ def ignore_linear_interval(summary: SampleSummary, delta: float, xi_n: float) ->
 def maurer_pontil_log_term(n: int, delta: float) -> float:
     """Check the arguments of :func:`maurer_pontil_radius` and return its
     ``log(2/delta)``."""
-    if n != int(n) or int(n) < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta!r}")
-    return math.log(2.0 / delta)
+    _check_count(n, minimum=2)
+    return math.log(2.0 / _check_prob(delta, "delta"))
 
 
 def maurer_pontil_rows(sample_var_unbiased, n: int, log_term: float):

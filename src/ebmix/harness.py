@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
 from .blocking import block_partition, row_vhat
-from .errors import ConfigError, DomainError, PreconditionError
+from .errors import ConfigError, DomainError, PreconditionError, _check_count
 
 BOUNDS = (
     "freedman_oracle",
@@ -91,7 +90,10 @@ class _Policy:
 
     def _floats(self, *names) -> None:
         for name in names:
-            value = _as_float(f"{self._FIELD}.{name}", getattr(self, name))
+            field = f"{self._FIELD}.{name}"
+            value = _as_float(field, getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"field {field!r}: must be a finite number, got {value!r}")
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -186,11 +188,13 @@ class KnobPolicy(_Policy):
         )
 
 
-def _is_whole(value) -> bool:
-    """A whole number given as an int or a float; a bool is not one."""
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def _as_count(field: str, value, minimum: int = 1) -> int:
+    """``int(value)`` for a whole number of at least ``minimum`` (``7`` or
+    ``7.0``, not ``7.5``, ``"7"`` or ``true``), or a ConfigError naming the field."""
+    try:
+        return _check_count(value, field, minimum)
+    except DomainError:
+        raise ConfigError(f"field {field!r}: must be an integer >= {minimum}, got {value!r}") from None
 
 
 _DEFAULT_XI = {"eb_ignore_linear": XiPolicy(1.0, -0.25)}
@@ -220,14 +224,9 @@ class ExperimentConfig:
         object.__setattr__(self, "bounds", tuple(resolve_bound(b) for b in self.bounds))
         if not self.n_grid:
             raise ConfigError("field 'n_grid': must be nonempty")
-        if not all(_is_whole(n) and n >= 1 for n in self.n_grid):
-            raise ConfigError(f"field 'n_grid': entries must be positive integers, got {self.n_grid!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "n_grid", tuple(_as_count("n_grid", n) for n in self.n_grid))
         for name, low in (("replications", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            if not _is_whole(value) or value < low:
-                raise ConfigError(f"field {name!r}: must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _as_count(name, getattr(self, name), low))
         if (self.delta is None) == (self.alpha is None):
             raise ConfigError("exactly one of 'delta' and 'alpha' must be set")
         level = self.delta if self.delta is not None else self.alpha
@@ -461,14 +460,7 @@ class _CellPlan:
                 knobs = config.knobs.evaluate(n, partition.remainder_size, rw)
                 self._use_terms(mixing_bounds.agnostic_terms(partition, rw, knobs, delta))
                 budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
-                if budget is None:
-                    errors = None
-                elif budget.phi_sum == 0.0:
-                    errors = mixing_bounds.ErrorBudget(0.0, 0.0, 0.0)
-                else:
-                    errors = mixing_bounds.agnostic_error_budget(
-                        n, partition, knobs, budget.tv_norm * budget.phi_sum
-                    )
+                errors = mixing_bounds.agnostic_errors(partition, knobs, budget)
                 if errors is not None:
                     self.error_total = errors.total
                 self.level, flags = mixing_bounds.agnostic_level(delta, errors)

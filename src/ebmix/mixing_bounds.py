@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .blocking import BlockPartition, BlockSummary
-from .core_bounds import (
-    EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _check_nonneg, _check_prob, _interval, _sqrt,
-)
-from .errors import DomainError, PreconditionError
+from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _interval, _sqrt
+from .errors import DomainError, PreconditionError, _check_count, _check_nonneg, _check_prob
 
 REGIMES = ("phi", "phi_tilde", "agnostic")
 PROVENANCES = ("exact", "analytic_bound", "user_supplied")
@@ -108,12 +106,6 @@ def block_leading(v_hat, n: int, log_term: float):
     return _sqrt(2.0 * log_term * v_hat / n)
 
 
-def _resolve_xi(xi_n, n):
-    if xi_n is None:
-        return 1.0 / n
-    return _check_nonneg(xi_n, "xi_n")
-
-
 def mixing_terms(
     partition: BlockPartition,
     range_width: float,
@@ -126,7 +118,7 @@ def mixing_terms(
     delta = _check_prob(delta, "delta")
     _check_nonneg(range_width, "range_width")
     n, m, fl = partition.n, partition.m, partition.floor_l
-    xi = _resolve_xi(xi_n, n)
+    xi = 1.0 / n if xi_n is None else _check_nonneg(xi_n, "xi_n")
     log_term = math.log(1.0 / delta)
     if budget.regime == "phi":
         budget_sqrt = 4.0 * range_width * budget.phi_sum * math.sqrt(2.0 * log_term * m) / n
@@ -284,25 +276,36 @@ def agnostic_error_budget(
     return ErrorBudget(error1=error1, error2=error2, error3=error3)
 
 
+def agnostic_errors(
+    partition: BlockPartition, knobs: AgnosticKnobs, budget: MixingBudget | None
+) -> ErrorBudget | None:
+    """The error budget of :func:`agnostic_interval` for a 'phi_tilde' budget
+    with its ``tv_norm``: none without a budget, zero for a zero ``phi_sum``,
+    else :func:`agnostic_error_budget` of ``tv_norm * phi_sum``."""
+    if budget is None:
+        return None
+    if budget.phi_sum == 0.0:
+        return ErrorBudget(0.0, 0.0, 0.0)
+    return agnostic_error_budget(partition.n, partition, knobs, budget.tv_norm * budget.phi_sum)
+
+
 def dedecker_prieur_tail(m: int, t: float, tv_norm: float, phi_tilde_sum: float) -> float:
     """Exponential tail of the average of m terms of a weakly dependent
     sequence: min(1, 2 exp(-m t^2 / (2 tv_norm phi_tilde_sum)))."""
-    if m != int(m) or int(m) < 1:
-        raise DomainError(f"m must be a positive integer, got {m!r}")
-    if t <= 0:
+    m = _check_count(m, "m")
+    if not t > 0:
         raise DomainError(f"t must be > 0, got {t!r}")
-    if tv_norm <= 0 or phi_tilde_sum <= 0:
+    if not (tv_norm > 0 and phi_tilde_sum > 0):  # NaN fails too
         raise DomainError("tv_norm and phi_tilde_sum must be > 0")
-    z = -(int(m) * t * t) / (2.0 * tv_norm * phi_tilde_sum)
+    z = -(m * t * t) / (2.0 * tv_norm * phi_tilde_sum)
     return min(1.0, 2.0 * math.exp(z)) if z > -745.0 else 0.0
 
 
 def dedecker_prieur_radius(n: int, tv_norm: float, phi_tilde_sum: float, eps: float) -> float:
     """Radius obtained by inverting :func:`dedecker_prieur_tail` at total miss
     probability ``eps``: sqrt(2 tv_norm phi_tilde_sum log(2/eps) / n)."""
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    if tv_norm <= 0 or phi_tilde_sum <= 0:
+    n = _check_count(n)
+    if not (tv_norm > 0 and phi_tilde_sum > 0):  # NaN fails too
         raise DomainError("tv_norm and phi_tilde_sum must be > 0")
     eps = _check_prob(eps, "eps")
-    return math.sqrt(2.0 * tv_norm * phi_tilde_sum * math.log(2.0 / eps) / int(n))
+    return math.sqrt(2.0 * tv_norm * phi_tilde_sum * math.log(2.0 / eps) / n)

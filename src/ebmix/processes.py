@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count
 from .mixing_bounds import MixingBudget
 
 KINDS = ("iid_bounded", "hetero_mds", "finite_markov", "bernoulli_ar1")
@@ -252,9 +252,7 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
     ergodic raises on every call.
     """
     P = np.asarray(P, dtype=float)
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    total = _phi_sum(P.tobytes(), P.shape, int(n))
+    total = _phi_sum(P.tobytes(), P.shape, _check_count(n))
     return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
 
 
@@ -286,10 +284,7 @@ def bernoulli_ar1_budget(n: int) -> MixingBudget:
     """Conditional-CDF mixing budget of the dyadic AR(1): the lag-k
     coefficient is 2^{-k}, so Phi~_n = 1 - 2^{-n} <= 1.  The test function is
     the identity on [0, 1], whose TV norm is 1."""
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    phi_sum = 1.0 - 0.5**n
+    phi_sum = 1.0 - 0.5 ** _check_count(n)
     return MixingBudget(
         regime="phi_tilde", phi_sum=phi_sum, tv_norm=1.0, provenance="analytic_bound"
     )
@@ -528,34 +523,11 @@ def _philox_keys(entropy, lengths=None) -> np.ndarray:
     return state[:, 0::2] | state[:, 1::2] << np.uint64(32)
 
 
-def _new_generator() -> np.random.Generator:
-    """A Philox Generator for ``_generator`` to re-key; one per call, so
-    threads share none."""
-    return np.random.Generator(np.random.Philox(key=[0, 0]))
-
-
-def _philox_state() -> dict:
-    """A Philox state dict with a zero counter and an empty buffer, for
-    ``_generator`` to put a key in; one per call, so threads share none."""
-    # The state setter reads counter, key and buffer element by element,
-    # which is cheaper from lists of ints than from arrays.
-    return {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,  # past the end of the 4-word buffer: nothing buffered
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-
-def _generator(generator: np.random.Generator, key, state: dict | None = None) -> np.random.Generator:
+def _generator(generator: np.random.Generator, key, state: dict) -> np.random.Generator:
     """``generator`` set to the state ``Philox(SeedSequence(...))`` starts
     from for the substream with ``key``: that key, a zero counter and an
-    empty buffer.  ``state``, a dict from ``_philox_state`` that no other
-    thread uses, is reused when given, so a loop over keys builds it once."""
-    if state is None:
-        state = _philox_state()
+    empty buffer.  ``state`` is the Philox state dict of ``_uniforms``,
+    reused for every key."""
     state["state"]["key"] = key
     generator.bit_generator.state = state
     return generator
@@ -766,23 +738,35 @@ def simulate(spec: ProcessSpec, n: int, seed) -> tuple[np.ndarray, GroundTruth]:
     the pair form draws from the same substream the Monte Carlo harness uses
     for that replication.
     """
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    key = _philox_keys(entropy_words(seed)[None, :])[0]
-    u = _generator(_new_generator(), key).random((1, n))
-    values = _paths_from_uniforms(spec, u)[0]
+    n = _check_count(n)
+    keys = _philox_keys(entropy_words(seed)[None, :])
+    values = _paths_from_uniforms(spec, _uniforms(keys, n))[0]
     return values, ground_truth(spec)
 
 
 def simulate_paths(spec: ProcessSpec, n: int, master_seed: int, indices) -> np.ndarray:
     """Draw len(indices) paths, one per replication substream, shape (r, n)."""
-    if n != int(n) or int(n) < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n)
     keys = _philox_keys(*_entropy_rows(master_seed, indices))
+    return _paths_from_uniforms(spec, _uniforms(keys, n))
+
+
+def _uniforms(keys: np.ndarray, n: int) -> np.ndarray:
+    """One row of n uniforms per Philox key, shape (len(keys), n).  The
+    generator and its state dict are built per call, so threads share none."""
     u = np.empty((keys.shape[0], n), dtype=float)
-    generator, state = _new_generator(), _philox_state()
+    generator = np.random.Generator(np.random.Philox(key=[0, 0]))
+    # A zero counter and an empty buffer, for _generator to put each key in.
+    # The state setter reads counter, key and buffer element by element,
+    # which is cheaper from lists of ints than from arrays.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,  # past the end of the 4-word buffer: nothing buffered
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     for row, key in zip(u, keys.tolist()):
         _generator(generator, key, state).random(out=row)
-    return _paths_from_uniforms(spec, u)
+    return u

@@ -13,7 +13,7 @@ import json
 import os
 from pathlib import Path
 
-from .harness import CellResult, CoverageReport
+from .harness import CoverageReport
 from .errors import OutputExistsError
 
 COVERAGE_COLUMNS = (
@@ -71,10 +71,6 @@ def _fmt(value) -> str:
     if isinstance(value, tuple):
         return ";".join(value)
     return str(value)
-
-
-def cell_record(cell: CellResult) -> dict:
-    return {col: getattr(cell, col) for col in COVERAGE_COLUMNS}
 
 
 def coverage_csv(report: CoverageReport) -> str:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
 from .blocking import block_identity_residual, block_partition, block_summary
-from .errors import DomainError
+from .errors import _check_count
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -146,8 +146,7 @@ def check_zero_budget_reduction(cases: int = 200, seed: int = 0) -> CheckResult:
 
 
 def run_all(seed: int = 0, cases: int = 1000, inject_fault: bool = False) -> list[CheckResult]:
-    if cases < 1:
-        raise DomainError(f"cases must be a positive integer, got {cases}")
+    cases = _check_count(cases, "cases")
     return [
         check_block_identity(cases=cases, seed=seed, inject_fault=inject_fault),
         check_partition_exactness(cases=cases, seed=seed),

@@ -1,5 +1,7 @@
 """Blocking: partition exactness, block variance, and the exact identity."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,9 @@ def test_partition_domain_errors():
         block_partition(10, 0.5)  # floor(l) = 0
     with pytest.raises(DomainError):
         block_partition(10, 11)  # floor(l) > n
+    for l in (math.nan, math.inf, -math.inf):  # math.floor raised ValueError/OverflowError
+        with pytest.raises(DomainError, match="l must be a finite number"):
+            block_partition(10, l)
 
 
 def test_block_summary_constant_data():

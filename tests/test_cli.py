@@ -11,7 +11,7 @@ from ebmix import cli, core_bounds, harness
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
-from ebmix.processes import bernoulli_ar1, ground_truth, iid_rademacher, simulate
+from ebmix.processes import bernoulli_ar1, ground_truth, iid_bernoulli, iid_rademacher, simulate
 from ebmix.reporting import COVERAGE_COLUMNS, SENSITIVITY_COLUMNS
 
 # Frozen interface: changing either header is a breaking change.
@@ -41,6 +41,15 @@ def _write_config(path, **overrides):
     return path
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"ebmix bound printed {name}, which is not JSON")
+
+
+def _bound_json(text: str) -> dict:
+    """``ebmix bound`` stdout parsed as strict JSON: NaN and Infinity fail."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
 def test_golden_csv_headers():
     assert ",".join(COVERAGE_COLUMNS) == GOLDEN_COVERAGE_HEADER
     assert ",".join(SENSITIVITY_COLUMNS) == GOLDEN_SENSITIVITY_HEADER
@@ -50,7 +59,7 @@ def test_bound_json_contract(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("# comment\n0.2\n0.4\n\n0.6\n0.8\n" * 30, encoding="utf-8")
     assert main(["bound", "--method", "eb", "--alpha", "0.05", "--b", "1", "--data", str(data)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert set(out) >= {"center", "radius", "level", "breakdown"}
     assert out["level"] == pytest.approx(0.90)
     assert out["center"] == pytest.approx(0.5)
@@ -60,7 +69,7 @@ def test_bound_constant_data_reduces_to_linear_term(tmp_path, capsys):
     data = tmp_path / "const.txt"
     data.write_text("0.5\n" * 100, encoding="utf-8")
     assert main(["bound", "--method", "eb", "--delta", "0.01", "--b", "1", "--data", str(data)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert out["breakdown"]["leading"] == 0.0
     expected = out["breakdown"]["inflation"] * out["breakdown"]["linear"]
     assert out["radius"] == pytest.approx(expected, rel=1e-12)
@@ -80,7 +89,7 @@ def test_bound_summary_input_and_methods(capsys):
         ["bound", "--method", "freedman", "--n", "100", "--sigma2", "1", "--b", "1",
          "--delta", str(np.exp(-2))]
     ) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert out["radius"] == pytest.approx(0.20666666666666667, rel=1e-9)
 
 
@@ -93,7 +102,7 @@ def test_bound_mixing_method(tmp_path, capsys):
          "--l", "12", "--range-width", "1", "--phi-sum", "1.0", "--tv-norm", "1.0"]
     )
     assert code == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert out["radius"] > 0 and "remainder" in out["breakdown"]
 
 
@@ -276,7 +285,7 @@ def test_bound_mds_empirical_reads_its_data_once(tmp_path, capsys, monkeypatch):
     assert main(["bound", "--method", "mds_empirical", "--delta", "0.01", "--b", "1",
                  "--data", str(data)]) == 0
     assert reads == [str(data)]
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     values = real(str(data))
     t = np.log(100.0)
     assert out["center"] == float(np.mean(values))
@@ -297,7 +306,7 @@ def test_bound_freedman_alpha_matches_harness_oracle(capsys):
     assert main(["bound", "--method", "freedman", "--n", str(n), "--sigma2",
                  repr(truth.sigma2_marginal), "--b", repr(truth.b_centered),
                  "--alpha", str(alpha)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert out["radius"] == core_bounds.freedman_radius(n, truth.sigma2_marginal,
                                                         truth.b_centered, alpha)
     assert out["radius"] == pytest.approx(row.mean_radius, rel=1e-12)
@@ -309,7 +318,7 @@ def test_bound_freedman_delta_reports_two_sided_level(capsys):
     delta = 0.01
     assert main(["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--b", "1",
                  "--delta", str(delta)]) == 0
-    out = json.loads(capsys.readouterr().out)
+    out = _bound_json(capsys.readouterr().out)
     assert out["radius"] == core_bounds.freedman_radius(400, 0.25, 1.0, delta)
     assert out["level"] == 1.0 - 2.0 * delta
     assert main(["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--b", "1",
@@ -328,7 +337,7 @@ def test_bound_freedman_refuses_data_that_disagree_with_its_flags(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == "" and "holds 3 values but --n is 100000" in captured.err
     assert main(argv + ["--n", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["center"] == float(np.mean([0.1, 0.2, 0.3]))
+    assert _bound_json(capsys.readouterr().out)["center"] == float(np.mean([0.1, 0.2, 0.3]))
     data.write_text("0.1\n5\n0.3\n", encoding="utf-8")
     assert main(argv + ["--n", "3"]) == 2
     captured = capsys.readouterr()
@@ -345,6 +354,102 @@ def test_bound_block_methods_refuse_data_wider_than_range_width(tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == "" and "values span 4.5 (max - min)" in captured.err
     assert main(argv + ["--range-width", "4.5"]) == 0
+    assert _bound_json(capsys.readouterr().out)["radius"] > 0
+
+
+# Finite values for every numeric flag of each method; "eb-summary" is eb
+# from --n/--mean/--css instead of a data file.
+_FINITE_BOUND_ARGV = {
+    "eb": ["--delta", "0.01", "--b", "1"],
+    "eb-summary": ["--delta", "0.01", "--b", "1", "--mean", "0.5", "--css", "30"],
+    "eb_ignore_linear": ["--delta", "0.01", "--b", "1", "--xi", "0.3"],
+    "mds_empirical": ["--delta", "0.01", "--b", "1"],
+    "freedman": ["--delta", "0.01", "--sigma2", "0.25", "--b", "1"],
+    "phi": ["--delta", "0.01", "--l", "12", "--range-width", "1", "--phi-sum", "1",
+            "--xi", "0.01"],
+    "tilde_phi": ["--delta", "0.01", "--l", "12", "--range-width", "1", "--phi-sum", "1",
+                  "--tv-norm", "1", "--xi", "0.01"],
+    "agnostic": ["--delta", "0.01", "--l", "12", "--range-width", "1", "--phi-sum", "1",
+                 "--tv-norm", "1", "--t", "0.01", "--s", "0.01", "--c", "0.01"],
+}
+
+
+def _bound_argv(case, data, flag=None, token=None):
+    """The argv of ``case``, with ``flag`` (``--alpha`` in place of ``--delta``)
+    set to ``token``; the '=' form lets '-inf' through argparse."""
+    argv = list(_FINITE_BOUND_ARGV[case])
+    if flag is not None:
+        at = argv.index("--delta" if flag == "--alpha" else flag)
+        argv[at:at + 2] = [f"{flag}={token}"]
+    method = case.removesuffix("-summary")
+    where = ["--n", "400"] if case in ("eb-summary", "freedman") else ["--data", str(data)]
+    return ["bound", "--method", method, *argv, *where]
+
+
+@pytest.fixture
+def uniform_data(tmp_path):
+    data = tmp_path / "uniform.txt"
+    values = np.random.default_rng(0).uniform(0, 1, 400)
+    data.write_text("\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
+    return data
+
+
+@pytest.mark.parametrize("case", sorted(_FINITE_BOUND_ARGV))
+def test_bound_finite_argv_prints_strict_json(case, uniform_data, capsys):
+    assert main(_bound_argv(case, uniform_data)) == 0
+    assert math.isfinite(_bound_json(capsys.readouterr().out)["radius"])
+
+
+@pytest.mark.parametrize(
+    "case, flag, token",
+    [
+        (case, flag, token)
+        for case, argv in sorted(_FINITE_BOUND_ARGV.items())
+        for flag in argv[::2] + ["--alpha"]
+        for token in ("nan", "inf", "-inf")
+    ],
+)
+def test_bound_refuses_a_flag_that_is_not_finite(case, flag, token, uniform_data, capsys):
+    # 55 of these once exited 0, most printing "radius": NaN or Infinity,
+    # which is not JSON, or ended in a traceback (a non-finite --l).
+    assert main(_bound_argv(case, uniform_data, flag, token)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "case, flag, message",
+    [("eb-summary", "--mean", "mean must be a finite number, got nan"),
+     ("phi", "--l", "l must be a finite number, got nan"),
+     ("phi", "--phi-sum", "phi_sum must be a finite number, got nan"),
+     ("agnostic", "--tv-norm", "tv_norm must be a finite number, got nan"),
+     ("agnostic", "--range-width", "range_width must be a finite number, got nan")],
+)
+def test_bound_names_the_flag_that_is_not_finite(case, flag, message, uniform_data, capsys):
+    assert main(_bound_argv(case, uniform_data, flag, "nan")) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_bound_agnostic_zero_budget_agrees_with_harness(tmp_path, capsys):
+    # A zero --phi-sum was once flagged errors_unquantified by the CLI, while
+    # the harness reported a zero error budget for the same zero sum.
+    spec, n, delta = iid_bernoulli(0.3), 400, 0.01
+    cfg = ExperimentConfig(process=spec, bounds=("mixing_agnostic",), n_grid=(n,),
+                           replications=1, master_seed=3, delta=delta)
+    row = run_coverage(cfg).rows[0]
+    assert row.error_total == 0.0 and row.flags == ()
+    values, truth = simulate(spec, n, (3, 0))
+    data = tmp_path / "path.txt"
+    data.write_text("\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
+    argv = ["bound", "--method", "agnostic", "--delta", repr(delta), "--data", str(data),
+            "--l", repr(cfg.l_policy.block_length(n)), "--range-width", repr(truth.range_width)]
+    assert main(argv + ["--phi-sum", "0", "--tv-norm", "1"]) == 0
+    out = _bound_json(capsys.readouterr().out)
+    assert out["level"] == row.level == 1.0 - 3.0 * delta
+    assert tuple(out.get("flags", ())) == row.flags
+    assert out["radius"] == pytest.approx(row.mean_radius, rel=1e-12)
+    assert main(argv) == 0
+    assert _bound_json(capsys.readouterr().out)["flags"] == ["errors_unquantified"]
 
 
 def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
@@ -354,9 +459,9 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
             "--data", str(data)]
     assert cli.build_parser() is cli.build_parser()
     assert main(argv + ["--xi", "0.3"]) == 0
-    with_xi = json.loads(capsys.readouterr().out)
+    with_xi = _bound_json(capsys.readouterr().out)
     assert main(argv) == 0
-    default = json.loads(capsys.readouterr().out)
+    default = _bound_json(capsys.readouterr().out)
     summary = core_bounds.summarize(read_values(str(data)), b=1.0)
     xi = float(harness._DEFAULT_XI["eb_ignore_linear"].evaluate(summary.n))
     assert default["radius"] == core_bounds.ignore_linear_interval(summary, 0.01, xi).radius
@@ -366,6 +471,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     cli.build_parser.cache_clear()
     assert main(argv) == 0
     alone = capsys.readouterr()
+    assert _bound_json(alone.out) == default
     with pytest.raises(SystemExit) as info:
         main(["bound", "--method", "eb", "--b", "not-a-number"])
     assert info.value.code == 2
@@ -404,6 +510,7 @@ def test_simulate_stdout_round_trips_into_bound(tmp_path, capsys):
     data.write_text(text, encoding="utf-8")  # includes the '# truth:' comment
     assert main(["bound", "--method", "eb", "--alpha", "0.1", "--b", "1",
                  "--data", str(data)]) == 0
+    assert _bound_json(capsys.readouterr().out)["level"] == pytest.approx(0.8)
 
 
 def test_coverage_outputs_and_force_discipline(tmp_path, capsys):
@@ -453,7 +560,7 @@ def test_config_schema_error_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "overrides, named",
     [({"master_seed": 7.5}, "master_seed"), ({"replications": 10.9}, "replications"),
-     ({"master_seed": True}, "master_seed")],
+     ({"master_seed": True}, "master_seed"), ({"n_grid": [300, 2.5]}, "n_grid")],
 )
 def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
@@ -473,14 +580,26 @@ def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
          "field 'l_policy.value': must be a number, got 'x'"),
         ({"xi": {"scale": "big"}}, "field 'xi.scale': must be a number, got 'big'"),
         ({"knobs": {"t_power": [1]}}, "field 'knobs.t_power': must be a number, got [1]"),
+        ({"xi": {"scale": math.nan}}, "field 'xi.scale': must be a finite number, got nan"),
+        ({"xi": {"scale": math.inf}}, "field 'xi.scale': must be a finite number, got inf"),
+        ({"knobs": {"t_scale": math.nan}},
+         "field 'knobs.t_scale': must be a finite number, got nan"),
+        ({"knobs": {"c_mode": "fixed", "c_value": math.inf}},
+         "field 'knobs.c_value': must be a finite number, got inf"),
+        ({"l_policy": {"kind": "fixed", "value": math.nan}},
+         "field 'l_policy.value': must be a finite number, got nan"),
     ],
-    ids=["delta", "n_grid", "bounds", "bounds-entry", "l_policy", "xi", "knobs"],
+    ids=["delta", "n_grid", "bounds", "bounds-entry", "l_policy", "xi", "knobs",
+         "xi-scale-nan", "xi-scale-inf", "knobs-t-nan", "knobs-c-inf", "l-fixed-nan"],
 )
 def test_config_mistyped_field_exits_2(tmp_path, capsys, overrides, message):
-    # Each once exited 1 with a ValueError or TypeError traceback.
+    # Each once exited 1 with a ValueError or TypeError traceback.  A NaN or
+    # infinite policy value was accepted, giving a NaN or infinite
+    # mean_radius with exit 0 for the bounds that read it.
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
-    assert message in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
     assert not (tmp_path / "coverage.csv").exists()
 
 

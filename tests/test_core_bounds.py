@@ -203,6 +203,11 @@ def test_sample_summary_validation():
         SampleSummary(n=10, mean=0.0, css=-1.0, b=1.0)
     with pytest.raises(DomainError):
         SampleSummary(n=2, mean=0.5, css=100.0, b=1.0, range=(0.0, 1.0))
+    for field in ("mean", "css", "b"):  # each once gave a NaN or infinite interval
+        for value in (math.nan, math.inf, -math.inf):
+            stats = {"n": 10, "mean": 0.5, "css": 1.0, "b": 1.0, field: value}
+            with pytest.raises(DomainError, match=f"{field} must be a finite number"):
+                SampleSummary(**stats)
 
 
 def test_interval_result_recomposition_enforced():

@@ -24,6 +24,7 @@ from ebmix import (
     recompose,
     tilde_phi_interval,
 )
+from ebmix.mixing_bounds import agnostic_errors
 
 RTOL = 1e-9
 
@@ -211,6 +212,16 @@ def test_error_budget_requires_positive_product():
         agnostic_error_budget(100, part, AgnosticKnobs(0, 1, 1), 0.0)
 
 
+def test_agnostic_errors_is_the_one_budget_rule():
+    part = block_partition(105, 10)
+    knobs = AgnosticKnobs(c_n=0.1, t_n=0.5, s_n=0.5)
+    assert agnostic_errors(part, knobs, None) is None
+    zero = MixingBudget(regime="phi_tilde", phi_sum=0.0, tv_norm=2.0)
+    assert agnostic_errors(part, knobs, zero) == ErrorBudget(0.0, 0.0, 0.0)
+    some = MixingBudget(regime="phi_tilde", phi_sum=0.75, tv_norm=2.0)
+    assert agnostic_errors(part, knobs, some) == agnostic_error_budget(105, part, knobs, 1.5)
+
+
 def test_error_budget_monotone_in_knobs():
     part = block_partition(105, 10)
     small = agnostic_error_budget(105, part, AgnosticKnobs(0.01, 0.02, 0.02), 1.0)
@@ -232,6 +243,22 @@ def test_dedecker_tail_values():
 def test_dedecker_radius_inverts_tail():
     radius = dedecker_prieur_radius(400, 1.5, 0.8, 0.05)
     assert dedecker_prieur_tail(400, radius, 1.5, 0.8) == pytest.approx(0.05, rel=RTOL)
+
+
+def test_dedecker_refuses_arguments_that_are_not_positive_numbers():
+    # A NaN tv_norm, sum or t once passed the "> 0" checks and gave NaN.
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
+            dedecker_prieur_radius(400, bad, 0.8, 0.05)
+        with pytest.raises(DomainError):
+            dedecker_prieur_radius(400, 1.5, bad, 0.05)
+        with pytest.raises(DomainError):
+            dedecker_prieur_tail(400, bad, 1.5, 0.8)
+    for count in (math.nan, math.inf, 2.5, 0):
+        with pytest.raises(DomainError):
+            dedecker_prieur_tail(count, 0.5, 1.5, 0.8)
+        with pytest.raises(DomainError):
+            dedecker_prieur_radius(count, 1.5, 0.8, 0.05)
 
 
 @given(

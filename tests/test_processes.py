@@ -63,6 +63,22 @@ def test_batch_rows_equal_single_paths(spec):
         assert np.array_equal(batch[i], single)
 
 
+def test_simulate_and_simulate_paths_key_one_generator_per_row(monkeypatch):
+    # Both draw through one loop, which re-keys the generator once per row.
+    calls = []
+    real = processes._generator
+
+    def counting(generator, key, state):
+        calls.append(list(key))
+        return real(generator, key, state)
+
+    monkeypatch.setattr(processes, "_generator", counting)
+    simulate(bernoulli_ar1(), 30, (11, 2))
+    assert len(calls) == 1
+    simulate_paths(bernoulli_ar1(), 30, 11, range(4))
+    assert len(calls) == 5 and calls[0] == calls[3]
+
+
 def _numpy_generator(seed) -> np.random.Generator:
     """numpy's own substream for ``seed``, the reference the vectorized key
     derivation is checked against."""
