@@ -77,7 +77,7 @@ class SampleSummary:
         _check_nonneg(self.css, "css")
         _check_nonneg(self.b, "b")
         if self.range is not None:
-            a, hi = self.range
+            a, hi = (_check_finite(v, "range") for v in self.range)
             if a > hi:
                 raise DomainError(f"range must satisfy a <= b, got {self.range!r}")
             width = hi - a
@@ -352,11 +352,11 @@ def ignorance_penalty(n: int, sigma2: float, m4: float, b: float, eta: float) ->
     (Jensen) -- a violation only triggers a warning.
     """
     n = _check_count(n)
-    if sigma2 <= 0:
+    if _check_finite(sigma2, "sigma2") <= 0:
         raise DomainError("degenerate variable excluded: sigma2 must be > 0")
-    if m4 <= 0:
+    if _check_finite(m4, "m4") <= 0:
         raise DomainError(f"m4 must be positive, got {m4!r}")
-    if b <= 0:
+    if _check_finite(b, "b") <= 0:
         raise DomainError(f"b must be positive, got {b!r}")
     eta = _check_prob(eta, "eta")
     if m4 < sigma2 * sigma2 * (1 - 1e-12):
@@ -379,17 +379,17 @@ def burn_in_threshold(delta, eta, sigma2, b, xi, n_max) -> int | None:
     """
     delta = _check_prob(delta, "delta")
     eta = _check_prob(eta, "eta")
-    if sigma2 <= 0:
+    if _check_finite(sigma2, "sigma2") <= 0:
         raise DomainError("sigma2 must be > 0")
-    if b <= 0:
+    if _check_finite(b, "b") <= 0:
         raise DomainError("b must be > 0")
     n_max = _check_count(n_max, "n_max")
     target = eta * sigma2
     threshold = 5.0 * b * b * math.log(1.0 / delta)
     for n in range(1, n_max + 1):
         xi_n = xi(n)
-        if xi_n <= 0:
-            raise DomainError(f"xi({n}) = {xi_n!r} must be > 0")
+        if not 0 < xi_n < math.inf:  # also refuses NaN
+            raise DomainError(f"xi({n}) must be a finite number > 0, got {xi_n!r}")
         if target >= threshold / (n * xi_n * xi_n):
             return n
     return None

@@ -619,6 +619,21 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     return tuple(results)
 
 
+def _median(x) -> float:
+    """``np.median`` of a nonempty 1-D float array, the same float: NaN if
+    ``x`` holds a NaN, else the middle value or the mean of the two middle
+    values, summed from +0.0 as ``np.mean`` sums (so -0.0 comes out 0.0).
+    np.median's NaN check imports numpy.ma, which nothing else here needs."""
+    half = x.size // 2
+    if x.size % 2:
+        part = np.partition(x, [half, -1])
+        middle = 0.0 + part[half]
+    else:
+        part = np.partition(x, [half - 1, half, -1])
+        middle = (0.0 + part[half - 1] + part[half]) / 2
+    return math.nan if np.isnan(part[-1]) else float(middle)  # partition puts NaN last
+
+
 def _sharpness_limit(bound: str, delta: float, alpha: float) -> float | None:
     log_a = math.log(1.0 / alpha)
     if bound == "freedman_oracle":
@@ -660,7 +675,7 @@ def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResu
         empirical_coverage=p_hat,
         mc_se=mc_se,
         mean_radius=mean_radius,
-        median_radius=float(np.median(radii)),
+        median_radius=_median(radii),
         sharpness_ratio=sharpness,
         sharpness_limit=_sharpness_limit(bound, plan.delta, plan.alpha),
         sigma_ref=sigma_ref,

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 from .blocking import BlockPartition, BlockSummary
 from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _interval, _sqrt
-from .errors import DomainError, PreconditionError, _check_count, _check_nonneg, _check_prob
+from .errors import (
+    DomainError, PreconditionError, _check_count, _check_finite, _check_nonneg, _check_prob,
+)
 
 REGIMES = ("phi", "phi_tilde", "agnostic")
 PROVENANCES = ("exact", "analytic_bound", "user_supplied")
@@ -254,7 +256,7 @@ def agnostic_error_budget(
 
     Each term is clamped to [0, 1].
     """
-    if tv_phi_product <= 0:
+    if _check_finite(tv_phi_product, "tv_phi_product") <= 0:
         raise DomainError(f"tv_phi_product must be > 0, got {tv_phi_product!r}")
     if n != partition.n:
         raise DomainError(f"n = {n} does not match partition.n = {partition.n}")

@@ -43,6 +43,8 @@ IID_DISTS = ("bernoulli", "rademacher", "uniform")
 _PHI_TAIL_CUTOFF = 1e-15
 # Matrix powers are reduced this many at a time.
 _PHI_BLOCK = 256
+# Once the float powers repeat, the repeated term is added this many at a time.
+_PHI_RUN = 1 << 16
 
 # Path recurrences advance about this many states per vectorized step, and a
 # guessed segment start is driven through this many inputs before it is used.
@@ -247,9 +249,13 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
 
     This TV quantity upper-bounds the mixing coefficient of the chain's
     natural filtration, hence provenance "analytic_bound".  Terms below
-    1e-15 are dropped (the remaining geometric tail is negligible).  The sum
-    is computed once per (P, n) and then served from a cache; a P that is not
-    ergodic raises on every call.
+    1e-15 are dropped (the remaining geometric tail is negligible).  The
+    float powers P^k reach a fixed point, P^(k+1) == P^k bit for bit, after
+    which every phi(k) is the same float; from there the repeated term is
+    added without further products, so the cost depends on where the powers
+    repeat rather than on n.  The sum equals the scalar running sum of the
+    first n terms either way.  It is computed once per (P, n) and then served
+    from a cache; a P that is not ergodic raises on every call.
     """
     P = np.asarray(P, dtype=float)
     total = _phi_sum(P.tobytes(), P.shape, _check_count(n))
@@ -276,6 +282,18 @@ def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
         # cumsum adds term by term, so the total matches a scalar running sum.
         total = float(np.cumsum(np.concatenate(([total], phi[:stop])))[-1])
         if below.size:
+            break
+        rest = n - lo - block.shape[0]
+        if rest and np.array_equal(block[-1], block[-2]):
+            # P^(k+1) == P^k makes every later product that same array, so
+            # every later term is phi[-1].  One check per block keeps chains
+            # that never repeat as fast as before.
+            run = np.full(min(rest, _PHI_RUN) + 1, phi[-1])
+            while rest:
+                m = min(rest, _PHI_RUN)
+                run[0] = total
+                total = float(np.cumsum(run[: m + 1])[-1])
+                rest -= m
             break
     return total
 
@@ -589,7 +607,7 @@ def _markov_steps(p_bytes: bytes, shape: tuple):
     cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
     cum_rows[:, -1] = 1.0
     # u < 1 never reaches the last column, 1.0, so it is left out.
-    cuts = np.unique(cum_rows[:, :-1])
+    cuts = _unique(cum_rows[:, :-1])
     cum_pi.flags.writeable = cuts.flags.writeable = False  # shared by every call
     # Each cut costs the buckets one counting pass, and they fit a byte.
     if cuts.size < 256 and P.shape[0] * (cuts.size + 1) <= _TABLE_SIZE:
@@ -597,6 +615,15 @@ def _markov_steps(p_bytes: bytes, shape: tuple):
     else:
         step, width, cuts = _column_step(cum_rows), 1, None
     return cum_pi, cuts, step, width, np.min_scalar_type(P.shape[0] * width - 1)
+
+
+def _unique(a) -> np.ndarray:
+    """``np.unique(a)`` for a float array without NaN: its sorted distinct
+    values.  np.unique's masked-array check imports numpy.ma."""
+    v = np.sort(a, axis=None)
+    keep = np.ones(v.size, dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
 
 
 def _blocks(shape):

@@ -3,6 +3,10 @@ files, frozen CSV headers, and environment-variable defaults."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -678,6 +682,35 @@ def test_sensitivity_subcommand(tmp_path, capsys):
     lines = (tmp_path / "sensitivity.csv").read_text().splitlines()
     assert lines[0] == GOLDEN_SENSITIVITY_HEADER
     assert len(lines) == 3
+
+
+def test_coverage_and_sensitivity_runs_do_not_import_numpy_ma(tmp_path):
+    """np.median and np.unique import numpy.ma (~14 ms) on their first call;
+    the coverage and sensitivity paths use neither."""
+    ar1 = _write_config(tmp_path / "ar1.json", process={"kind": "bernoulli_ar1", "params": {}},
+                        bounds=["tilde_phi"], n_grid=[200], replications=20)
+    slow = _write_config(
+        tmp_path / "slow.json",
+        process={"kind": "finite_markov",
+                 "params": {"P": [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+                            "h": [0.0, 0.5, 1.0]}},
+        bounds=["phi"], n_grid=[300], replications=20,
+        l_policies=[{"kind": "exponent", "value": 0.4}, {"kind": "exponent", "value": 0.5}],
+    )
+    path = [str(Path(harness.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for command, cfg in (("coverage", ar1), ("sensitivity", slow)):
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "ebmix.cli", command, "--config", str(cfg),
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"{command}.csv").exists()
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")}
+        assert {"numpy", "ebmix.harness"} <= imported  # the import log is complete
+        assert not {m for m in imported if m.split(".")[:2] == ["numpy", "ma"]}, command
 
 
 def test_selfcheck_deterministic_and_fault_injection(capsys):

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+from ebmix.blocking import block_partition
+from ebmix.core_bounds import SampleSummary, burn_in_threshold, ignorance_penalty
 from ebmix.errors import DomainError, _check_count, _check_finite, _check_nonneg, _check_prob
+from ebmix.mixing_bounds import AgnosticKnobs, agnostic_error_budget
 
 # Values no check passes: not finite, or not a number at all.
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), None, "1", [1.0],
@@ -55,3 +58,34 @@ def test_nonneg_refuses_negatives_and_finite_passes_them():
         _check_nonneg(-1e-300, "x")
     assert _check_finite(-3, "x") == -3.0 and type(_check_finite(-3, "x")) is float
     assert _check_nonneg(0, "x") == 0.0 and _check_prob(0.25, "p") == 0.25
+
+
+def _agnostic_budget(tv_phi_product):
+    return agnostic_error_budget(100, block_partition(100, 10), AgnosticKnobs(0, 1, 1),
+                                 tv_phi_product)
+
+
+def _burn_in(sigma2, b, xi_n=1.0):
+    return burn_in_threshold(0.05, 0.5, sigma2, b, lambda n: xi_n, 10)
+
+
+# Library entry points whose positivity test alone let a NaN or an inf through:
+# (call, the argument the message names).
+NOT_FINITE_ARGUMENTS = {
+    "agnostic tv_phi_product nan": (lambda: _agnostic_budget(math.nan), "tv_phi_product"),
+    "agnostic tv_phi_product inf": (lambda: _agnostic_budget(math.inf), "tv_phi_product"),
+    "penalty sigma2 nan": (lambda: ignorance_penalty(100, math.nan, 1, 1, 0.5), "sigma2"),
+    "penalty m4 nan": (lambda: ignorance_penalty(100, 1, math.nan, 1, 0.5), "m4"),
+    "penalty b nan": (lambda: ignorance_penalty(100, 1, 1, math.nan, 0.5), "b"),
+    "burn-in sigma2 nan": (lambda: _burn_in(math.nan, 1), "sigma2"),
+    "burn-in b nan": (lambda: _burn_in(1, math.nan), "b"),
+    "burn-in xi nan": (lambda: _burn_in(1, 1, math.nan), r"xi\(1\)"),
+    "summary range nan": (lambda: SampleSummary(2, 0.5, 1, 1, range=(math.nan, 1)), "range"),
+    "summary range inf": (lambda: SampleSummary(2, 0.5, 1, 1, range=(0, math.inf)), "range"),
+}
+
+
+@pytest.mark.parametrize("call, name", NOT_FINITE_ARGUMENTS.values(), ids=NOT_FINITE_ARGUMENTS)
+def test_library_entry_points_refuse_arguments_that_are_not_finite(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+        call()

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebmix import (
     ConfigError,
@@ -30,7 +32,8 @@ from ebmix import (
 )
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    _CHUNK_VALUES, _CSS_VALUES, _LONG_CHUNK_VALUES, _chunk_edges, _row_css, resolve_bound,
+    _CHUNK_VALUES, _CSS_VALUES, _LONG_CHUNK_VALUES, _chunk_edges, _median, _row_css,
+    resolve_bound,
 )
 from ebmix import reporting
 
@@ -572,6 +575,26 @@ def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
     d = vals - means[:, None]
     expected = np.einsum("ij,ij->i", d, d)
     assert np.array_equal(_row_css(vals, means).view(np.uint64), expected.view(np.uint64))
+
+
+# Ties, signed zeros, subnormals and infinities, drawn often enough to meet.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.0, -1.0, math.inf, -math.inf]
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False), min_size=1, max_size=41),
+    st.booleans(),
+)
+def test_median_equals_numpy_median_bit_for_bit(values, with_nan):
+    x = np.array(values + [math.nan] * with_nan)
+    with np.errstate(invalid="ignore"):  # inf - inf in the middle pair
+        got, want = _median(x.copy()), np.median(x)
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_cell_result_exact_coverage_ratio():

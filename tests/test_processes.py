@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ebmix import processes
+from ebmix.processes import _PHI_BLOCK
 from ebmix import (
     DomainError,
     bernoulli_ar1,
@@ -373,6 +374,8 @@ def test_spec_round_trip():
 
 STICKY = [[0.999, 0.001], [0.001, 0.999]]
 SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
+# Its phi(k) falls below the 1e-15 cut-off before its float powers repeat.
+FAST_2 = [[0.5, 0.5], [0.3, 0.7]]
 
 
 def _sequential_paths(spec, u):
@@ -521,6 +524,24 @@ def _skip_one_chain(k):
 
 
 @pytest.mark.parametrize(
+    "a",
+    [
+        np.empty((1, 0)),  # a one-state chain has no threshold
+        np.array([[0.5, 0.75], [0.5, 0.75], [0.25, 0.5]]),  # shared thresholds
+        np.array([[0.5, 0.5 - 1e-13], [0.25, 0.75]]),  # a row out of order
+        np.array([[0.0, -0.0, 1.0], [1.0, 0.0, 0.0]]),
+        np.random.default_rng(8).integers(0, 9, (17, 16)) / 8,  # many ties
+        np.random.default_rng(9).uniform(0.0, 1.0, (40, 39)),
+    ],
+    ids=["empty", "shared", "unsorted", "signed-zeros", "ties", "distinct"],
+)
+def test_unique_equals_numpy_unique(a):
+    got, want = processes._unique(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
     "P, step",
     [
         # a zero probability puts a cumulative value of 1.0 before the last column
@@ -631,13 +652,41 @@ def _sequential_phi_sum(P, n):
     [
         (SLOW_3, 10_000),  # never reaches the cut-off
         (SLOW_3, 257),  # one block and one term
-        (TWO_STATE, 5_000),  # reaches the cut-off inside the first block
-        (STICKY, 40_000),  # reaches the cut-off after several blocks
+        (TWO_STATE, 5_000),  # its powers repeat inside the first block
+        (STICKY, 40_000),  # its powers repeat after several blocks
         (STICKY, 1),
+        (STICKY, 15_751),  # the last term before the repeat
+        (STICKY, 15_752),  # the first repeated power, in the 62nd block
+        (STICKY, 15_753),  # one repeated term after it
+        (STICKY, 16_384),  # the repeat inside the last block, n at a block edge
+        (FAST_2, 1_000),  # the repeated phi is below the cut-off
+        # far past the repeat: the first block, then 2**16 repeated terms,
+        # which end at a block edge, and one term more
+        (SLOW_3, _PHI_BLOCK + (1 << 16)),
+        (SLOW_3, _PHI_BLOCK + (1 << 16) + 1),
     ],
 )
 def test_markov_phi_budget_equals_running_sum_loop(P, n):
     assert markov_phi_budget(np.asarray(P), n).phi_sum == _sequential_phi_sum(P, n)
+
+
+def _first_repeated_power(P, kmax):
+    """The first k <= kmax with P^k == P^(k-1) bit for bit, else None."""
+    P = np.asarray(P, dtype=float)
+    previous = power = np.eye(P.shape[0])
+    for k in range(1, kmax + 1):
+        previous, power = power, power @ P
+        if np.array_equal(power, previous):
+            return k
+    return None
+
+
+def test_float_powers_reach_a_fixed_point():
+    """Where the powers repeat, as the rows of the running-sum test assume."""
+    assert _first_repeated_power(STICKY, 20_000) == 15_752
+    assert _first_repeated_power(SLOW_3, 1_000) == 225
+    assert _first_repeated_power(TWO_STATE, 1_000) == 159
+    assert _first_repeated_power(FAST_2, 1_000) == 25
 
 
 def test_markov_phi_budget_equals_running_sum_loop_on_a_larger_chain():
