@@ -72,7 +72,8 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
 
     Summation order inside each block is the storage order, so results are
     deterministic and independent of how blocks are scheduled.  ``v_hat`` is
-    :func:`row_vhat` of the lone row, the reduction the harness uses.
+    :func:`row_vhat` of the lone row: the bits the harness gets for the same
+    path in any chunk.
     """
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.size != partition.n:
@@ -100,7 +101,16 @@ def row_vhat(vals, m: int, fl: int) -> np.ndarray:
     block_sums = vals[:, : m * fl].reshape(rows, m, fl).sum(axis=2)
     h_bar = block_sums.sum(axis=1) / (m * fl)
     centered = block_sums - fl * h_bar[:, None]
-    return np.einsum("ij,ij->i", centered, centered) / n
+    return row_sumsq(centered) / n
+
+
+def row_sumsq(d) -> np.ndarray:
+    """Each row's sum of squares, ``einsum("ij,ij->i", d, d)``, with the same
+    bits whatever other rows ``d`` holds.  einsum reduces a lone row with a
+    buffered 1-D kernel that can differ in the last bit from the per-row
+    kernel of a taller array, so a lone row goes in as a stride-0 view of two."""
+    pair = np.broadcast_to(d, (2, d.shape[1])) if d.shape[0] == 1 else d
+    return np.einsum("ij,ij->i", pair, pair)[: d.shape[0]]
 
 
 def block_identity_residual(values, m: int, l: int, mu: float) -> float:

@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -49,31 +50,28 @@ def read_values(path: str) -> np.ndarray:
         array = _parse_lines(path, lines)
     if array.size == 0:
         raise InputError(f"{path}: no numeric data found")
-    finite = np.isfinite(array)
-    if not finite.all():
-        # Checked once on the array to keep the parse lean; the offending
-        # line is looked up only on this error path.
-        index = int(np.argmin(finite))
-        lineno, line = [
-            (lineno, raw.strip())
-            for lineno, raw in enumerate(lines, start=1)
-            if raw.strip() and not raw.strip().startswith("#")
-        ][index]
-        raise InputError(f"{path}: line {lineno}: value is not finite: {line!r}")
+    if not np.isfinite(array).all():
+        # Checked once on the array to keep the parse lean; the line loop
+        # runs only on this error path, to name the line.
+        _parse_lines(path, lines)
     return array
 
 
 def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
-    """The line loop: skips blank and '#' lines and names a line that is not a number."""
+    """The line loop: skips blank and '#' lines and names a line that is not
+    a finite number."""
     values = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            values.append(float(line))
+            value = float(line)
         except ValueError:
             raise InputError(f"{path}: line {lineno}: not a number: {line!r}") from None
+        if not math.isfinite(value):
+            raise InputError(f"{path}: line {lineno}: value is not finite: {line!r}")
+        values.append(value)
     return np.asarray(values, dtype=float)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
-from .blocking import block_partition, row_vhat
+from .blocking import block_partition, row_sumsq, row_vhat
 from .errors import ConfigError, DomainError, PreconditionError, _check_count
 
 BOUNDS = (
@@ -48,11 +48,8 @@ BOUND_ALIASES = {
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 _LONGRUN_BOUNDS = _BLOCK_BOUNDS + ("dedecker_baseline",)
 
-# A simulation chunk of rows that fit two to a chunk holds at most this many
-# values (8 MB of float64), with the one exception _chunk_edges names.  Chunks
-# of longer rows hold at most _LONG_CHUNK_VALUES values, or one row.
+# A simulation chunk holds at most this many values (8 MB of float64), or one row.
 _CHUNK_VALUES = 1 << 20
-_LONG_CHUNK_VALUES = 1 << 23
 # _row_css centers about this many values at a time.
 _CSS_VALUES = 1 << 16
 
@@ -428,18 +425,15 @@ class _CellPlan:
             self.nu = core_bounds.inflation_factor(n, delta)
             xi_policy = config.xi_for(bound)
             self.xi_n = float(xi_policy.evaluate(n))
-            if truth.m4 is not None and truth.sigma2_marginal > 0:
-                self.penalty = core_bounds.ignorance_penalty(
-                    n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
-                )
-                self.burn_in_n = core_bounds.burn_in_power_law(
-                    delta, config.eta, truth.sigma2_marginal, truth.b_abs,
-                    xi_policy.scale, xi_policy.power,
-                )
-                if self.burn_in_n is None or n < self.burn_in_n:
-                    self.flags.append("below_burn_in")
-            else:
-                self.flags.append("penalty_unavailable")
+            self.penalty = core_bounds.ignorance_penalty(
+                n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
+            )
+            self.burn_in_n = core_bounds.burn_in_power_law(
+                delta, config.eta, truth.sigma2_marginal, truth.b_abs,
+                xi_policy.scale, xi_policy.power,
+            )
+            if self.burn_in_n is None or n < self.burn_in_n:
+                self.flags.append("below_burn_in")
         elif bound == "maurer_pontil_baseline":
             self.mp_log_term = core_bounds.maurer_pontil_log_term(n, self.alpha)
             self.level = 1.0 - 2.0 * self.alpha
@@ -496,7 +490,7 @@ class _CellPlan:
         if bound in ("freedman_oracle", "dedecker_baseline"):
             return np.full(vals.shape[0], self.scalar_radius), None
         if bound == "mds_empirical":
-            qv = np.einsum("ij,ij->i", vals, vals)
+            qv = row_sumsq(vals)
             return core_bounds.mds_empirical_radius(qv, self.b, self.log_term) / n, None
         if self.uses_blocks:
             p = self.partition
@@ -519,41 +513,22 @@ class _CellPlan:
 
 
 def _row_css(vals, means):
-    """Each row's sum of squares about its mean, ``einsum("ij,ij->i", d, d)``
-    with ``d = vals - means[:, None]``, over blocks of rows so that no centered
-    copy of the whole chunk is held.  einsum reduces a lone row with another
-    kernel, which can differ in the last bit, so a block of a chunk with more
-    than one row never holds just one; the last block takes the rest."""
+    """Each row's sum of squares about its mean, :func:`row_sumsq` of
+    ``vals - means[:, None]``, over blocks of rows so that no centered copy
+    of the whole chunk is held.  A row's css does not depend on its block."""
     rows, n = vals.shape
-    step = max(2, _CSS_VALUES // n)
+    step = max(1, _CSS_VALUES // n)
     css = np.empty(rows)
-    lo = 0
-    while lo < rows:
-        hi = rows if rows - lo < 2 * step else lo + step
-        d = vals[lo:hi] - means[lo:hi, None]
-        css[lo:hi] = np.einsum("ij,ij->i", d, d)
-        lo = hi
+    for lo in range(0, rows, step):
+        css[lo:lo + step] = row_sumsq(vals[lo:lo + step] - means[lo:lo + step, None])
     return css
 
 
 def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:
-    """Chunks of replications, their sizes differing by at most one.
-
-    Rows of at most _CHUNK_VALUES / 2 values take the fewest chunks of at
-    most _CHUNK_VALUES values that give every chunk two rows or more
-    (R >= 2): with R odd and _CHUNK_VALUES // n == 2, one chunk holds three
-    rows.  Longer rows take the fewest chunks of at most _LONG_CHUNK_VALUES
-    values, or one row.
-
-    A row alone in its chunk can get another css in the last bit (see
-    _row_css), so a row is alone exactly where the 2**23-value chunks of
-    earlier versions left one alone: R = 1, n > 2**22, or R odd with
-    2**23 / 3 < n <= 2**22.  Chunking therefore changes no report byte.
-    """
-    if n > _CHUNK_VALUES // 2:
-        k = -(-replications // max(1, _LONG_CHUNK_VALUES // n))
-    else:
-        k = max(1, min(-(-replications // (_CHUNK_VALUES // max(1, n))), replications // 2))
+    """The fewest chunks of replications of at most _CHUNK_VALUES values, or
+    one row, their sizes differing by at most one.  No row statistic depends
+    on the chunk its row is in, so the chunks set speed and memory only."""
+    k = -(-replications // max(1, _CHUNK_VALUES // n))
     return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
 
 
@@ -652,10 +627,8 @@ def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResu
     p_hat = covered / r
     mc_se = math.sqrt(p_hat * (1.0 - p_hat) / r)
     mean_radius = float(np.mean(radii))
-    if bound in _LONGRUN_BOUNDS and truth.sigma2_longrun is not None:
+    if bound in _LONGRUN_BOUNDS:
         sigma_ref, source = math.sqrt(truth.sigma2_longrun), "long_run"
-    elif bound in _LONGRUN_BOUNDS:
-        sigma_ref, source = math.sqrt(truth.sigma2_marginal), "marginal (long-run unavailable)"
     else:
         sigma_ref, source = math.sqrt(truth.sigma2_marginal), "marginal"
     if sigma_ref > 0:

@@ -87,6 +87,7 @@ class ErrorBudget:
 
 def block_inflation(m: int, delta: float) -> float:
     """Inflation factor 1 / (1 - sqrt(2 log(1/delta) / m)) over m blocks."""
+    m = _check_count(m, "m")
     delta = _check_prob(delta, "delta")
     log_term = math.log(1.0 / delta)
     if m <= 2.0 * log_term:
@@ -291,14 +292,18 @@ def agnostic_errors(
     return agnostic_error_budget(partition.n, partition, knobs, budget.tv_norm * budget.phi_sum)
 
 
+def _check_dedecker_budget(tv_norm: float, phi_tilde_sum: float) -> None:
+    if _check_finite(tv_norm, "tv_norm") <= 0 or _check_finite(phi_tilde_sum, "phi_tilde_sum") <= 0:
+        raise DomainError("tv_norm and phi_tilde_sum must be > 0")
+
+
 def dedecker_prieur_tail(m: int, t: float, tv_norm: float, phi_tilde_sum: float) -> float:
     """Exponential tail of the average of m terms of a weakly dependent
     sequence: min(1, 2 exp(-m t^2 / (2 tv_norm phi_tilde_sum)))."""
     m = _check_count(m, "m")
-    if not t > 0:
+    if _check_finite(t, "t") <= 0:
         raise DomainError(f"t must be > 0, got {t!r}")
-    if not (tv_norm > 0 and phi_tilde_sum > 0):  # NaN fails too
-        raise DomainError("tv_norm and phi_tilde_sum must be > 0")
+    _check_dedecker_budget(tv_norm, phi_tilde_sum)
     z = -(m * t * t) / (2.0 * tv_norm * phi_tilde_sum)
     return min(1.0, 2.0 * math.exp(z)) if z > -745.0 else 0.0
 
@@ -307,7 +312,6 @@ def dedecker_prieur_radius(n: int, tv_norm: float, phi_tilde_sum: float, eps: fl
     """Radius obtained by inverting :func:`dedecker_prieur_tail` at total miss
     probability ``eps``: sqrt(2 tv_norm phi_tilde_sum log(2/eps) / n)."""
     n = _check_count(n)
-    if not (tv_norm > 0 and phi_tilde_sum > 0):  # NaN fails too
-        raise DomainError("tv_norm and phi_tilde_sum must be > 0")
+    _check_dedecker_budget(tv_norm, phi_tilde_sum)
     eps = _check_prob(eps, "eps")
     return math.sqrt(2.0 * tv_norm * phi_tilde_sum * math.log(2.0 / eps) / n)

@@ -315,11 +315,11 @@ class GroundTruth:
 
     mu: float
     sigma2_marginal: float
-    sigma2_longrun: float | None
+    sigma2_longrun: float
     b_range: tuple[float, float]
     b_abs: float
-    tv_norm: float | None
-    m4: float | None
+    tv_norm: float
+    m4: float
 
     @property
     def range_width(self) -> float:

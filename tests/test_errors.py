@@ -10,7 +10,10 @@ import pytest
 from ebmix.blocking import block_partition
 from ebmix.core_bounds import SampleSummary, burn_in_threshold, ignorance_penalty
 from ebmix.errors import DomainError, _check_count, _check_finite, _check_nonneg, _check_prob
-from ebmix.mixing_bounds import AgnosticKnobs, agnostic_error_budget
+from ebmix.mixing_bounds import (
+    AgnosticKnobs, agnostic_error_budget, block_inflation, dedecker_prieur_radius,
+    dedecker_prieur_tail,
+)
 
 # Values no check passes: not finite, or not a number at all.
 NOT_FINITE = [math.nan, math.inf, -math.inf, np.float64("nan"), None, "1", [1.0],
@@ -82,10 +85,32 @@ NOT_FINITE_ARGUMENTS = {
     "burn-in xi nan": (lambda: _burn_in(1, 1, math.nan), r"xi\(1\)"),
     "summary range nan": (lambda: SampleSummary(2, 0.5, 1, 1, range=(math.nan, 1)), "range"),
     "summary range inf": (lambda: SampleSummary(2, 0.5, 1, 1, range=(0, math.inf)), "range"),
+    "dedecker radius tv_norm inf": (lambda: dedecker_prieur_radius(400, math.inf, 0.8, 0.05),
+                                    "tv_norm"),
+    "dedecker radius phi_tilde_sum inf": (
+        lambda: dedecker_prieur_radius(400, 1.5, math.inf, 0.05), "phi_tilde_sum"),
+    "dedecker tail t inf": (lambda: dedecker_prieur_tail(400, math.inf, 1.5, 0.8), "t"),
+    "dedecker tail tv_norm inf": (lambda: dedecker_prieur_tail(400, 0.5, math.inf, 0.8),
+                                  "tv_norm"),
+    "dedecker tail phi_tilde_sum inf": (lambda: dedecker_prieur_tail(400, 0.5, 1.5, math.inf),
+                                        "phi_tilde_sum"),
 }
 
 
 @pytest.mark.parametrize("call, name", NOT_FINITE_ARGUMENTS.values(), ids=NOT_FINITE_ARGUMENTS)
 def test_library_entry_points_refuse_arguments_that_are_not_finite(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be a finite number"):
+        call()
+
+
+# Library entry points that took any count: (call, the count the message names).
+NOT_A_COUNT_ARGUMENTS = {
+    "inflation m nan": (lambda: block_inflation(math.nan, 0.05), "m"),
+    "inflation m inf": (lambda: block_inflation(math.inf, 0.05), "m"),
+}
+
+
+@pytest.mark.parametrize("call, name", NOT_A_COUNT_ARGUMENTS.values(), ids=NOT_A_COUNT_ARGUMENTS)
+def test_library_entry_points_refuse_counts_that_are_not_whole_numbers(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be a positive integer"):
         call()

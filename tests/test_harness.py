@@ -32,8 +32,7 @@ from ebmix import (
 )
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    _CHUNK_VALUES, _CSS_VALUES, _LONG_CHUNK_VALUES, _chunk_edges, _median, _row_css,
-    resolve_bound,
+    _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_css, resolve_bound,
 )
 from ebmix import reporting
 
@@ -493,7 +492,7 @@ def test_chunk_edges_are_balanced_and_cover_exactly():
     for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
                  (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
         edges = _chunk_edges(r, n)
-        cap = _CHUNK_VALUES // n if 2 * n <= _CHUNK_VALUES else max(1, _LONG_CHUNK_VALUES // n)
+        cap = max(1, _CHUNK_VALUES // n)
         sizes = [hi - lo for lo, hi in edges]
         assert edges[0][0] == 0 and edges[-1][1] == r
         assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
@@ -501,49 +500,18 @@ def test_chunk_edges_are_balanced_and_cover_exactly():
         assert len(edges) == -(-r // cap)
 
 
-def _reference_chunk_edges(replications, n):
-    """_chunk_edges as it was with chunks of up to 2**23 values, the edges
-    every pinned report was made with."""
-    cap = max(1, min(replications, (1 << 23) // max(1, n)))
-    k = -(-replications // cap)
-    return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
-
-
-_EDGE_NS = sorted({
-    1, 2, 3, 200, 10_000, 200_000,
-    (1 << 20) // 3, (1 << 20) // 3 + 1, (1 << 19) - 1, 1 << 19, (1 << 19) + 1,
-    (1 << 23) // 3, (1 << 23) // 3 + 1, (1 << 22) - 1, 1 << 22, (1 << 22) + 1,
-    (1 << 23) - 1, 1 << 23, (1 << 23) + 1, 3 << 23,
-} | set(range(1, 1 << 20, 4099)))
-
-
-@pytest.mark.parametrize("r", [1, 2, 3, 5, 850, 40_000])
-def test_chunk_edges_leave_a_row_alone_exactly_where_the_reference_did(r):
-    # A lone row's css can differ in the last bit, so the set of one-row
-    # chunks decides whether a report keeps its bytes.
-    for n in _EDGE_NS:
-        edges, reference = _chunk_edges(r, n), _reference_chunk_edges(r, n)
-        assert ({e for e in edges if e[1] - e[0] == 1}
-                == {e for e in reference if e[1] - e[0] == 1}), n
-        sizes = [hi - lo for lo, hi in edges]
-        assert edges[0][0] == 0 and edges[-1][1] == r
-        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        assert max(sizes) - min(sizes) <= 1
-        if 2 * n > _CHUNK_VALUES:
-            assert edges == reference, n
-        elif r > 1:
-            # at least two rows a chunk, and 8 MB but for R odd at 2**20 // n == 2
-            assert min(sizes) >= 2, n
-            assert max(sizes) * n <= _CHUNK_VALUES or (
-                max(sizes) == 3 and r % 2 and _CHUNK_VALUES // n == 2), n
+def _digests(report):
+    return tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
+                 for text in (reporting.coverage_csv(report), reporting.report_json(report)))
 
 
 # CSV and report-JSON SHA-256 of css-based bounds with one and with an odd
-# number of replications, at n on both sides of 2**19 and 2**20 // 3, made
-# with the 2**23-value chunks.
+# number of replications, at n on both sides of 2**19 and 2**20 // 3.  Each
+# row of 4e5 or 6e5 values is alone in its chunk, and takes the bits it gets
+# in a chunk of several rows.
 PINNED_CSS_SHA256 = {
-    1: ("236cb38179da1daf652ae9a581888058bd47b2aeb0f48566b7dbbe02da4f0edd",
-        "62bb86651e40534f257046b115500064102de8ae792775ffea2997cc4b208e56"),
+    1: ("8a3b686c92ee53c361eaae297a61e957fdddc9c4e749f5a679718f5511c4d459",
+        "bf9f63b9457acf94e9835beede2bbb787c6cd857bbaa340a55cb1cfd7cebbfcf"),
     3: ("bfabe0e3d16f317d17d04c8f4b1c14b59f6a6ce2869b44b145cffe91677b089f",
         "89a4b644bdff627963f8751116a74fb50dbbc6c0d3a8c5c93bbca5f21a3051b7"),
     5: ("b16a5d06fb31859e848bb36bccd471c976d54e0e77e66e43353f27d6485450c0",
@@ -557,24 +525,68 @@ def test_pinned_css_report_digests_with_few_replications(replications):
                   bounds=("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline"),
                   n_grid=(200, 400_000, 600_000), replications=replications, master_seed=2024)
     for jobs in (1, 2):
-        report = run_coverage(cfg, n_jobs=jobs)
-        digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest()
-                        for text in (reporting.coverage_csv(report), reporting.report_json(report)))
-        assert digests == PINNED_CSS_SHA256[replications], jobs
+        assert _digests(run_coverage(cfg, n_jobs=jobs)) == PINNED_CSS_SHA256[replications], jobs
 
 
 @pytest.mark.parametrize(
     "rows, n",
-    [(1, 1000), (2, 1 << 17), (5, 40_000), (131, 1000), (196, 1000), (64, 1000), (4001, 200)],
+    [(1, 1000), (2, 1 << 17), (5, 40_000), (131, 1000), (196, 1000), (64, 1000), (4001, 200),
+     (66, 1000), (1, 10_000), (1, 200_000)]
+    + [(rows, n) for n in (8_191, 8_193, 10_000, 200_000) for rows in (2, 3, 7)],
 )
 def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
-    # 196 rows of 1000 values: blocks of 65, 65 and 66 rows, never a lone row.
+    # 196 rows of 1000 values: css blocks of 65, 65, 65 and a lone row.  einsum
+    # reduces each row of a chunk of two or more rows alike, so the chunk is
+    # taken twice over for the reference.
     assert _CSS_VALUES // 1000 == 65
     vals = np.random.default_rng([rows, n]).random((rows, n)) * 1e3
     means = vals.mean(axis=1)
-    d = vals - means[:, None]
-    expected = np.einsum("ij,ij->i", d, d)
-    assert np.array_equal(_row_css(vals, means).view(np.uint64), expected.view(np.uint64))
+    d = np.concatenate([vals, vals]) - np.concatenate([means, means])[:, None]
+    expected = np.einsum("ij,ij->i", d, d)[:rows].view(np.uint64)
+    assert np.array_equal(_row_css(vals, means).view(np.uint64), expected)
+    # A row alone gets the bits it gets among the others.
+    for i in range(rows):
+        alone = _row_css(vals[i:i + 1], means[i:i + 1]).view(np.uint64)
+        assert alone[0] == expected[i], i
+
+
+def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch):
+    # 7 rows of 2e4 values come in chunks of one row (2**12), of two or three
+    # rows (2**16) and of all seven (2**20), whose css blocks are 3, 3 and a
+    # lone row.  tilde_phi with l = 2 reduces 10^4 block sums per row.
+    from ebmix import harness
+
+    cfg = _config(process=iid_bernoulli(0.3),
+                  bounds=("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline",
+                          "tilde_phi_mixing"),
+                  n_grid=(20_000,), replications=7, master_seed=5,
+                  l_policy=LPolicy("fixed", 2))
+    digests = set()
+    for values in (1 << 12, 1 << 16, 1 << 20):
+        monkeypatch.setattr(harness, "_CHUNK_VALUES", values)
+        for jobs in (1, 2):
+            digests.add(_digests(run_coverage(cfg, n_jobs=jobs)))
+    assert len(digests) == 1
+
+
+def test_library_block_variance_equals_the_harness_bit_for_bit():
+    # 2e4 blocks of 10: past einsum's 8192-value buffer, where a lone row
+    # takes another kernel unless it goes through blocking.row_sumsq.
+    import ebmix
+    from ebmix import harness, processes
+
+    n, seed, r = 200_000, 4, 3
+    spec = bernoulli_ar1()
+    cfg = _config(process=spec, bounds=("tilde_phi_mixing",), n_grid=(n,), replications=r,
+                  master_seed=seed, l_policy=LPolicy("fixed", 10), delta=0.01, alpha=None)
+    partition = ebmix.block_partition(n, 10)
+    library = np.array([ebmix.block_summary(ebmix.simulate(spec, n, (seed, i))[0], partition).v_hat
+                        for i in range(r)])
+    vals = processes.simulate_paths(spec, n, seed, range(r))
+    plan = harness._CellPlan(cfg, "tilde_phi_mixing", n, cfg.l_policy)
+    _, vhat = plan.evaluate(vals, vals.mean(axis=1))
+    assert np.array_equal(vhat.view(np.uint64), library.view(np.uint64))
+    assert run_coverage(cfg).rows[0].mean_vhat == float(np.mean(library))
 
 
 # Ties, signed zeros, subnormals and infinities, drawn often enough to meet.
