@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_nonneg
+from .errors import DomainError, _check_array, _check_count, _check_finite, _check_nonneg
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
     :func:`row_vhat` of the lone row: the bits the harness gets for the same
     path in any chunk.
     """
-    x = np.asarray(values, dtype=float)
+    x = _check_array(values, "values")
     if x.ndim != 1 or x.size != partition.n:
         raise DomainError(f"values must have length n = {partition.n}, got {x.size}")
     m, fl, n = partition.m, partition.floor_l, partition.n
@@ -124,7 +124,8 @@ def block_identity_residual(values, m: int, l: int, mu: float) -> float:
     mu; it is used as a self-check oracle for the blocking code.
     """
     m, l = _check_count(m, "m"), _check_count(l, "l")
-    x = np.asarray(values, dtype=float)
+    mu = _check_finite(mu, "mu")
+    x = _check_array(values, "values")
     if x.ndim != 1 or x.size != m * l:
         raise DomainError(f"values must have length m*l = {m * l}, got {x.size}")
     blocks = x.reshape(m, l)

@@ -264,6 +264,8 @@ def _load_config(args) -> harness.ExperimentConfig:
         raw["l_policy"] = {"kind": "fixed", "value": args.l}
     if args.l_exponent is not None:
         raw["l_policy"] = {"kind": "exponent", "value": args.l_exponent}
+    if args.l is not None or args.l_exponent is not None:
+        raw["l_policies"] = None  # the one given block length replaces the file's list
     return harness.ExperimentConfig.from_dict(raw)
 
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError, PreconditionError, _check_count, _check_finite, _check_nonneg, _check_prob,
+    DomainError, PreconditionError, _check_array, _check_count, _check_finite, _check_nonneg,
+    _check_prob,
 )
 
 # Linear-term constant of the empirical-variance radius.  Fixed literal; do
@@ -36,9 +37,10 @@ def recompose(breakdown: dict) -> float:
     where the additive terms are all breakdown entries except ``inflation``
     and ``remainder``.
     """
-    inflation = breakdown.get("inflation", 1.0)
-    remainder = breakdown.get("remainder", 0.0)
-    body = sum(v for k, v in breakdown.items() if k not in ("inflation", "remainder"))
+    terms = {k: _check_finite(v, f"breakdown[{k!r}]") for k, v in breakdown.items()}
+    inflation = terms.get("inflation", 1.0)
+    remainder = terms.get("remainder", 0.0)
+    body = sum(v for k, v in terms.items() if k not in ("inflation", "remainder"))
     return inflation * body + remainder
 
 
@@ -50,7 +52,10 @@ def _sqrt(x):
 
 def _interval(center, level, breakdown, flags=()):
     """The scalar assembly rule: an interval whose radius is
-    ``recompose(breakdown)``."""
+    ``recompose(breakdown)``, flagged ``vacuous_level`` after ``flags`` when
+    its level is not positive."""
+    if level <= 0.0:
+        flags = (*flags, "vacuous_level")
     return IntervalResult(
         center=center, radius=recompose(breakdown), level=level, breakdown=breakdown, flags=flags
     )
@@ -94,9 +99,10 @@ def summarize(values, b: float, range: tuple[float, float] | None = None) -> Sam
     avoids the catastrophic cancellation of the naive sum-of-squares formula
     when the mean is large relative to the spread.
     """
-    x = np.asarray(values, dtype=float)
+    x = _check_array(values, "values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("values must be a nonempty 1-d sequence")
+    b = _check_nonneg(b, "b")
     n = x.size
     shift = float(x[0])
     d = x - shift
@@ -125,7 +131,9 @@ class IntervalResult:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _check_finite(self.center, "center")
         _check_nonneg(self.radius, "radius")
+        _check_finite(self.level, "level")
         if self.breakdown:
             expected = recompose(self.breakdown)
             scale = max(1.0, abs(self.radius))
@@ -272,15 +280,13 @@ def eb_interval(summary: SampleSummary, delta: float) -> IntervalResult:
     delta = _check_prob(delta, "delta")
     terms = eb_terms(summary.n, summary.b, delta)
     leading = eb_leading(summary.css, summary.n, math.log(1.0 / delta))
-    level = 1.0 - 3.0 * delta
-    flags = ("vacuous_level",) if level <= 0.0 else ()
-    return _interval(summary.mean, level, {"leading": leading, **terms}, flags)
+    return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, **terms})
 
 
 def eb_interval_alpha(summary: SampleSummary, alpha: float) -> IntervalResult:
     """Empirical-Bernstein interval parametrized by ``alpha``: the same as
     :func:`eb_interval` with ``delta = 2 alpha / 3`` and level ``1 - 2 alpha``."""
-    if not (0.0 < alpha < 1.5):
+    if not (0.0 < _check_finite(alpha, "alpha") < 1.5):
         raise DomainError(f"alpha must lie in (0, 1.5), got {alpha!r}")
     return eb_interval(summary, delta=2.0 * alpha / 3.0)
 

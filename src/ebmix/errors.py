@@ -3,6 +3,9 @@ A check passes only finite numbers and raises DomainError for anything else
 (NaN, +-inf, None, a string), so a bad argument reaches the CLI as exit 2."""
 
 import math
+import sys
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -37,13 +40,16 @@ def _check_count(n, name="n", minimum=1):
 
 
 def _check_prob(p, name):
-    """``p`` as a float in the open interval (0, 1)."""
+    """``p`` as a float in the open interval (0, 1), and not subnormal, so
+    that ``log(1/p)`` and ``log(2/p)`` are finite."""
     try:
-        if 0.0 < p < 1.0:
+        if sys.float_info.min <= p < 1.0:
             return float(p)
     except (TypeError, ValueError):
         pass
-    raise DomainError(f"{name} must lie in the open interval (0, 1), got {p!r}")
+    raise DomainError(
+        f"{name} must lie in the open interval (0, 1) and not be subnormal, got {p!r}"
+    )
 
 
 def _check_finite(x, name):
@@ -61,3 +67,15 @@ def _check_nonneg(x, name):
     if _check_finite(x, name) < 0:
         raise DomainError(f"{name} must be nonnegative, got {x!r}")
     return float(x)
+
+
+def _check_array(values, name):
+    """``values`` as a float array that holds finite numbers only (not
+    strings, None or ragged lists)."""
+    try:
+        array = np.asarray(values)
+        if array.dtype.kind in "biuf" and np.isfinite(array).all():
+            return array.astype(float, copy=False)
+    except ValueError:  # a ragged nesting
+        pass
+    raise DomainError(f"{name} must hold finite numbers only")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
 from .blocking import block_partition, row_sumsq, row_vhat
-from .errors import ConfigError, DomainError, PreconditionError, _check_count
+from .errors import ConfigError, DomainError, PreconditionError, _check_count, _check_prob
 
 BOUNDS = (
     "freedman_oracle",
@@ -46,7 +46,6 @@ BOUND_ALIASES = {
 }
 
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
-_LONGRUN_BOUNDS = _BLOCK_BOUNDS + ("dedecker_baseline",)
 
 # A simulation chunk holds at most this many values (8 MB of float64), or one row.
 _CHUNK_VALUES = 1 << 20
@@ -226,12 +225,12 @@ class ExperimentConfig:
             object.__setattr__(self, name, _as_count(name, getattr(self, name), low))
         if (self.delta is None) == (self.alpha is None):
             raise ConfigError("exactly one of 'delta' and 'alpha' must be set")
-        level = self.delta if self.delta is not None else self.alpha
-        if not (0.0 < level < 1.0):
-            name = "delta" if self.delta is not None else "alpha"
-            raise ConfigError(f"field '{name}': must lie in (0, 1), got {level!r}")
-        if not (0.0 < self.eta < 1.0):
-            raise ConfigError(f"field 'eta': must lie in (0, 1), got {self.eta!r}")
+        for name in ("delta" if self.delta is not None else "alpha", "eta"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _check_prob(value, name))
+            except DomainError:
+                raise ConfigError(f"field '{name}': must lie in (0, 1), got {value!r}") from None
 
     @property
     def delta_eff(self) -> float:
@@ -390,41 +389,54 @@ def validate_config(config: ExperimentConfig) -> None:
 
 
 class _CellPlan:
-    """Deterministic per-cell context: the library's cell terms, computed
-    once, and a vectorized radius evaluator."""
+    """One cell's bound, decided once, in ``_prepare``: the row statistic it
+    reads (``stat``), the rule that maps it to radii (:meth:`evaluate`), and
+    the cell's level, flags, sharpness limit and reference sigma.  ``stat`` is
+    each row's ``"mean"`` (for a constant radius), its sum of squares
+    ``"qv"``, its sum of squares about its mean ``"css"``, or its block
+    variance ``("vhat", m, floor_l)``.  Preconditions are checked here, so a
+    cell that cannot be bounded fails on construction, not inside a chunk."""
 
     def __init__(self, config: ExperimentConfig, bound: str, n: int, l_policy: LPolicy):
         self.bound = bound
         self.n = n
         self.l_policy = l_policy
-        self.truth = processes.ground_truth(config.process)
         self.delta = config.delta_eff
         self.alpha = config.alpha_eff
-        self.log_term = math.log(1.0 / self.delta)
-        self.level: float | None = 1.0 - 3.0 * self.delta
+        self.level = 1.0 - 3.0 * self.delta
         self.flags: list[str] = []
         self.block_len = self.blocks = self.remainder = None
         self.error_total = self.penalty = self.burn_in_n = None
-        self.uses_blocks = bound in _BLOCK_BOUNDS
+        self.sharpness_limit = math.sqrt(math.log(1.0 / self.delta) / math.log(1.0 / self.alpha))
+        truth = processes.ground_truth(config.process)
+        self.sigma_ref, self.sigma_ref_source = math.sqrt(truth.sigma2_marginal), "marginal"
         if self.level <= 0.0:
             self.flags.append("vacuous_level")
-        self._prepare(config)
+        self._prepare(config, truth)
 
-    def _prepare(self, config):
-        truth, n, bound, delta = self.truth, self.n, self.bound, self.delta
+    def _prepare(self, config, truth):
+        n, bound, delta, alpha = self.n, self.bound, self.delta, self.alpha
+        log_term = math.log(1.0 / delta)
+        long_run = math.sqrt(truth.sigma2_longrun), "long_run"
         if bound == "freedman_oracle":
-            self.scalar_radius = core_bounds.freedman_radius(
-                n, truth.sigma2_marginal, truth.b_centered, self.alpha
-            )
-            self.level = 1.0 - 2.0 * self.alpha
+            self.stat, self.rule = "mean", _constant(core_bounds.freedman_radius(
+                n, truth.sigma2_marginal, truth.b_centered, alpha))
+            self.level = 1.0 - 2.0 * alpha
+            self.sharpness_limit = 1.0
         elif bound == "mds_empirical":
-            self.b = truth.b_abs
+            b = truth.b_abs
+            self.stat = "qv"
+            self.rule = lambda qv: core_bounds.mds_empirical_radius(qv, b, log_term) / n
         elif bound == "empirical_bernstein":
-            self._use_terms(core_bounds.eb_terms(n, truth.b_abs, delta))
+            self.stat, self.rule = "css", _presummed(
+                core_bounds.eb_terms(n, truth.b_abs, delta),
+                lambda css: core_bounds.eb_leading(css, n, log_term))
         elif bound == "eb_ignore_linear":
-            self.nu = core_bounds.inflation_factor(n, delta)
+            nu = core_bounds.inflation_factor(n, delta)
             xi_policy = config.xi_for(bound)
-            self.xi_n = float(xi_policy.evaluate(n))
+            xi_n = float(xi_policy.evaluate(n))
+            self.stat = "css"
+            self.rule = lambda css: core_bounds.ignore_linear_rows(css, n, log_term, nu, xi_n)
             self.penalty = core_bounds.ignorance_penalty(
                 n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
             )
@@ -435,24 +447,28 @@ class _CellPlan:
             if self.burn_in_n is None or n < self.burn_in_n:
                 self.flags.append("below_burn_in")
         elif bound == "maurer_pontil_baseline":
-            self.mp_log_term = core_bounds.maurer_pontil_log_term(n, self.alpha)
-            self.level = 1.0 - 2.0 * self.alpha
+            mp_log_term = core_bounds.maurer_pontil_log_term(n, alpha)
+            self.stat = "css"
+            self.rule = lambda css: core_bounds.maurer_pontil_rows(css / (n - 1), n, mp_log_term)
+            self.level = 1.0 - 2.0 * alpha
+            self.sharpness_limit = math.sqrt(math.log(2.0 / alpha) / math.log(1.0 / alpha))
         elif bound == "dedecker_baseline":
             budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
-            eps = 3.0 * delta
-            if eps >= 1.0:
+            if 3.0 * delta >= 1.0:
                 raise PreconditionError("total miss probability 3*delta >= 1")
-            self.scalar_radius = mixing_bounds.dedecker_prieur_radius(
-                n, budget.tv_norm, budget.phi_sum, eps
-            )
-        elif bound in _BLOCK_BOUNDS:
-            self.partition = partition = block_partition(n, self.l_policy.block_length(n))
+            self.stat, self.rule = "mean", _constant(mixing_bounds.dedecker_prieur_radius(
+                n, budget.tv_norm, budget.phi_sum, 3.0 * delta))
+            self.sharpness_limit = None
+            self.sigma_ref, self.sigma_ref_source = long_run
+        else:  # a block bound; resolve_bound admits no other name
+            partition = block_partition(n, self.l_policy.block_length(n))
             self.block_len, self.blocks = partition.floor_l, partition.m
             self.remainder = partition.remainder_size
+            self.sigma_ref, self.sigma_ref_source = long_run
             rw = truth.range_width
             if bound == "mixing_agnostic":
                 knobs = config.knobs.evaluate(n, partition.remainder_size, rw)
-                self._use_terms(mixing_bounds.agnostic_terms(partition, rw, knobs, delta))
+                terms = mixing_bounds.agnostic_terms(partition, rw, knobs, delta)
                 budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
                 errors = mixing_bounds.agnostic_errors(partition, knobs, budget)
                 if errors is not None:
@@ -463,53 +479,43 @@ class _CellPlan:
                 regime = "phi" if bound == "phi_mixing" else "phi_tilde"
                 budget = processes.mixing_budget_for(config.process, regime, n)
                 xi_n = float(config.xi_for(bound).evaluate(n))
-                self._use_terms(mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n))
-        else:  # pragma: no cover - resolve_bound guards this
-            raise ConfigError(f"unknown bound {self.bound!r}")
+                terms = mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n)
+            self.stat, self.rule = ("vhat", partition.m, partition.floor_l), _presummed(
+                terms, lambda vhat: mixing_bounds.block_leading(vhat, n, log_term))
 
-    def _use_terms(self, terms: dict):
-        """Pre-sum the cell terms for the row rule
-        ``inflation * (leading + A + B) + remainder``: A adds the terms
-        before ``linear``, B the terms from ``linear`` on."""
-        keys = [k for k in terms if k not in ("inflation", "remainder")]
-        split = keys.index("linear")
-        self.inflation = terms["inflation"]
-        self.sqrt_terms = sum(terms[k] for k in keys[:split])
-        self.linear_terms = sum(terms[k] for k in keys[split:])
-        self.rem_term = terms.get("remainder", 0.0)
+    def evaluate(self, stat: np.ndarray) -> np.ndarray:
+        """Per-replication radii from the rows' ``self.stat``, which is only read."""
+        return self.rule(stat)
 
-    def evaluate(self, vals: np.ndarray, means: np.ndarray, memo: dict | None = None):
-        """Per-replication radii (and block variances where applicable).
 
-        ``memo`` holds the row statistics of one chunk (the css, and the
-        block variances per partition), so the plans evaluated on the same
-        chunk compute each of them once; pass a new dict for every chunk."""
-        bound, n = self.bound, self.n
-        memo = {} if memo is None else memo
-        vhat = None
-        if bound in ("freedman_oracle", "dedecker_baseline"):
-            return np.full(vals.shape[0], self.scalar_radius), None
-        if bound == "mds_empirical":
-            qv = row_sumsq(vals)
-            return core_bounds.mds_empirical_radius(qv, self.b, self.log_term) / n, None
-        if self.uses_blocks:
-            p = self.partition
-            key = ("vhat", p.m, p.floor_l)
-            if key not in memo:
-                memo[key] = row_vhat(vals, p.m, p.floor_l)
-            vhat = memo[key]
-            leading = mixing_bounds.block_leading(vhat, n, self.log_term)
-        else:
-            if "css" not in memo:
-                memo["css"] = _row_css(vals, means)
-            css = memo["css"]
-            if bound == "eb_ignore_linear":
-                return core_bounds.ignore_linear_rows(css, n, self.log_term, self.nu, self.xi_n), None
-            if bound == "maurer_pontil_baseline":
-                return core_bounds.maurer_pontil_rows(css / (n - 1), n, self.mp_log_term), None
-            leading = core_bounds.eb_leading(css, n, self.log_term)
-        radii = self.inflation * (leading + self.sqrt_terms + self.linear_terms) + self.rem_term
-        return radii, vhat
+def _constant(radius: float):
+    """The rule of a bound whose radius does not depend on the data."""
+    return lambda means: np.full(means.shape[0], radius)
+
+
+def _presummed(terms: dict, leading):
+    """The rule ``inflation * (leading(stat) + A + B) + remainder`` of a
+    bound's cell terms: A adds the terms before ``linear``, B the terms from
+    ``linear`` on."""
+    keys = [k for k in terms if k not in ("inflation", "remainder")]
+    split = keys.index("linear")
+    inflation, remainder = terms["inflation"], terms.get("remainder", 0.0)
+    sqrt_terms = sum(terms[k] for k in keys[:split])
+    linear_terms = sum(terms[k] for k in keys[split:])
+    return lambda stat: inflation * (leading(stat) + sqrt_terms + linear_terms) + remainder
+
+
+def _row_statistic(key, vals, means):
+    """The row statistic ``key`` (see :class:`_CellPlan`) of each row of
+    ``vals``, whose row means are ``means``."""
+    if key == "mean":
+        return means
+    if key == "qv":
+        return row_sumsq(vals)
+    if key == "css":
+        return _row_css(vals, means)
+    _, m, floor_l = key
+    return row_vhat(vals, m, floor_l)
 
 
 def _row_css(vals, means):
@@ -540,9 +546,15 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     one row per n, under the first policy.  All cells at an n share the
     simulated paths, so comparison tables are paired by construction.  A
     cell whose preconditions fail gets a ``precondition:`` flag, no coverage.
+
+    Each chunk is reduced once to every distinct row statistic its plans
+    read (:func:`_row_statistic`); each plan then maps its statistic to
+    the chunk's radii with :meth:`_CellPlan.evaluate`.
     """
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs (--jobs): must be >= 1, got {n_jobs!r}")
+    try:
+        n_jobs = _check_count(n_jobs, "n_jobs")
+    except DomainError:
+        raise ConfigError(f"n_jobs (--jobs): must be an integer >= 1, got {n_jobs!r}") from None
     validate_config(config)
     l_policies = config.l_policies if config.l_policies else (config.l_policy,)
     keys = [(bound, lp) for lp in l_policies for bound in config.bounds
@@ -558,19 +570,20 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             except (PreconditionError, DomainError) as exc:
                 plans[bound, lp] = f"precondition: {exc}"
         live = {k: p for k, p in plans.items() if isinstance(p, _CellPlan)}
+        stats = list(dict.fromkeys(p.stat for p in live.values()))
         centers = np.empty(r)
         radii = {k: np.empty(r) for k in live}
-        vhats = {k: np.empty(r) for k, p in live.items() if p.uses_blocks}
+        vhats = {s: np.empty(r) for s in stats if isinstance(s, tuple)}
 
         def work(chunk):
             lo, hi = chunk
             vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
             centers[lo:hi] = means = vals.mean(axis=1)
-            memo = {}
+            rows = {s: _row_statistic(s, vals, means) for s in stats}
+            for s, vhat in vhats.items():
+                vhat[lo:hi] = rows[s]
             for key, plan in live.items():
-                radii[key][lo:hi], vh = plan.evaluate(vals, means, memo)
-                if vh is not None:
-                    vhats[key][lo:hi] = vh
+                radii[key][lo:hi] = plan.evaluate(rows[plan.stat])
 
         chunks = _chunk_edges(r, n) if live else []
         if n_jobs > 1 and len(chunks) > 1:
@@ -590,7 +603,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
                 continue
             rad = radii[bound, lp]
             covered = int(np.count_nonzero(np.abs(centers - mu) <= rad))
-            results.append(_finish_cell(config, plan, rad, covered, vhats.get((bound, lp))))
+            results.append(_finish_cell(config, plan, rad, covered, vhats.get(plan.stat)))
     return tuple(results)
 
 
@@ -609,37 +622,21 @@ def _median(x) -> float:
     return math.nan if np.isnan(part[-1]) else float(middle)  # partition puts NaN last
 
 
-def _sharpness_limit(bound: str, delta: float, alpha: float) -> float | None:
-    log_a = math.log(1.0 / alpha)
-    if bound == "freedman_oracle":
-        return 1.0
-    if bound == "maurer_pontil_baseline":
-        return math.sqrt(math.log(2.0 / alpha) / log_a)
-    if bound == "dedecker_baseline":
-        return None
-    return math.sqrt(math.log(1.0 / delta) / log_a)
-
-
 def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResult:
-    truth = plan.truth
-    n, bound = plan.n, plan.bound
     r = config.replications
     p_hat = covered / r
     mc_se = math.sqrt(p_hat * (1.0 - p_hat) / r)
     mean_radius = float(np.mean(radii))
-    if bound in _LONGRUN_BOUNDS:
-        sigma_ref, source = math.sqrt(truth.sigma2_longrun), "long_run"
-    else:
-        sigma_ref, source = math.sqrt(truth.sigma2_marginal), "marginal"
+    sigma_ref = plan.sigma_ref
     if sigma_ref > 0:
         log_alpha = math.log(1.0 / plan.alpha)
-        sharpness = math.sqrt(n) * mean_radius / (sigma_ref * math.sqrt(2.0 * log_alpha))
+        sharpness = math.sqrt(plan.n) * mean_radius / (sigma_ref * math.sqrt(2.0 * log_alpha))
     else:
         sharpness = None
     return CellResult(
         process=config.process.label(),
-        bound=bound,
-        n=n,
+        bound=plan.bound,
+        n=plan.n,
         delta=plan.delta,
         alpha=plan.alpha,
         level=plan.level,
@@ -650,9 +647,9 @@ def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResu
         mean_radius=mean_radius,
         median_radius=_median(radii),
         sharpness_ratio=sharpness,
-        sharpness_limit=_sharpness_limit(bound, plan.delta, plan.alpha),
+        sharpness_limit=plan.sharpness_limit,
         sigma_ref=sigma_ref,
-        sigma_ref_source=source,
+        sigma_ref_source=plan.sigma_ref_source,
         l_policy=plan.l_policy.label(),
         block_len=plan.block_len,
         blocks=plan.blocks,

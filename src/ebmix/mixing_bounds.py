@@ -77,7 +77,7 @@ class ErrorBudget:
     def __post_init__(self):
         for name in ("error1", "error2", "error3"):
             v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
+            if not (0.0 <= _check_finite(v, name) <= 1.0):
                 raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
 
     @property
@@ -142,8 +142,6 @@ def mixing_terms(
 
 
 def _blocked_interval(summary, delta, terms, level, flags=()):
-    if 1.0 - 3.0 * delta <= 0.0:
-        flags = flags + ("vacuous_level",)
     leading = block_leading(summary.v_hat, summary.partition.n, math.log(1.0 / delta))
     return _interval(summary.mean, level, {"leading": leading, **terms}, flags)
 

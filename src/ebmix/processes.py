@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _check_count
+from .errors import DomainError, _check_array, _check_count, _check_finite
 from .mixing_bounds import MixingBudget
 
 KINDS = ("iid_bounded", "hetero_mds", "finite_markov", "bernoulli_ar1")
@@ -110,7 +110,7 @@ class ProcessSpec:
 
 
 def iid_bernoulli(p: float) -> ProcessSpec:
-    return ProcessSpec("iid_bounded", {"dist": "bernoulli", "p": float(p)})
+    return ProcessSpec("iid_bounded", {"dist": "bernoulli", "p": _check_finite(p, "p")})
 
 
 def iid_rademacher() -> ProcessSpec:
@@ -118,19 +118,23 @@ def iid_rademacher() -> ProcessSpec:
 
 
 def iid_uniform(a: float, b: float) -> ProcessSpec:
-    return ProcessSpec("iid_bounded", {"dist": "uniform", "a": float(a), "b": float(b)})
+    return ProcessSpec(
+        "iid_bounded", {"dist": "uniform", "a": _check_finite(a, "a"), "b": _check_finite(b, "b")}
+    )
 
 
 def hetero_mds(scales) -> ProcessSpec:
     """Bounded martingale differences Z_i = eps_i * s(i mod K) with
     independent sign flips eps_i and a fixed positive scale schedule s."""
-    return ProcessSpec("hetero_mds", {"scales": [float(s) for s in scales]})
+    return ProcessSpec("hetero_mds", {"scales": _check_array(scales, "scales").tolist()})
 
 
 def finite_markov(transition, state_values) -> ProcessSpec:
     """Stationary ergodic finite chain emitting h(X_t) for state values h."""
-    p = [[float(v) for v in row] for row in np.asarray(transition, dtype=float)]
-    return ProcessSpec("finite_markov", {"P": p, "h": [float(v) for v in state_values]})
+    return ProcessSpec("finite_markov", {
+        "P": _check_array(transition, "transition").tolist(),
+        "h": _check_array(state_values, "state_values").tolist(),
+    })
 
 
 def bernoulli_ar1() -> ProcessSpec:
@@ -203,7 +207,7 @@ def _check_ergodic(P: np.ndarray) -> None:
 
 def stationary_distribution(P) -> np.ndarray:
     """Stationary row vector pi of an ergodic chain via a least-squares solve."""
-    P = np.asarray(P, dtype=float)
+    P = _check_array(P, "P")
     return _stationary(P.tobytes(), P.shape).copy()
 
 
@@ -231,9 +235,10 @@ def markov_long_run_variance(P, h) -> float:
     linear solve Z = (I - P + 1 pi)^{-1}: with h centered under pi,
     sum_{k>=1} P^k h_c = (Z - I) h_c.
     """
-    P = np.asarray(P, dtype=float)
-    h = np.asarray(h, dtype=float)
+    P, h = _check_array(P, "P"), _check_array(h, "h")
     pi = stationary_distribution(P)
+    if h.shape != pi.shape:
+        raise DomainError(f"h must list one finite number per state, got shape {h.shape}")
     mu = float(pi @ h)
     hc = h - mu
     var = float(pi @ (hc * hc))
@@ -257,7 +262,7 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
     first n terms either way.  It is computed once per (P, n) and then served
     from a cache; a P that is not ergodic raises on every call.
     """
-    P = np.asarray(P, dtype=float)
+    P = _check_array(P, "P")
     total = _phi_sum(P.tobytes(), P.shape, _check_count(n))
     return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
 

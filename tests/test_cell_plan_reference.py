@@ -23,7 +23,7 @@ from ebmix import (
     processes,
 )
 from ebmix.core_bounds import inflation_factor
-from ebmix.harness import _CellPlan
+from ebmix.harness import _CellPlan, _row_statistic
 from ebmix.mixing_bounds import block_inflation, dedecker_prieur_radius
 
 C = 3.15  # the linear constant, written out as the reference had it
@@ -132,7 +132,8 @@ def test_cell_plan_radii_equal_the_reference_bit_for_bit(bound, process, n, l_po
     if bound == "mds_empirical":
         vals = 2.0 * vals - 1.0
     means = vals.mean(axis=1)
-    radii, _ = _CellPlan(config, bound, n, l_policy).evaluate(vals, means)
+    plan = _CellPlan(config, bound, n, l_policy)
+    radii = plan.evaluate(_row_statistic(plan.stat, vals, means))
     expected = _reference_radii(config, bound, n, l_policy, vals, means)
     assert np.array_equal(radii.view(np.uint64), expected.view(np.uint64))
 

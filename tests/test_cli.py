@@ -434,6 +434,25 @@ def test_bound_names_the_flag_that_is_not_finite(case, flag, message, uniform_da
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("case", sorted(_FINITE_BOUND_ARGV) + ["agnostic-unbudgeted"])
+def test_bound_flags_a_level_that_is_not_positive(case, uniform_data, capsys):
+    # --alpha 0.6 is delta 0.4 (0.6 for freedman): every level is -0.2 or
+    # less.  mds_empirical, eb_ignore_linear and freedman once left it
+    # unflagged, and so did agnostic when its error budget (here 1) made it so.
+    first = ["errors_unquantified"] if case == "agnostic-unbudgeted" else []
+    for alpha in ("0.6", "0.3"):
+        argv = _bound_argv(case.removesuffix("-unbudgeted"), uniform_data, "--alpha", alpha)
+        if first:
+            for flag in ("--phi-sum", "--tv-norm"):
+                at = argv.index(flag)
+                del argv[at:at + 2]
+        assert main(argv) == 0
+        out = _bound_json(capsys.readouterr().out)
+        vacuous = out["level"] <= 0
+        assert vacuous == (alpha == "0.6" or case == "agnostic")
+        assert out.get("flags", []) == first + ["vacuous_level"] * vacuous
+
+
 def test_bound_agnostic_zero_budget_agrees_with_harness(tmp_path, capsys):
     # A zero --phi-sum was once flagged errors_unquantified by the CLI, while
     # the harness reported a zero error budget for the same zero sum.
@@ -549,6 +568,24 @@ def test_overrides_win_over_file_values(tmp_path, capsys):
     payload = json.loads((tmp_path / "coverage.json").read_text())
     assert payload["config"]["replications"] == 77
     assert payload["config"]["n_grid"] == [123]
+
+
+@pytest.mark.parametrize("flag, value, label", [("--l", "10", "l=10"),
+                                                ("--l-exponent", "0.45", "n^0.45")])
+def test_flat_block_length_replaces_the_file_policies(flag, value, label, tmp_path, capsys):
+    # Both runs once kept the file's two policies and ignored the flag.
+    cfg = _write_config(
+        tmp_path / "two.json", process={"kind": "bernoulli_ar1", "params": {}},
+        bounds=["tilde_phi", "agnostic"], n_grid=[1000], replications=20,
+        l_policies=[{"kind": "exponent", "value": 0.3}, {"kind": "exponent", "value": 0.5}],
+    )
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path), flag, value]) == 0
+    payload = json.loads((tmp_path / "coverage.json").read_text())
+    assert payload["config"]["l_policies"] is None
+    assert [row["l_policy"] for row in payload["rows"]] == [label, label]
+    capsys.readouterr()
+    assert main(["sensitivity", "--config", str(cfg), "--out-dir", str(tmp_path), flag, value]) == 2
+    assert "needs at least two policies" in capsys.readouterr().err
 
 
 def test_config_schema_error_exit_2(tmp_path, capsys):

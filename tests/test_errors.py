@@ -43,7 +43,7 @@ def test_count_minimum_and_name_word_the_message():
     assert str(info.value) == "cases must be a positive integer, got inf"
 
 
-@pytest.mark.parametrize("value", NOT_FINITE + [0, 1, -0.5, 1.5], ids=repr)
+@pytest.mark.parametrize("value", NOT_FINITE + [0, 1, -0.5, 1.5, 5e-324], ids=repr)
 def test_prob_refuses_all_but_the_open_unit_interval(value):
     with pytest.raises(DomainError, match="delta must lie in the open interval"):
         _check_prob(value, "delta")
