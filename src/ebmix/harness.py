@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,12 +61,17 @@ def resolve_bound(name: str) -> str:
     return canonical
 
 
-def _as_float(field: str, value) -> float:
-    """``float(value)``, or a ConfigError naming the field."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {field!r}: must be a number, got {value!r}") from None
+def _set_numbers(obj, prefix: str, *names) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a float, or
+    raise a ConfigError naming the field (``prefix + name``) if it is not a
+    finite number.  A string or a boolean is not a number."""
+    for name in names:
+        field, value = prefix + name, getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"field {field!r}: must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"field {field!r}: must be a finite number, got {value!r}")
+        object.__setattr__(obj, name, float(value))
 
 
 def _as_tuple(field: str, value) -> tuple:
@@ -85,12 +91,7 @@ class _Policy:
         return dataclasses.asdict(self)
 
     def _floats(self, *names) -> None:
-        for name in names:
-            field = f"{self._FIELD}.{name}"
-            value = _as_float(field, getattr(self, name))
-            if not math.isfinite(value):
-                raise ConfigError(f"field {field!r}: must be a finite number, got {value!r}")
-            object.__setattr__(self, name, value)
+        _set_numbers(self, f"{self._FIELD}.", *names)
 
     @classmethod
     def from_dict(cls, d):
@@ -227,8 +228,9 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'delta' and 'alpha' must be set")
         for name in ("delta" if self.delta is not None else "alpha", "eta"):
             value = getattr(self, name)
+            _set_numbers(self, "", name)
             try:
-                object.__setattr__(self, name, _check_prob(value, name))
+                _check_prob(value, name)
             except DomainError:
                 raise ConfigError(f"field '{name}': must lie in (0, 1), got {value!r}") from None
 
@@ -275,26 +277,21 @@ class ExperimentConfig:
         for key in ("process", "n_grid", "replications", "master_seed"):
             if key not in d or d[key] is None:
                 raise ConfigError(f"field {key!r}: required")
-        bounds = d.get("bounds")
-        if bounds is None:
-            single = d.get("bound")
-            if single is None:
-                raise ConfigError("field 'bounds': required (a name or list of names)")
-            bounds = single
+        given = [key for key in ("bounds", "bound") if d.get(key) is not None]
+        if not given:
+            raise ConfigError("field 'bounds': required (a name or list of names)")
+        if len(given) > 1:
+            raise ConfigError("fields 'bound' and 'bounds': set one, not both")
+        bounds = d[given[0]]
         if isinstance(bounds, str):
             bounds = [bounds]
-
-        def number(key, default=None):
-            return default if d.get(key) is None else _as_float(key, d[key])
-
+        scalars = {key: d[key] for key in ("delta", "alpha", "eta") if d.get(key) is not None}
         return cls(
             process=processes.ProcessSpec.from_dict(d["process"]),
             bounds=_as_tuple("bounds", bounds),
             n_grid=_as_tuple("n_grid", d["n_grid"]),
             replications=d["replications"],
             master_seed=d["master_seed"],
-            delta=number("delta"),
-            alpha=number("alpha"),
             l_policy=LPolicy.from_dict(d["l_policy"]) if d.get("l_policy") else LPolicy(),
             l_policies=(
                 tuple(LPolicy.from_dict(p) for p in _as_tuple("l_policies", d["l_policies"]))
@@ -303,7 +300,7 @@ class ExperimentConfig:
             ),
             xi=XiPolicy.from_dict(d["xi"]) if d.get("xi") else None,
             knobs=KnobPolicy.from_dict(d["knobs"]) if d.get("knobs") else KnobPolicy(),
-            eta=number("eta", 0.5),
+            **scalars,
         )
 
 
@@ -346,56 +343,40 @@ class CoverageReport:
     rows: tuple[CellResult, ...]
 
 
-def bound_requirements(bound: str, spec: processes.ProcessSpec, n: int) -> list[str]:
-    """Unmet requirements of `bound` on `spec` (empty list means compatible)."""
-    truth = processes.ground_truth(spec)
-    unmet = []
-    if bound == "freedman_oracle" and spec.kind not in ("iid_bounded", "hetero_mds"):
-        unmet.append("an IID or bounded martingale-difference process (oracle variance)")
-    if bound == "mds_empirical" and truth.mu != 0.0:
-        unmet.append("a zero-mean martingale-difference process")
-    if bound == "empirical_bernstein" and spec.kind not in ("iid_bounded", "hetero_mds"):
-        unmet.append("constant conditional mean (IID or bounded MDS data)")
-    if bound == "eb_ignore_linear":
-        if spec.kind != "iid_bounded":
-            unmet.append("IID data (the penalty analysis is IID-only)")
-        elif truth.sigma2_marginal <= 0:
-            unmet.append("a non-degenerate variable (sigma2 > 0)")
-    if bound == "phi_mixing" and processes.mixing_budget_for(spec, "phi", n) is None:
-        unmet.append("phi budget required: the process provides no uniform-mixing bound")
-    if bound in ("tilde_phi_mixing", "dedecker_baseline"):
-        budget = processes.mixing_budget_for(spec, "phi_tilde", n)
-        if budget is None:
-            unmet.append("a conditional-CDF (phi_tilde) mixing budget")
-        elif bound == "dedecker_baseline" and budget.phi_sum <= 0:
-            unmet.append("a strictly positive phi_tilde budget")
-    if bound == "maurer_pontil_baseline":
-        if truth.b_range != (0.0, 1.0):
-            unmet.append("[0,1]-valued data")
-        if n < 2:
-            unmet.append("n >= 2")
-    return unmet
+def validate_config(config: ExperimentConfig) -> list[tuple[int, dict]]:
+    """Every cell's plan, by n: ``(n, {(bound, l_policy): plan})`` in row
+    order.  A cell whose preconditions fail at its n holds its
+    ``precondition:`` flag instead of a plan.  A bound the process does not
+    suit raises ConfigError here, before any path is drawn."""
+    l_policies = config.l_policies if config.l_policies else (config.l_policy,)
+    keys = [(bound, lp) for lp in l_policies for bound in config.bounds
+            if bound in _BLOCK_BOUNDS or lp is l_policies[0]]
+    grid = []
+    for n in config.n_grid:
+        plans: dict[tuple, _CellPlan | str] = {}
+        for bound, lp in keys:
+            try:
+                plans[bound, lp] = _CellPlan(config, bound, n, lp)
+            except (PreconditionError, DomainError) as exc:
+                plans[bound, lp] = f"precondition: {exc}"
+        grid.append((n, plans))
+    return grid
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    n_ref = max(config.n_grid)
-    for bound in config.bounds:
-        unmet = bound_requirements(bound, config.process, n_ref)
-        if unmet:
-            raise ConfigError(
-                f"bound {bound!r} is incompatible with process "
-                f"{config.process.label()!r}; requires: " + "; ".join(unmet)
-            )
+_PHI_TILDE_BUDGET = "a conditional-CDF (phi_tilde) mixing budget"
+_MDS_KINDS = ("iid_bounded", "hetero_mds")
 
 
 class _CellPlan:
-    """One cell's bound, decided once, in ``_prepare``: the row statistic it
-    reads (``stat``), the rule that maps it to radii (:meth:`evaluate`), and
-    the cell's level, flags, sharpness limit and reference sigma.  ``stat`` is
-    each row's ``"mean"`` (for a constant radius), its sum of squares
-    ``"qv"``, its sum of squares about its mean ``"css"``, or its block
-    variance ``("vhat", m, floor_l)``.  Preconditions are checked here, so a
-    cell that cannot be bounded fails on construction, not inside a chunk."""
+    """One cell's bound, decided once, in ``_prepare``: its requirements of
+    the process, the row statistic it reads (``stat``), the rule that maps it
+    to radii (:meth:`evaluate`), and the cell's level, flags, sharpness limit
+    and reference sigma.  ``stat`` is each row's ``"mean"`` (for a constant
+    radius), its sum of squares ``"qv"``, its sum of squares about its mean
+    ``"css"``, or its block variance ``("vhat", m, floor_l)``.  An unmet
+    requirement raises ConfigError before any other check of its branch, and
+    a precondition that fails at this n raises PreconditionError or
+    DomainError, so a cell fails on construction, not inside a chunk."""
 
     def __init__(self, config: ExperimentConfig, bound: str, n: int, l_policy: LPolicy):
         self.bound = bound
@@ -414,24 +395,41 @@ class _CellPlan:
             self.flags.append("vacuous_level")
         self._prepare(config, truth)
 
+    def _require(self, config, conditions: dict) -> None:
+        """Refuse the bound on this process unless each requirement holds."""
+        unmet = "; ".join(requirement for requirement, met in conditions.items() if not met)
+        if unmet:
+            raise ConfigError(f"bound {self.bound!r} is incompatible with process "
+                              f"{config.process.label()!r}; requires: {unmet}")
+
     def _prepare(self, config, truth):
         n, bound, delta, alpha = self.n, self.bound, self.delta, self.alpha
+        kind = config.process.kind
         log_term = math.log(1.0 / delta)
         long_run = math.sqrt(truth.sigma2_longrun), "long_run"
         if bound == "freedman_oracle":
+            self._require(config, {"an IID or bounded martingale-difference process "
+                                   "(oracle variance)": kind in _MDS_KINDS})
             self.stat, self.rule = "mean", _constant(core_bounds.freedman_radius(
                 n, truth.sigma2_marginal, truth.b_centered, alpha))
             self.level = 1.0 - 2.0 * alpha
             self.sharpness_limit = 1.0
         elif bound == "mds_empirical":
+            self._require(config, {"a zero-mean martingale-difference process": truth.mu == 0.0})
             b = truth.b_abs
             self.stat = "qv"
             self.rule = lambda qv: core_bounds.mds_empirical_radius(qv, b, log_term) / n
         elif bound == "empirical_bernstein":
+            self._require(config, {"constant conditional mean (IID or bounded MDS data)":
+                                   kind in _MDS_KINDS})
             self.stat, self.rule = "css", _presummed(
                 core_bounds.eb_terms(n, truth.b_abs, delta),
                 lambda css: core_bounds.eb_leading(css, n, log_term))
         elif bound == "eb_ignore_linear":
+            self._require(config, {"IID data (the penalty analysis is IID-only)":
+                                   kind == "iid_bounded"})
+            self._require(config, {"a non-degenerate variable (sigma2 > 0)":
+                                   truth.sigma2_marginal > 0})
             nu = core_bounds.inflation_factor(n, delta)
             xi_policy = config.xi_for(bound)
             xi_n = float(xi_policy.evaluate(n))
@@ -447,6 +445,9 @@ class _CellPlan:
             if self.burn_in_n is None or n < self.burn_in_n:
                 self.flags.append("below_burn_in")
         elif bound == "maurer_pontil_baseline":
+            # A grid that reaches n >= 2 flags its smaller cells instead.
+            self._require(config, {"[0,1]-valued data": truth.b_range == (0.0, 1.0),
+                                   "n >= 2": max(config.n_grid) >= 2})
             mp_log_term = core_bounds.maurer_pontil_log_term(n, alpha)
             self.stat = "css"
             self.rule = lambda css: core_bounds.maurer_pontil_rows(css / (n - 1), n, mp_log_term)
@@ -454,6 +455,8 @@ class _CellPlan:
             self.sharpness_limit = math.sqrt(math.log(2.0 / alpha) / math.log(1.0 / alpha))
         elif bound == "dedecker_baseline":
             budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
+            self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
+            self._require(config, {"a strictly positive phi_tilde budget": budget.phi_sum > 0})
             if 3.0 * delta >= 1.0:
                 raise PreconditionError("total miss probability 3*delta >= 1")
             self.stat, self.rule = "mean", _constant(mixing_bounds.dedecker_prieur_radius(
@@ -461,6 +464,13 @@ class _CellPlan:
             self.sharpness_limit = None
             self.sigma_ref, self.sigma_ref_source = long_run
         else:  # a block bound; resolve_bound admits no other name
+            regime = "phi" if bound == "phi_mixing" else "phi_tilde"
+            budget = processes.mixing_budget_for(config.process, regime, n)
+            if bound == "phi_mixing":
+                self._require(config, {"phi budget required: the process provides no "
+                                       "uniform-mixing bound": budget is not None})
+            elif bound == "tilde_phi_mixing":
+                self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
             partition = block_partition(n, self.l_policy.block_length(n))
             self.block_len, self.blocks = partition.floor_l, partition.m
             self.remainder = partition.remainder_size
@@ -469,15 +479,12 @@ class _CellPlan:
             if bound == "mixing_agnostic":
                 knobs = config.knobs.evaluate(n, partition.remainder_size, rw)
                 terms = mixing_bounds.agnostic_terms(partition, rw, knobs, delta)
-                budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
                 errors = mixing_bounds.agnostic_errors(partition, knobs, budget)
                 if errors is not None:
                     self.error_total = errors.total
                 self.level, flags = mixing_bounds.agnostic_level(delta, errors)
                 self.flags.extend(flags)
             else:
-                regime = "phi" if bound == "phi_mixing" else "phi_tilde"
-                budget = processes.mixing_budget_for(config.process, regime, n)
                 xi_n = float(config.xi_for(bound).evaluate(n))
                 terms = mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n)
             self.stat, self.rule = ("vhat", partition.m, partition.floor_l), _presummed(
@@ -555,20 +562,10 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
         n_jobs = _check_count(n_jobs, "n_jobs")
     except DomainError:
         raise ConfigError(f"n_jobs (--jobs): must be an integer >= 1, got {n_jobs!r}") from None
-    validate_config(config)
-    l_policies = config.l_policies if config.l_policies else (config.l_policy,)
-    keys = [(bound, lp) for lp in l_policies for bound in config.bounds
-            if bound in _BLOCK_BOUNDS or lp is l_policies[0]]
     r = config.replications
     mu = processes.ground_truth(config.process).mu
     results = []
-    for n in config.n_grid:
-        plans: dict[tuple, _CellPlan | str] = {}
-        for bound, lp in keys:
-            try:
-                plans[bound, lp] = _CellPlan(config, bound, n, lp)
-            except (PreconditionError, DomainError) as exc:
-                plans[bound, lp] = f"precondition: {exc}"
+    for n, plans in validate_config(config):
         live = {k: p for k, p in plans.items() if isinstance(p, _CellPlan)}
         stats = list(dict.fromkeys(p.stat for p in live.values()))
         centers = np.empty(r)

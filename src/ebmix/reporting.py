@@ -73,22 +73,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def coverage_csv(report: CoverageReport) -> str:
+def _csv(report: CoverageReport, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(COVERAGE_COLUMNS)
+    writer.writerow(columns)
     for cell in report.rows:
-        writer.writerow([_fmt(getattr(cell, col)) for col in COVERAGE_COLUMNS])
+        writer.writerow([_fmt(getattr(cell, col)) for col in columns])
     return buf.getvalue()
+
+
+def coverage_csv(report: CoverageReport) -> str:
+    return _csv(report, COVERAGE_COLUMNS)
 
 
 def sensitivity_csv(report: CoverageReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SENSITIVITY_COLUMNS)
-    for cell in report.rows:
-        writer.writerow([_fmt(getattr(cell, col)) for col in SENSITIVITY_COLUMNS])
-    return buf.getvalue()
+    return _csv(report, SENSITIVITY_COLUMNS)
 
 
 def report_json(report: CoverageReport) -> str:

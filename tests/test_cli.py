@@ -629,14 +629,24 @@ def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
          "field 'knobs.c_value': must be a finite number, got inf"),
         ({"l_policy": {"kind": "fixed", "value": math.nan}},
          "field 'l_policy.value': must be a finite number, got nan"),
+        ({"alpha": None, "delta": "0.01"}, "field 'delta': must be a number, got '0.01'"),
+        ({"l_policy": {"kind": "fixed", "value": "7"}},
+         "field 'l_policy.value': must be a number, got '7'"),
+        ({"xi": {"scale": "1"}}, "field 'xi.scale': must be a number, got '1'"),
+        ({"knobs": {"t_power": "-0.45"}},
+         "field 'knobs.t_power': must be a number, got '-0.45'"),
+        ({"eta": True}, "field 'eta': must be a number, got True"),
     ],
     ids=["delta", "n_grid", "bounds", "bounds-entry", "l_policy", "xi", "knobs",
-         "xi-scale-nan", "xi-scale-inf", "knobs-t-nan", "knobs-c-inf", "l-fixed-nan"],
+         "xi-scale-nan", "xi-scale-inf", "knobs-t-nan", "knobs-c-inf", "l-fixed-nan",
+         "delta-numeric-string", "l-fixed-numeric-string", "xi-scale-numeric-string",
+         "knobs-t-numeric-string", "eta-true"],
 )
 def test_config_mistyped_field_exits_2(tmp_path, capsys, overrides, message):
     # Each once exited 1 with a ValueError or TypeError traceback.  A NaN or
     # infinite policy value was accepted, giving a NaN or infinite
-    # mean_radius with exit 0 for the bounds that read it.
+    # mean_radius with exit 0 for the bounds that read it.  A numeric string
+    # or a boolean was read as its number.
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()

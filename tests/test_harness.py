@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import sys
 import tracemalloc
 
@@ -25,6 +26,7 @@ from ebmix import (
     hetero_mds,
     iid_bernoulli,
     iid_rademacher,
+    iid_uniform,
     maurer_pontil_radius,
     run_block_sensitivity,
     run_coverage,
@@ -32,9 +34,9 @@ from ebmix import (
 )
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_css, resolve_bound,
+    BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_css, resolve_bound,
 )
-from ebmix import reporting
+from ebmix import processes, reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
 
@@ -122,19 +124,81 @@ def test_config_accepts_single_bound_field():
     assert ExperimentConfig.from_dict(raw).bounds == ("empirical_bernstein",)
 
 
-def test_incompatible_bound_raises_config_error():
+@pytest.mark.parametrize(
+    "fields, message",
+    [({}, "field 'bounds': required"),
+     ({"bound": None, "bounds": None}, "field 'bounds': required"),
+     ({"bound": "eb", "bounds": ["phi"]}, "fields 'bound' and 'bounds': set one, not both"),
+     ({"bound": "eb", "bounds": "eb"}, "fields 'bound' and 'bounds': set one, not both")],
+)
+def test_config_takes_one_of_bound_and_bounds(fields, message):
+    # Both fields once parsed, and 'bound' was dropped without a word.
+    raw = _config().to_dict()
+    del raw["bounds"]
+    raw.update(fields)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(raw)
+
+
+_PROCESSES = {
+    "bernoulli": iid_bernoulli(0.3),
+    "rademacher": iid_rademacher(),
+    "uniform": iid_uniform(-1.0, 1.0),
+    "hetero_mds": hetero_mds([0.5, 1.0]),
+    "two_state": finite_markov(TWO_STATE, [0.0, 1.0]),
+    "ar1": bernoulli_ar1(),
+}
+
+# Each bound's requirement, and the processes above that do not meet it.
+_UNMET = {
+    "freedman_oracle": ("an IID or bounded martingale-difference process (oracle variance)",
+                        {"two_state", "ar1"}),
+    "mds_empirical": ("a zero-mean martingale-difference process",
+                      {"bernoulli", "two_state", "ar1"}),
+    "empirical_bernstein": ("constant conditional mean (IID or bounded MDS data)",
+                            {"two_state", "ar1"}),
+    "eb_ignore_linear": ("IID data (the penalty analysis is IID-only)",
+                         {"hetero_mds", "two_state", "ar1"}),
+    "phi_mixing": ("phi budget required: the process provides no uniform-mixing bound", {"ar1"}),
+    "tilde_phi_mixing": (None, set()),
+    "mixing_agnostic": (None, set()),
+    "dedecker_baseline": ("a strictly positive phi_tilde budget",
+                          {"bernoulli", "rademacher", "uniform", "hetero_mds"}),
+    "maurer_pontil_baseline": ("[0,1]-valued data", {"rademacher", "uniform", "hetero_mds"}),
+}
+
+
+@pytest.mark.parametrize("n_grid", [(200,), (1,)], ids=["n200", "n1"])
+@pytest.mark.parametrize("bound, process", itertools.product(BOUNDS, _PROCESSES))
+def test_bound_process_compatibility(bound, process, n_grid):
+    # At n = 1 most cells fail a precondition; an unmet requirement
+    # must still raise, not be flagged.
+    spec = _PROCESSES[process]
+    requirement, unmet_on = _UNMET[bound]
+    unmet = [requirement] if process in unmet_on else []
+    if bound == "maurer_pontil_baseline" and max(n_grid) < 2:
+        unmet.append("n >= 2")
+    cfg = _config(process=spec, bounds=(bound,), n_grid=n_grid, replications=20)
+    if unmet:
+        message = (f"bound {bound!r} is incompatible with process {spec.label()!r}; "
+                   "requires: " + "; ".join(unmet))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_coverage(cfg)
+    else:
+        (row,) = run_coverage(cfg).rows
+        if n_grid == (200,):
+            assert not [f for f in row.flags if f.startswith("precondition:")]
+
+
+def test_incompatible_bound_is_refused_before_any_path_is_drawn(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(processes, "simulate_paths", draw)
+    cfg = _config(process=bernoulli_ar1(), bounds=("tilde_phi_mixing", "phi_mixing"),
+                  n_grid=(300, 600))
     with pytest.raises(ConfigError, match="phi budget required"):
-        run_coverage(_config(process=bernoulli_ar1(), bounds=("phi_mixing",)))
-    with pytest.raises(ConfigError, match="zero-mean"):
-        run_coverage(_config(bounds=("mds_empirical",)))
-    with pytest.raises(ConfigError, match=r"\[0,1\]-valued"):
-        run_coverage(
-            _config(process=iid_rademacher(), bounds=("maurer_pontil_baseline",))
-        )
-    with pytest.raises(ConfigError, match="IID"):
-        run_coverage(
-            _config(process=finite_markov(TWO_STATE, [0.0, 1.0]), bounds=("eb_ignore_linear",))
-        )
+        run_coverage(cfg)
 
 
 def test_report_bytes_deterministic_and_parallel_invariant():
