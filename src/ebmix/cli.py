@@ -196,7 +196,7 @@ def cmd_bound(args) -> int:
             n = values.size
             policy = harness.KnobPolicy()
             if args.c is not None:
-                policy = harness.KnobPolicy(c_mode="fixed", c_value=args.c)
+                policy = harness.KnobPolicy(c_mode="fixed", c_value=_check_nonneg(args.c, "c"))
             knobs = policy.evaluate(n, summary.partition.remainder_size, args.range_width)
             given = {"t_n": args.t, "s_n": args.s}
             knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
@@ -219,16 +219,7 @@ def cmd_simulate(args) -> int:
         spec = processes.ProcessSpec(kind=args.kind, params=params)
     values, truth = processes.simulate(spec, args.n, args.seed)
     lines = "\n".join(repr(float(v)) for v in values) + "\n"
-    truth_payload = {
-        "process": spec.label(),
-        "mu": truth.mu,
-        "sigma2_marginal": truth.sigma2_marginal,
-        "sigma2_longrun": truth.sigma2_longrun,
-        "b_range": list(truth.b_range),
-        "b_abs": truth.b_abs,
-        "tv_norm": truth.tv_norm,
-        "m4": truth.m4,
-    }
+    truth_payload = {"process": spec.label(), **dataclasses.asdict(truth)}
     if args.out:
         reporting.atomic_write_text(args.out, lines, force=args.force)
         print(json.dumps(truth_payload, indent=2))

@@ -170,6 +170,9 @@ class KnobPolicy(_Policy):
 
     def __post_init__(self):
         self._floats("t_scale", "t_power", "s_scale", "s_power", "c_value")
+        for name in ("t_scale", "s_scale", "c_value"):
+            if (value := getattr(self, name)) < 0:
+                raise ConfigError(f"field 'knobs.{name}': must be >= 0, got {value!r}")
         if self.c_mode not in ("remainder", "fixed"):
             raise ConfigError(f"field 'knobs.c_mode': must be 'remainder' or 'fixed', got {self.c_mode!r}")
 
@@ -222,6 +225,11 @@ class ExperimentConfig:
         if not self.n_grid:
             raise ConfigError("field 'n_grid': must be nonempty")
         object.__setattr__(self, "n_grid", tuple(_as_count("n_grid", n) for n in self.n_grid))
+        for name in ("bounds", "n_grid", "l_policies"):
+            entries = getattr(self, name) or ()
+            for i, entry in enumerate(entries):
+                if entry in entries[:i]:
+                    raise ConfigError(f"field {name!r}: {entry!r} is listed more than once")
         for name, low in (("replications", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _as_count(name, getattr(self, name), low))
         if (self.delta is None) == (self.alpha is None):
@@ -267,10 +275,7 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "process", "bounds", "bound", "n_grid", "replications", "master_seed",
-            "delta", "alpha", "l_policy", "l_policies", "xi", "knobs", "eta",
-        }
+        known = {f.name for f in dataclasses.fields(cls)} | {"bound"}
         for key in d:
             if key not in known:
                 raise ConfigError(f"field {key!r}: unknown config field")
@@ -306,8 +311,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True, kw_only=True)
 class CellResult:
-    """One (n, bound, block policy) cell of a report.  A flagged cell sets
-    only the identifying fields and its flag; the rest keep their defaults."""
+    """One (n, bound, block policy) cell of a report, and the one declaration
+    of a report row: the fields, in this order, are the CSV columns and the
+    keys of each JSON row.  A cell flagged ``precondition:`` sets only the
+    identifying fields and its flag; the rest keep their defaults."""
 
     process: str
     bound: str
@@ -345,22 +352,14 @@ class CoverageReport:
 
 def validate_config(config: ExperimentConfig) -> list[tuple[int, dict]]:
     """Every cell's plan, by n: ``(n, {(bound, l_policy): plan})`` in row
-    order.  A cell whose preconditions fail at its n holds its
-    ``precondition:`` flag instead of a plan.  A bound the process does not
-    suit raises ConfigError here, before any path is drawn."""
+    order.  A plan whose preconditions fail at its n is flagged (its ``stat``
+    is None).  A bound the process does not suit raises ConfigError here,
+    before any path is drawn."""
     l_policies = config.l_policies if config.l_policies else (config.l_policy,)
     keys = [(bound, lp) for lp in l_policies for bound in config.bounds
             if bound in _BLOCK_BOUNDS or lp is l_policies[0]]
-    grid = []
-    for n in config.n_grid:
-        plans: dict[tuple, _CellPlan | str] = {}
-        for bound, lp in keys:
-            try:
-                plans[bound, lp] = _CellPlan(config, bound, n, lp)
-            except (PreconditionError, DomainError) as exc:
-                plans[bound, lp] = f"precondition: {exc}"
-        grid.append((n, plans))
-    return grid
+    return [(n, {(bound, lp): _CellPlan(config, bound, n, lp) for bound, lp in keys})
+            for n in config.n_grid]
 
 
 _PHI_TILDE_BUDGET = "a conditional-CDF (phi_tilde) mixing budget"
@@ -370,30 +369,35 @@ _MDS_KINDS = ("iid_bounded", "hetero_mds")
 class _CellPlan:
     """One cell's bound, decided once, in ``_prepare``: its requirements of
     the process, the row statistic it reads (``stat``), the rule that maps it
-    to radii (:meth:`evaluate`), and the cell's level, flags, sharpness limit
-    and reference sigma.  ``stat`` is each row's ``"mean"`` (for a constant
-    radius), its sum of squares ``"qv"``, its sum of squares about its mean
-    ``"css"``, or its block variance ``("vhat", m, floor_l)``.  An unmet
-    requirement raises ConfigError before any other check of its branch, and
-    a precondition that fails at this n raises PreconditionError or
-    DomainError, so a cell fails on construction, not inside a chunk."""
+    to radii (:meth:`evaluate`), the cell's flags, and ``row``, the
+    :class:`CellResult` columns known before any path is drawn (level,
+    sharpness limit, reference sigma, blocks, error total, penalty, burn-in).
+    ``stat`` is each row's ``"mean"`` (for a constant radius), its sum of
+    squares ``"qv"``, its sum of squares about its mean ``"css"``, or its
+    block variance ``("vhat", m, floor_l)``.  An unmet requirement raises
+    ConfigError before any other check of its branch.  A precondition that
+    fails at this n (PreconditionError or DomainError) flags the plan: its
+    ``stat`` is None, its flags are ``["precondition: ..."]`` and its row
+    holds only the identifying columns, so a cell fails on construction, not
+    inside a chunk."""
 
     def __init__(self, config: ExperimentConfig, bound: str, n: int, l_policy: LPolicy):
         self.bound = bound
         self.n = n
         self.l_policy = l_policy
-        self.delta = config.delta_eff
-        self.alpha = config.alpha_eff
-        self.level = 1.0 - 3.0 * self.delta
-        self.flags: list[str] = []
-        self.block_len = self.blocks = self.remainder = None
-        self.error_total = self.penalty = self.burn_in_n = None
-        self.sharpness_limit = math.sqrt(math.log(1.0 / self.delta) / math.log(1.0 / self.alpha))
+        delta, alpha = config.delta_eff, config.alpha_eff
+        identity = dict(process=config.process.label(), bound=bound, n=n, delta=delta, alpha=alpha,
+                        replications=config.replications, l_policy=l_policy.label(),
+                        master_seed=config.master_seed)
         truth = processes.ground_truth(config.process)
-        self.sigma_ref, self.sigma_ref_source = math.sqrt(truth.sigma2_marginal), "marginal"
-        if self.level <= 0.0:
-            self.flags.append("vacuous_level")
-        self._prepare(config, truth)
+        self.row = dict(identity, level=1.0 - 3.0 * delta,
+                        sharpness_limit=math.sqrt(math.log(1.0 / delta) / math.log(1.0 / alpha)),
+                        sigma_ref=math.sqrt(truth.sigma2_marginal), sigma_ref_source="marginal")
+        self.flags = ["vacuous_level"] if self.row["level"] <= 0.0 else []
+        try:
+            self._prepare(config, truth, delta, alpha)
+        except (PreconditionError, DomainError) as exc:
+            self.row, self.stat, self.flags = identity, None, [f"precondition: {exc}"]
 
     def _require(self, config, conditions: dict) -> None:
         """Refuse the bound on this process unless each requirement holds."""
@@ -402,18 +406,17 @@ class _CellPlan:
             raise ConfigError(f"bound {self.bound!r} is incompatible with process "
                               f"{config.process.label()!r}; requires: {unmet}")
 
-    def _prepare(self, config, truth):
-        n, bound, delta, alpha = self.n, self.bound, self.delta, self.alpha
+    def _prepare(self, config, truth, delta, alpha):
+        n, bound, row = self.n, self.bound, self.row
         kind = config.process.kind
         log_term = math.log(1.0 / delta)
-        long_run = math.sqrt(truth.sigma2_longrun), "long_run"
+        long_run = {"sigma_ref": math.sqrt(truth.sigma2_longrun), "sigma_ref_source": "long_run"}
         if bound == "freedman_oracle":
             self._require(config, {"an IID or bounded martingale-difference process "
                                    "(oracle variance)": kind in _MDS_KINDS})
             self.stat, self.rule = "mean", _constant(core_bounds.freedman_radius(
                 n, truth.sigma2_marginal, truth.b_centered, alpha))
-            self.level = 1.0 - 2.0 * alpha
-            self.sharpness_limit = 1.0
+            row.update(level=1.0 - 2.0 * alpha, sharpness_limit=1.0)
         elif bound == "mds_empirical":
             self._require(config, {"a zero-mean martingale-difference process": truth.mu == 0.0})
             b = truth.b_abs
@@ -435,14 +438,14 @@ class _CellPlan:
             xi_n = float(xi_policy.evaluate(n))
             self.stat = "css"
             self.rule = lambda css: core_bounds.ignore_linear_rows(css, n, log_term, nu, xi_n)
-            self.penalty = core_bounds.ignorance_penalty(
+            row["penalty"] = core_bounds.ignorance_penalty(
                 n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
             )
-            self.burn_in_n = core_bounds.burn_in_power_law(
+            row["burn_in_n"] = burn_in_n = core_bounds.burn_in_power_law(
                 delta, config.eta, truth.sigma2_marginal, truth.b_abs,
                 xi_policy.scale, xi_policy.power,
             )
-            if self.burn_in_n is None or n < self.burn_in_n:
+            if burn_in_n is None or n < burn_in_n:
                 self.flags.append("below_burn_in")
         elif bound == "maurer_pontil_baseline":
             # A grid that reaches n >= 2 flags its smaller cells instead.
@@ -451,8 +454,8 @@ class _CellPlan:
             mp_log_term = core_bounds.maurer_pontil_log_term(n, alpha)
             self.stat = "css"
             self.rule = lambda css: core_bounds.maurer_pontil_rows(css / (n - 1), n, mp_log_term)
-            self.level = 1.0 - 2.0 * alpha
-            self.sharpness_limit = math.sqrt(math.log(2.0 / alpha) / math.log(1.0 / alpha))
+            row.update(level=1.0 - 2.0 * alpha,
+                       sharpness_limit=math.sqrt(math.log(2.0 / alpha) / math.log(1.0 / alpha)))
         elif bound == "dedecker_baseline":
             budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
             self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
@@ -461,8 +464,7 @@ class _CellPlan:
                 raise PreconditionError("total miss probability 3*delta >= 1")
             self.stat, self.rule = "mean", _constant(mixing_bounds.dedecker_prieur_radius(
                 n, budget.tv_norm, budget.phi_sum, 3.0 * delta))
-            self.sharpness_limit = None
-            self.sigma_ref, self.sigma_ref_source = long_run
+            row.update(long_run, sharpness_limit=None)
         else:  # a block bound; resolve_bound admits no other name
             regime = "phi" if bound == "phi_mixing" else "phi_tilde"
             budget = processes.mixing_budget_for(config.process, regime, n)
@@ -472,17 +474,16 @@ class _CellPlan:
             elif bound == "tilde_phi_mixing":
                 self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
             partition = block_partition(n, self.l_policy.block_length(n))
-            self.block_len, self.blocks = partition.floor_l, partition.m
-            self.remainder = partition.remainder_size
-            self.sigma_ref, self.sigma_ref_source = long_run
+            row.update(long_run, block_len=partition.floor_l, blocks=partition.m,
+                       remainder=partition.remainder_size)
             rw = truth.range_width
             if bound == "mixing_agnostic":
                 knobs = config.knobs.evaluate(n, partition.remainder_size, rw)
                 terms = mixing_bounds.agnostic_terms(partition, rw, knobs, delta)
                 errors = mixing_bounds.agnostic_errors(partition, knobs, budget)
                 if errors is not None:
-                    self.error_total = errors.total
-                self.level, flags = mixing_bounds.agnostic_level(delta, errors)
+                    row["error_total"] = errors.total
+                row["level"], flags = mixing_bounds.agnostic_level(delta, errors)
                 self.flags.extend(flags)
             else:
                 xi_n = float(config.xi_for(bound).evaluate(n))
@@ -566,7 +567,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     mu = processes.ground_truth(config.process).mu
     results = []
     for n, plans in validate_config(config):
-        live = {k: p for k, p in plans.items() if isinstance(p, _CellPlan)}
+        live = {k: p for k, p in plans.items() if p.stat is not None}
         stats = list(dict.fromkeys(p.stat for p in live.values()))
         centers = np.empty(r)
         radii = {k: np.empty(r) for k in live}
@@ -590,17 +591,8 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             for chunk in chunks:
                 work(chunk)
 
-        for (bound, lp), plan in plans.items():
-            if isinstance(plan, str):
-                results.append(CellResult(
-                    process=config.process.label(), bound=bound, n=n, delta=config.delta_eff,
-                    alpha=config.alpha_eff, replications=r, l_policy=lp.label(),
-                    master_seed=config.master_seed, flags=(plan,),
-                ))
-                continue
-            rad = radii[bound, lp]
-            covered = int(np.count_nonzero(np.abs(centers - mu) <= rad))
-            results.append(_finish_cell(config, plan, rad, covered, vhats.get(plan.stat)))
+        for key, plan in plans.items():
+            results.append(_finish_cell(plan, radii.get(key), centers, mu, vhats.get(plan.stat)))
     return tuple(results)
 
 
@@ -619,43 +611,30 @@ def _median(x) -> float:
     return math.nan if np.isnan(part[-1]) else float(middle)  # partition puts NaN last
 
 
-def _finish_cell(config, plan: _CellPlan, radii, covered: int, vhat) -> CellResult:
-    r = config.replications
+def _finish_cell(plan: _CellPlan, radii, centers, mu: float, vhat) -> CellResult:
+    """The plan's report row: its planned columns and flags, plus, unless the
+    plan is flagged, the columns measured from the per-replication radii and
+    centers, the process mean ``mu``, and the block variances ``vhat`` (None
+    for a bound without blocks)."""
+    if plan.stat is None:
+        return CellResult(**plan.row, flags=tuple(plan.flags))
+    row, r = plan.row, radii.size
+    covered = int(np.count_nonzero(np.abs(centers - mu) <= radii))
     p_hat = covered / r
-    mc_se = math.sqrt(p_hat * (1.0 - p_hat) / r)
     mean_radius = float(np.mean(radii))
-    sigma_ref = plan.sigma_ref
+    sharpness, sigma_ref = None, row["sigma_ref"]
     if sigma_ref > 0:
-        log_alpha = math.log(1.0 / plan.alpha)
+        log_alpha = math.log(1.0 / row["alpha"])
         sharpness = math.sqrt(plan.n) * mean_radius / (sigma_ref * math.sqrt(2.0 * log_alpha))
-    else:
-        sharpness = None
     return CellResult(
-        process=config.process.label(),
-        bound=plan.bound,
-        n=plan.n,
-        delta=plan.delta,
-        alpha=plan.alpha,
-        level=plan.level,
-        replications=r,
+        **row,
         covered=covered,
         empirical_coverage=p_hat,
-        mc_se=mc_se,
+        mc_se=math.sqrt(p_hat * (1.0 - p_hat) / r),
         mean_radius=mean_radius,
         median_radius=_median(radii),
         sharpness_ratio=sharpness,
-        sharpness_limit=plan.sharpness_limit,
-        sigma_ref=sigma_ref,
-        sigma_ref_source=plan.sigma_ref_source,
-        l_policy=plan.l_policy.label(),
-        block_len=plan.block_len,
-        blocks=plan.blocks,
-        remainder=plan.remainder,
         mean_vhat=float(np.mean(vhat)) if vhat is not None else None,
-        error_total=plan.error_total,
-        penalty=plan.penalty,
-        burn_in_n=plan.burn_in_n,
-        master_seed=config.master_seed,
         flags=tuple(plan.flags),
     )
 

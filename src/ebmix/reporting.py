@@ -1,50 +1,27 @@
 """CSV / JSON serialization of experiment reports and atomic file output.
 
-The column lists below are frozen interfaces: tests pin them and the README
-documents them.  Floats are rendered with ``repr`` (shortest round-trip), so
-a given report serializes to identical bytes on every platform.
+The coverage columns are the fields of ``harness.CellResult`` in declaration
+order, and the JSON rows have the same keys.  Both column lists are frozen
+interfaces: tests pin them and the README documents them.  Floats are
+rendered with ``repr`` (shortest round-trip), so a given report serializes to
+identical bytes on every platform.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
 from pathlib import Path
 
-from .harness import CoverageReport
+from .harness import CellResult, CoverageReport
 from .errors import OutputExistsError
 
-COVERAGE_COLUMNS = (
-    "process",
-    "bound",
-    "n",
-    "delta",
-    "alpha",
-    "level",
-    "replications",
-    "covered",
-    "empirical_coverage",
-    "mc_se",
-    "mean_radius",
-    "median_radius",
-    "sharpness_ratio",
-    "sharpness_limit",
-    "sigma_ref",
-    "sigma_ref_source",
-    "l_policy",
-    "block_len",
-    "blocks",
-    "remainder",
-    "mean_vhat",
-    "error_total",
-    "penalty",
-    "burn_in_n",
-    "master_seed",
-    "flags",
-)
+COVERAGE_COLUMNS = tuple(field.name for field in dataclasses.fields(CellResult))
 
+# A reordered subset of the coverage columns.
 SENSITIVITY_COLUMNS = (
     "process",
     "bound",
@@ -91,17 +68,10 @@ def sensitivity_csv(report: CoverageReport) -> str:
 
 
 def report_json(report: CoverageReport) -> str:
-    def jsonable(cell):
-        rec = {}
-        for col in COVERAGE_COLUMNS:
-            v = getattr(cell, col)
-            rec[col] = list(v) if isinstance(v, tuple) else v
-        return rec
-
     payload = {
         "schema": JSON_SCHEMA,
         "config": report.config.to_dict(),
-        "rows": [jsonable(c) for c in report.rows],
+        "rows": [dataclasses.asdict(c) for c in report.rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -15,7 +15,9 @@ from ebmix import cli, core_bounds, harness
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
-from ebmix.processes import bernoulli_ar1, ground_truth, iid_bernoulli, iid_rademacher, simulate
+from ebmix.processes import (
+    ProcessSpec, bernoulli_ar1, ground_truth, iid_bernoulli, iid_rademacher, simulate,
+)
 from ebmix.reporting import COVERAGE_COLUMNS, SENSITIVITY_COLUMNS
 
 # Frozen interface: changing either header is a breaking change.
@@ -427,7 +429,8 @@ def test_bound_refuses_a_flag_that_is_not_finite(case, flag, token, uniform_data
      ("phi", "--l", "l must be a finite number, got nan"),
      ("phi", "--phi-sum", "phi_sum must be a finite number, got nan"),
      ("agnostic", "--tv-norm", "tv_norm must be a finite number, got nan"),
-     ("agnostic", "--range-width", "range_width must be a finite number, got nan")],
+     ("agnostic", "--range-width", "range_width must be a finite number, got nan"),
+     ("agnostic", "--c", "c must be a finite number, got nan")],
 )
 def test_bound_names_the_flag_that_is_not_finite(case, flag, message, uniform_data, capsys):
     assert main(_bound_argv(case, uniform_data, flag, "nan")) == 2
@@ -536,6 +539,32 @@ def test_simulate_stdout_round_trips_into_bound(tmp_path, capsys):
     assert _bound_json(capsys.readouterr().out)["level"] == pytest.approx(0.8)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [{"kind": "iid_bounded", "params": {"dist": "uniform", "a": -1.0, "b": 2.0}},
+     {"kind": "hetero_mds", "params": {"scales": [0.5, 1.0]}},
+     {"kind": "finite_markov", "params": {"P": [[0.9, 0.1], [0.2, 0.8]], "h": [0.0, 1.0]}},
+     {"kind": "bernoulli_ar1", "params": {}}],
+    ids=lambda spec: spec["kind"],
+)
+def test_simulate_truth_payload_keys_and_values(spec, tmp_path, capsys):
+    process = ProcessSpec.from_dict(spec)
+    truth = ground_truth(process)
+    expected = [("process", process.label()), ("mu", truth.mu),
+                ("sigma2_marginal", truth.sigma2_marginal),
+                ("sigma2_longrun", truth.sigma2_longrun), ("b_range", list(truth.b_range)),
+                ("b_abs", truth.b_abs), ("tv_norm", truth.tv_norm), ("m4", truth.m4)]
+    argv = ["simulate", "--spec", json.dumps(spec), "--n", "20", "--seed", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "# truth: " + json.dumps(dict(expected))
+    assert list(json.loads(first.removeprefix("# truth: ")).items()) == expected
+    assert main(argv + ["--out", str(tmp_path / "path.txt")]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(dict(expected), indent=2) + "\n"
+    assert list(json.loads(printed).items()) == expected
+
+
 def test_coverage_outputs_and_force_discipline(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json")
     argv = ["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]
@@ -636,17 +665,29 @@ def test_config_non_integral_count_exits_2(tmp_path, capsys, overrides, named):
         ({"knobs": {"t_power": "-0.45"}},
          "field 'knobs.t_power': must be a number, got '-0.45'"),
         ({"eta": True}, "field 'eta': must be a number, got True"),
+        ({"n_grid": [300, 300.0]}, "field 'n_grid': 300 is listed more than once"),
+        ({"bounds": ["eb", "empirical_bernstein"]},
+         "field 'bounds': 'empirical_bernstein' is listed more than once"),
+        ({"l_policies": [{"kind": "fixed", "value": 7}, {"kind": "fixed", "value": 7.0}]},
+         "field 'l_policies': LPolicy(kind='fixed', value=7.0) is listed more than once"),
+        ({"knobs": {"c_mode": "fixed", "c_value": -1}},
+         "field 'knobs.c_value': must be >= 0, got -1.0"),
+        ({"knobs": {"t_scale": -0.5}}, "field 'knobs.t_scale': must be >= 0, got -0.5"),
+        ({"knobs": {"s_scale": -2}}, "field 'knobs.s_scale': must be >= 0, got -2.0"),
     ],
     ids=["delta", "n_grid", "bounds", "bounds-entry", "l_policy", "xi", "knobs",
          "xi-scale-nan", "xi-scale-inf", "knobs-t-nan", "knobs-c-inf", "l-fixed-nan",
          "delta-numeric-string", "l-fixed-numeric-string", "xi-scale-numeric-string",
-         "knobs-t-numeric-string", "eta-true"],
+         "knobs-t-numeric-string", "eta-true", "n_grid-repeated", "bounds-repeated-alias",
+         "l_policies-repeated", "knobs-c-negative", "knobs-t-negative", "knobs-s-negative"],
 )
 def test_config_mistyped_field_exits_2(tmp_path, capsys, overrides, message):
     # Each once exited 1 with a ValueError or TypeError traceback.  A NaN or
     # infinite policy value was accepted, giving a NaN or infinite
     # mean_radius with exit 0 for the bounds that read it.  A numeric string
-    # or a boolean was read as its number.
+    # or a boolean was read as its number.  A repeated n wrote two identical
+    # rows, a repeated bound or policy silently became one, and a negative
+    # knob flagged every agnostic cell "precondition:" with exit 0.
     cfg = _write_config(tmp_path / "cfg.json", **overrides)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
     captured = capsys.readouterr()
