@@ -11,8 +11,11 @@ against numpy's own.  Negative seeds and indices are refused with DomainError.
 
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
-time segments of all paths together, a tile of time indices at a time (see
-its docstring).  Each recurrence reads one byte per time index, not the
+time segments of all paths together, a contiguous tile of ``_TILE`` time
+indices at a time (see its docstring).  A step writes in place:
+``step(state, inputs, out)`` puts the next state into ``out``, not into a
+new array; the AR(1) step is ``(x + b) * 0.5`` in two calls, the table step
+an add and a ``take``.  Each recurrence reads one byte per time index, not the
 float64 uniform: the AR(1) reads its noise bit ``u < 0.5``, and a small
 finite chain reads the uniform's bucket, the number of its distinct
 cumulative transition probabilities at or below the uniform.  A chain whose
@@ -50,8 +53,10 @@ _PHI_RUN = 1 << 16
 # guessed segment start is driven through this many inputs before it is used.
 _RECUR_STATES = 1 << 12
 _RECUR_WARMUP = 128
-# _recur steps through this many time indices per contiguous tile.
-_TILE = 8
+# _recur steps through this many time indices per contiguous tile: wider
+# tiles make fewer copy calls per step, and each index adds a (paths,
+# segments) row of states to the tile buffer, 25 KB for 4 paths of 2e5.
+_TILE = 16
 # A finite chain steps by table lookup when its (state, bucket) table has at
 # most this many entries.
 _TABLE_SIZE = 1 << 16
@@ -588,7 +593,16 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     # bernoulli_ar1: the recurrence reads only the noise bits, so it can
     # write the path over the uniforms.
     bits = np.less(u, 0.5).view(np.uint8)
-    return _recur(lambda x, b: 0.5 * x + 0.5 * b, u[:, 0].copy(), bits, out=u)
+    return _recur(_ar1_step, u[:, 0].copy(), bits, out=u)
+
+
+def _ar1_step(x, b, out):
+    """``0.5 * x + 0.5 * b`` for x in [0, 1] and a noise bit b, bit for bit,
+    written into ``out`` as ``(x + b) * 0.5`` by two in-place calls.  For a
+    normal x halving is exact, so both round x + b once; for a subnormal x
+    both give ``0.5 * x`` (b = 0) or 0.5 (b = 1)."""
+    np.add(x, b, out=out)
+    return np.multiply(out, 0.5, out=out)
 
 
 def _signs(u: np.ndarray) -> np.ndarray:
@@ -657,7 +671,14 @@ def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
     rows = np.sort(cum_rows[:, :-1], axis=1)
     table = np.array([np.searchsorted(row, lows, side="right") for row in rows]) * width
     table = table.astype(np.min_scalar_type(table.size - 1)).ravel()
-    return lambda state, bucket: np.take(table, state + bucket, mode="clip")
+
+    def step(state, bucket, out):
+        np.add(state, bucket, out=out)
+        # take reads the small-int indices through an intp copy, so it may
+        # write over them.
+        return np.take(table, out, out=out, mode="clip")
+
+    return step
 
 
 def _buckets(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -678,11 +699,11 @@ def _column_step(cum_rows: np.ndarray):
     probabilities of the current state at or below the uniform."""
     cols = [np.ascontiguousarray(col) for col in cum_rows[:, :-1].T]
 
-    def step(state, ut):
-        nxt = np.zeros_like(state)
+    def step(state, ut, out):
+        out.fill(0)
         for col in cols:
-            nxt += np.take(col, state) <= ut
-        return nxt
+            out += np.take(col, state) <= ut
+        return out
 
     return step
 
@@ -702,25 +723,26 @@ def _segment_view(a: np.ndarray, segments: int, length: int) -> np.ndarray:
 
 
 def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The array the loop ``out[:, 0] = first; out[:, t] = step(out[:, t-1], u[:, t])``
+    """The array the loop ``out[:, 0] = first; step(out[:, t-1], u[:, t], out[:, t])``
     produces, bit for bit, for per-time inputs ``u`` of shape (paths, n),
     written into ``out`` when given (it must not share memory with ``u``).
+    ``step(state, inputs, out)`` writes the next state into ``out`` and
+    returns it.  ``out`` never shares memory with ``state``; it is a fresh
+    buffer, or the inputs themselves when they cast safely to the state's
+    dtype (see ``_steps``).
 
     Each path is cut into S segments of length L and all paths x segments
-    advance together, one vectorized step per index within a segment.  The
-    steps run over time tiles of _TILE indices: a tile's inputs are copied
-    into a contiguous (tile, paths, segments) buffer, the state is kept as a
-    contiguous (paths, segments) array, and the tile's states are written
-    back into the output together, so no step touches a strided slice.
-    Segments after the first start from a guess (the path's first state)
-    driven through the last _RECUR_WARMUP inputs of the previous segment.
+    advance together, one vectorized step per index within a segment, in
+    contiguous time tiles of _TILE indices (``_steps``).  Segments after the
+    first start from a guess (the path's first state) driven, through the
+    same tiles, over the last _RECUR_WARMUP inputs of the previous segment.
     ``step`` is deterministic in (state, u_t), so chains fed the same inputs
     stay together once they meet (Propp & Wilson's coupling): a segment whose
     start equals the true state is exact to its end.  Starts are checked in
     order against one step from the previous segment's verified end, and only
     the paths that differ are recomputed; the last n - S*L indices are
-    finished sequentially.  ``step`` must map states that compare equal to
-    identical results.
+    finished sequentially, as one more tiled run with one segment per path.
+    ``step`` must map states that compare equal to identical results.
     """
     rows, n = u.shape
     if out is None:
@@ -730,37 +752,71 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     length = n // segments
     xs = _segment_view(out, segments, length)
     us = _segment_view(u, segments, length)
+    # The warm-up, the segments and the tail cut their tiles from one buffer
+    # (two when the inputs need their own dtype).
+    x_flat = np.empty((_TILE + 1) * rows * segments, dtype=out.dtype)
+    u_flat = None
+    if not np.can_cast(u.dtype, out.dtype):
+        u_flat = np.empty(_TILE * rows * segments, dtype=u.dtype)
     if segments > 1:
-        guess = np.repeat(first[:, None], segments - 1, axis=1)
-        for j in range(length - _RECUR_WARMUP + 1, length):
-            guess = step(guess, us[:, :-1, j])
-        xs[:, 1:, 0] = step(guess, us[:, 1:, 0])
-    u_tile = np.empty((_TILE, rows, segments), dtype=u.dtype)
-    x_tile = np.empty((_TILE, rows, segments), dtype=out.dtype)
-    state = np.ascontiguousarray(xs[:, :, 0])
-    for j0 in range(1, length, _TILE):
-        j1 = min(j0 + _TILE, length)
-        tu, tx = u_tile[: j1 - j0], x_tile[: j1 - j0]
-        np.copyto(tu, us[:, :, j0:j1].transpose(2, 0, 1))
-        for t in range(j1 - j0):
-            state = tx[t] = step(state, tu[t])
-        np.copyto(xs[:, :, j0:j1].transpose(2, 0, 1), tx)
+        guess = np.broadcast_to(first[:, None], (rows, segments - 1))
+        warmup = us[:, :-1, length - _RECUR_WARMUP + 1 :]
+        guess = _steps(step, guess, warmup, None, x_flat, u_flat)
+        step(guess, us[:, 1:, 0], xs[:, 1:, 0])
+    _steps(step, xs[:, :, 0], us[:, :, 1:], xs[:, :, 1:], x_flat, u_flat)
     if segments > 1:
-        unsure = (step(xs[:, :-1, -1], us[:, 1:, 0]) != xs[:, 1:, 0]).any(axis=0)
+        ends = step(xs[:, :-1, -1], us[:, 1:, 0], np.empty((rows, segments - 1), out.dtype))
+        unsure = (ends != xs[:, 1:, 0]).any(axis=0)
         repaired = False
         for s in range(1, segments):
             if not (repaired or unsure[s - 1]):
                 continue
-            start = step(xs[:, s - 1, -1], us[:, s, 0])
+            start = step(xs[:, s - 1, -1], us[:, s, 0], np.empty(rows, out.dtype))
             bad = np.flatnonzero(start != xs[:, s, 0])
             repaired = bad.size > 0
             if repaired:
-                xs[bad, s, 0] = start[bad]
+                state, nxt = start[bad], np.empty(bad.size, out.dtype)
+                xs[bad, s, 0] = state
                 for j in range(1, length):
-                    xs[bad, s, j] = step(xs[bad, s, j - 1], us[bad, s, j])
-    for t in range(segments * length, n):
-        out[:, t] = step(out[:, t - 1], u[:, t])
+                    xs[bad, s, j] = step(state, us[bad, s, j], nxt)
+                    state, nxt = nxt, state
+    done = segments * length
+    tail = np.s_[:, None, done:]
+    _steps(step, out[:, done - 1 : done], u[tail], out[tail], x_flat, u_flat)
     return out
+
+
+def _steps(step, state, us, xs, x_flat, u_flat):
+    """Step ``state`` (paths, segments) through the inputs ``us`` (paths,
+    segments, m), write the state after ``us[:, :, j]`` into ``xs[:, :, j]``
+    (unless ``xs`` is None), and return the last state, a view into
+    ``x_flat``.
+
+    The steps run over time tiles of _TILE indices.  A contiguous (tile + 1,
+    paths, segments) buffer cut from ``x_flat`` holds the state the tile
+    starts from in row 0, and each step writes into the next row; the tile's
+    rows 1.. then go back into ``xs`` in one copy.  A tile's inputs are
+    copied in one go into a contiguous buffer cut from ``u_flat``, or, when
+    ``u_flat`` is None, into rows 1.. themselves, cast to the state's dtype,
+    so each step then overwrites its own inputs.  No step allocates its
+    result, reads a strided slice or writes over its state.
+    """
+    shape = state.shape
+    size = state.size
+    tx = x_flat[: (_TILE + 1) * size].reshape(_TILE + 1, *shape)
+    tu = tx[1:] if u_flat is None else u_flat[: _TILE * size].reshape(_TILE, *shape)
+    x_rows, u_rows = list(tx), list(tu)
+    tx[0] = state
+    m = us.shape[2]
+    for j0 in range(0, m, _TILE):
+        k = min(_TILE, m - j0)
+        np.copyto(tu[:k], us[:, :, j0 : j0 + k].transpose(2, 0, 1))
+        for t in range(k):
+            step(x_rows[t], u_rows[t], x_rows[t + 1])
+        if xs is not None:
+            np.copyto(xs[:, :, j0 : j0 + k].transpose(2, 0, 1), tx[1 : k + 1])
+        tx[0] = tx[k]
+    return tx[0]
 
 
 def simulate(spec: ProcessSpec, n: int, seed) -> tuple[np.ndarray, GroundTruth]:

@@ -379,7 +379,10 @@ FAST_2 = [[0.5, 0.5], [0.3, 0.7]]
 
 
 def _sequential_paths(spec, u):
-    """The per-timestep transform loops, kept as the reference for ``_recur``."""
+    """The per-timestep transform loops, kept as the reference for ``_recur``.
+    A lone row runs as a plain Python float loop with the same arithmetic,
+    which is much faster than one-element NumPy steps."""
+    n_paths, n = u.shape
     if spec.kind == "finite_markov":
         P = np.asarray(spec.params["P"], dtype=float)
         h = np.asarray(spec.params["h"], dtype=float)
@@ -388,15 +391,30 @@ def _sequential_paths(spec, u):
         cum_rows = np.cumsum(P, axis=1)
         cum_pi[-1] = 1.0
         cum_rows[:, -1] = 1.0
-        n_paths, n = u.shape
         states = np.empty((n_paths, n), dtype=np.int64)
+        if n_paths == 1:
+            rows = cum_rows.tolist()
+            state = sum(c <= u[0, 0] for c in cum_pi.tolist())
+            path = [state]
+            for ut in u[0, 1:].tolist():
+                state = sum(c <= ut for c in rows[state])
+                path.append(state)
+            states[0] = path
+            return h[states]
         states[:, 0] = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
         for t in range(1, n):
             states[:, t] = (cum_rows[states[:, t - 1]] <= u[:, t : t + 1]).sum(axis=1)
         return h[states]
-    n_paths, n = u.shape
     x = np.empty((n_paths, n), dtype=float)
     x[:, 0] = u[:, 0]
+    if n_paths == 1:
+        xt = float(u[0, 0])
+        path = [xt]
+        for ut in u[0, 1:].tolist():
+            xt = 0.5 * xt + 0.5 * (ut < 0.5)
+            path.append(xt)
+        x[0] = path
+        return x
     for t in range(1, n):
         x[:, t] = 0.5 * x[:, t - 1] + 0.5 * (u[:, t] < 0.5)
     return x
@@ -476,6 +494,72 @@ def test_recurrence_tiles_of_any_length(spec, rows, n, regime):
     _assert_bit_equal(spec, u)
 
 
+def _skip_one_chain(k):
+    # Row i is uniform over every state but 1 + i % (k - 2), so each row's
+    # cumulative values are multiples of 1/(k - 1), shared by all rows.
+    P = np.full((k, k), 1.0 / (k - 1))
+    P[np.arange(k), 1 + np.arange(k) % (k - 2)] = 0.0
+    return P
+
+
+@pytest.mark.parametrize("tile", [1, 5, 32, 64])
+@pytest.mark.parametrize(
+    "spec, rows, n",
+    [
+        (AR1, 3, 2000),
+        (MARKOV_3, 3, 2000),
+        (AR1, 1, 5 * WARMUP - 7),
+        (MARKOV_3, 1, 5 * WARMUP - 7),
+        (AR1, 5, 40),
+        ("over-table-limit", 2, 4 * WARMUP + 9),
+        ("sticky", 4, 6000),
+    ],
+    ids=lambda v: v.label() if hasattr(v, "label") else str(v),
+)
+def test_recurrence_is_exact_at_any_tile_width(monkeypatch, tile, spec, rows, n):
+    # Every case but the short one has segments, so the 127-step warm-up
+    # ends in a partial tile at every width but 1; the lone rows and the
+    # chains also leave a tail.
+    monkeypatch.setattr(processes, "_TILE", tile)
+    sticky = spec == "sticky"
+    if sticky:
+        spec = finite_markov(STICKY, H01)
+    elif spec == "over-table-limit":  # the column step
+        P = _skip_one_chain(257)
+        spec = finite_markov(P / P.sum(axis=1, keepdims=True), np.arange(257, dtype=float))
+    segments = processes._segment_count(rows, n)
+    assert (segments > 1) == (n >= 4 * WARMUP)
+    u = np.random.default_rng(rows * 101 + n).random((rows, n))
+    if sticky:
+        # Segments whose true start is not the path's first state need repair.
+        length = n // segments
+        starts = _sequential_paths(spec, u)[:, length : segments * length : length]
+        assert np.any(starts != starts[:, :1])
+    _assert_bit_equal(spec, u)
+
+
+def test_ar1_step_equals_the_three_call_expression_bit_for_bit():
+    # The step computes (x + b) * 0.5; the reference loop, 0.5 * x + 0.5 * b.
+    # Both halve x + b after one rounding for normal x, and both give 0.5 * x
+    # or 0.5 for a subnormal x, where halving itself rounds.
+    rng = np.random.default_rng(10)
+    special = [0.0, np.nextafter(0.0, 1.0), 2.0**-1022, 1.0 - 2.0**-53, 1.0]
+    draws = rng.random(20_000) * 2.0 ** -rng.integers(0, 1080, 20_000).astype(float)
+    x = np.concatenate([special, draws, rng.random(20_000)])
+    for b in (0, 1):
+        bits = np.full(x.size, b, dtype=np.uint8)
+        want = (0.5 * x + 0.5 * bits).view(np.uint64)
+        assert np.array_equal(((x + bits) * 0.5).view(np.uint64), want)
+        fresh = processes._ar1_step(x, bits, np.empty_like(x))
+        # In a tile the state is one row and the out row holds the inputs.
+        tile = np.empty((2, x.size))
+        tile[0], tile[1] = x, bits
+        in_row = processes._ar1_step(tile[0], tile[1], tile[1])
+        assert np.shares_memory(in_row, tile[1])
+        for got in (fresh, in_row):
+            assert np.array_equal(got.view(np.uint64), want)
+
+
 def test_chain_with_more_states_than_a_byte_holds():
     # State indices above 255 need a wider dtype than uint8; h is the index,
     # so the values show which states were visited.
@@ -513,14 +597,6 @@ def test_sticky_chain_forces_repairs_and_stays_exact():
     starts = seq[:, length : segments * length : length]
     assert np.any(starts != guess_state)
     _assert_bit_equal(spec, u)
-
-
-def _skip_one_chain(k):
-    # Row i is uniform over every state but 1 + i % (k - 2), so each row's
-    # cumulative values are multiples of 1/(k - 1), shared by all rows.
-    P = np.full((k, k), 1.0 / (k - 1))
-    P[np.arange(k), 1 + np.arange(k) % (k - 2)] = 0.0
-    return P
 
 
 @pytest.mark.parametrize(
