@@ -25,7 +25,8 @@ from .errors import (
 
 OUT_DIR_ENV = "EBMIX_OUT_DIR"
 
-BOUND_METHODS = ("eb", "eb_ignore_linear", "mds_empirical", "freedman", "phi", "tilde_phi", "agnostic")
+# Each `ebmix bound --method` and the bound-table row it reads.
+_METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
 
 
 def read_values(path: str) -> np.ndarray:
@@ -100,10 +101,10 @@ def _print_interval(res: core_bounds.IntervalResult, fmt: str) -> None:
             print(f"  flag: {flag}")
 
 
-def _require(args, names) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_")) is None]
+def _require(args, names, why: str = "") -> None:
+    missing = [n.replace("_", "-") for n in names if getattr(args, n) is None]
     if missing:
-        raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing))
+        raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing) + why)
 
 
 def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
@@ -119,41 +120,38 @@ def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
     return values
 
 
-def _extreme(values: np.ndarray) -> float:
-    """The value of largest magnitude, with its sign."""
-    return values[int(np.argmax(np.abs(values)))]
-
-
-_ABOVE_B = "value {value!r} exceeds --b {limit!r} in absolute value"
+_WIDER_THAN_2B = "values span {value!r} (max - min), more than 2 * --b = {limit!r}"
 _WIDER_THAN_RANGE = "values span {value!r} (max - min), more than --range-width {limit!r}"
 
 
-def _summary_from_args(args) -> core_bounds.SampleSummary:
-    if args.data is not None:
-        return core_bounds.summarize(_values_within(args, args.b, _extreme, _ABOVE_B), b=args.b)
-    _require(args, ["n", "mean", "css"])
-    return core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
-
-
-def _delta_from_args(args, misses: int = 3) -> float:
-    """--delta, or the delta at which an interval that misses with
-    probability at most ``misses * delta`` has the level 1 - 2 alpha of
-    --alpha."""
-    if (args.delta is None) == (args.alpha is None):
-        raise DomainError("exactly one of --delta and --alpha is required")
-    return args.delta if args.delta is not None else 2.0 * args.alpha / misses
+def _values_within_b(args) -> np.ndarray:
+    """The data file's values within --b, for a method that reads n, mean and css from them."""
+    given = [f"--{name}" for name in ("n", "mean", "css") if getattr(args, name) is not None]
+    if given:
+        raise DomainError(f"method {args.method!r} takes n, mean and css from --data; "
+                          f"drop {', '.join(given)}")
+    return _values_within(args, args.b, lambda x: x[int(np.argmax(np.abs(x)))],
+                          "value {value!r} exceeds --b {limit!r} in absolute value")
 
 
 def cmd_bound(args) -> int:
-    method = args.method
+    """The library interval of --method.  Its bound-table row gives the level
+    rule (``delta = 2 alpha / misses``), the regime of the budget from
+    --phi-sum and --tv-norm, and the default xi."""
+    method, row = args.method, _METHODS[args.method]
+    if (args.delta is None) == (args.alpha is None):
+        raise DomainError("exactly one of --delta and --alpha is required")
+    delta = args.delta if args.delta is not None else 2.0 * args.alpha / row.misses
+
+    def xi(n):
+        return args.xi if args.xi is not None else float(row.xi.evaluate(n))
+
     if method == "freedman":
         _require(args, ["n", "sigma2", "b"])
-        # Each side misses with probability at most delta, so --alpha is
-        # that delta, as in the harness's freedman_oracle.
-        delta = _delta_from_args(args, misses=2)
         center = 0.0
         if args.data is not None:
-            values = _values_within(args, args.b, _extreme, _ABOVE_B)
+            # --b bounds |X - mu|, which no mu meets if the spread exceeds 2 --b.
+            values = _values_within(args, 2.0 * args.b, np.ptp, _WIDER_THAN_2B)
             if values.size != args.n:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
             center = float(np.mean(values))
@@ -162,49 +160,39 @@ def cmd_bound(args) -> int:
         _require(args, ["b"])
         if args.data is None:
             raise DomainError("method 'mds_empirical' requires --data (raw increments)")
-        values = _values_within(args, args.b, _extreme, _ABOVE_B)
-        res = core_bounds.mds_empirical_interval(values, args.b, _delta_from_args(args))
+        res = core_bounds.mds_empirical_interval(_values_within_b(args), args.b, delta)
     elif method in ("eb", "eb_ignore_linear"):
         _require(args, ["b"])
-        summary = _summary_from_args(args)
-        delta = _delta_from_args(args)
+        if args.data is not None:
+            summary = core_bounds.summarize(_values_within_b(args), b=args.b)
+        else:
+            _require(args, ["n", "mean", "css"])
+            summary = core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
         if method == "eb":
             res = core_bounds.eb_interval(summary, delta)
         else:
-            default_xi = float(harness._DEFAULT_XI[method].evaluate(summary.n))
-            xi = args.xi if args.xi is not None else default_xi
-            res = core_bounds.ignore_linear_interval(summary, delta, xi)
+            res = core_bounds.ignore_linear_interval(summary, delta, xi(summary.n))
     else:  # block-based methods need raw data and a block length
         _require(args, ["data", "l", "range_width"])
-        delta = _delta_from_args(args)
         _check_nonneg(args.range_width, "range_width")  # before the agnostic knobs use it
         values = _values_within(args, args.range_width, np.ptp, _WIDER_THAN_RANGE)
         summary = block_summary(values, block_partition(values.size, args.l))
-        if method == "phi":
-            _require(args, ["phi_sum"])
-            budget = mixing_bounds.MixingBudget(regime="phi", phi_sum=args.phi_sum)
-            res = mixing_bounds.phi_interval(summary, args.range_width, budget, delta, xi_n=args.xi)
-        elif method == "tilde_phi":
-            _require(args, ["phi_sum", "tv_norm"])
-            budget = mixing_bounds.MixingBudget(
-                regime="phi_tilde", phi_sum=args.phi_sum, tv_norm=args.tv_norm
-            )
-            res = mixing_bounds.tilde_phi_interval(
-                summary, args.range_width, budget, delta, xi_n=args.xi
-            )
+        names = ["phi_sum", "tv_norm"] if row.regime == "phi_tilde" else ["phi_sum"]
+        budget = None
+        if row.needs_budget is not None or any(getattr(args, n) is not None for n in names):
+            _require(args, names, "" if row.needs_budget else " (its error budget needs both)")
+            budget = mixing_bounds.MixingBudget(row.regime, *(getattr(args, n) for n in names))
+        if method in ("phi", "tilde_phi"):
+            interval = (mixing_bounds.phi_interval if method == "phi"
+                        else mixing_bounds.tilde_phi_interval)
+            res = interval(summary, args.range_width, budget, delta, xi(values.size))
         else:  # agnostic
-            n = values.size
             policy = harness.KnobPolicy()
             if args.c is not None:
                 policy = harness.KnobPolicy(c_mode="fixed", c_value=_check_nonneg(args.c, "c"))
-            knobs = policy.evaluate(n, summary.partition.remainder_size, args.range_width)
+            knobs = policy.evaluate(values.size, summary.partition.remainder_size, args.range_width)
             given = {"t_n": args.t, "s_n": args.s}
             knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
-            budget = None
-            if args.tv_norm is not None and args.phi_sum is not None:
-                budget = mixing_bounds.MixingBudget(
-                    regime="phi_tilde", phi_sum=args.phi_sum, tv_norm=args.tv_norm
-                )
             errors = mixing_bounds.agnostic_errors(summary.partition, knobs, budget)
             res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
     _print_interval(res, args.format)
@@ -317,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate one bound on supplied data or a summary")
-    p_bound.add_argument("--method", required=True, choices=BOUND_METHODS)
+    p_bound.add_argument("--method", required=True, choices=list(_METHODS))
     p_bound.add_argument("--data", help="file of newline-separated reals ('#' comments allowed)")
     p_bound.add_argument("--n", type=int)
     p_bound.add_argument("--mean", type=float)

@@ -312,15 +312,17 @@ def ignore_linear_radius(summary: SampleSummary, delta: float, xi_n: float) -> f
 
 
 def ignore_linear_interval(summary: SampleSummary, delta: float, xi_n: float) -> IntervalResult:
-    """:func:`ignore_linear_radius` as an interval at level ``1 - 3 delta``
-    (before the penalty), with breakdown ``leading`` (:func:`ignore_linear_rows`
-    at ``nu = 1``) and the inflation.  Its radius, inflation times leading,
-    may differ from :func:`ignore_linear_radius` in the last bit."""
+    """:func:`ignore_linear_radius` as an interval at level ``1 - 3 delta``,
+    flagged ``penalty_unquantified`` (the proven level, past burn-in, is lower
+    by a penalty of the true sigma2 and m4), with breakdown ``leading``
+    (:func:`ignore_linear_rows` at ``nu = 1``) and the inflation.  Its radius,
+    inflation times leading, may differ from :func:`ignore_linear_radius` in the last bit."""
     delta = _check_prob(delta, "delta")
     _check_nonneg(xi_n, "xi_n")
     nu = inflation_factor(summary.n, delta)
     leading = ignore_linear_rows(summary.css, summary.n, math.log(1.0 / delta), 1.0, xi_n)
-    return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, "inflation": nu})
+    return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, "inflation": nu},
+                     ("penalty_unquantified",))
 
 
 def maurer_pontil_log_term(n: int, delta: float) -> float:

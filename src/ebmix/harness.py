@@ -21,18 +21,6 @@ from . import core_bounds, mixing_bounds, processes
 from .blocking import block_partition, row_sumsq, row_vhat
 from .errors import ConfigError, DomainError, PreconditionError, _check_count, _check_prob
 
-BOUNDS = (
-    "freedman_oracle",
-    "mds_empirical",
-    "empirical_bernstein",
-    "eb_ignore_linear",
-    "phi_mixing",
-    "tilde_phi_mixing",
-    "mixing_agnostic",
-    "dedecker_baseline",
-    "maurer_pontil_baseline",
-)
-
 # Accepted shorthands; resolved once when a config is parsed.
 BOUND_ALIASES = {
     "eb": "empirical_bernstein",
@@ -197,8 +185,35 @@ def _as_count(field: str, value, minimum: int = 1) -> int:
         raise ConfigError(f"field {field!r}: must be an integer >= {minimum}, got {value!r}") from None
 
 
-_DEFAULT_XI = {"eb_ignore_linear": XiPolicy(1.0, -0.25)}
-_MIXING_XI = XiPolicy(1.0, -1.0)
+_PHI_TILDE_BUDGET = "a conditional-CDF (phi_tilde) mixing budget"
+
+
+@dataclass(frozen=True)
+class BoundRow:
+    """A bound as the harness and ``ebmix bound`` read it: its --method, the
+    misses its level ``1 - misses * delta`` pays for (``delta = 2 alpha /
+    misses``), its budget's regime and worded need (None: optional), its xi."""
+
+    method: str | None = None
+    misses: int = 3
+    regime: str | None = None
+    needs_budget: str | None = None
+    xi: XiPolicy = XiPolicy(1.0, -1.0)
+
+
+BOUND_TABLE = {
+    "freedman_oracle": BoundRow("freedman", misses=2),
+    "mds_empirical": BoundRow("mds_empirical"),
+    "empirical_bernstein": BoundRow("eb"),
+    "eb_ignore_linear": BoundRow("eb_ignore_linear", xi=XiPolicy(1.0, -0.25)),
+    "phi_mixing": BoundRow("phi", regime="phi", needs_budget="phi budget required: the "
+                           "process provides no uniform-mixing bound"),
+    "tilde_phi_mixing": BoundRow("tilde_phi", regime="phi_tilde", needs_budget=_PHI_TILDE_BUDGET),
+    "mixing_agnostic": BoundRow("agnostic", regime="phi_tilde"),
+    "dedecker_baseline": BoundRow(regime="phi_tilde", needs_budget=_PHI_TILDE_BUDGET),
+    "maurer_pontil_baseline": BoundRow(misses=2),
+}
+BOUNDS = tuple(BOUND_TABLE)
 
 
 @dataclass(frozen=True)
@@ -251,9 +266,7 @@ class ExperimentConfig:
         return self.alpha if self.alpha is not None else 1.5 * self.delta
 
     def xi_for(self, bound: str) -> XiPolicy:
-        if self.xi is not None:
-            return self.xi
-        return _DEFAULT_XI.get(bound, _MIXING_XI)
+        return self.xi if self.xi is not None else BOUND_TABLE[bound].xi
 
     def to_dict(self) -> dict:
         return {
@@ -362,7 +375,6 @@ def validate_config(config: ExperimentConfig) -> list[tuple[int, dict]]:
             for n in config.n_grid]
 
 
-_PHI_TILDE_BUDGET = "a conditional-CDF (phi_tilde) mixing budget"
 _MDS_KINDS = ("iid_bounded", "hetero_mds")
 
 
@@ -370,14 +382,14 @@ class _CellPlan:
     """One cell's bound, decided once, in ``_prepare``: its requirements of
     the process, the row statistic it reads (``stat``), the rule that maps it
     to radii (:meth:`evaluate`), the cell's flags, and ``row``, the
-    :class:`CellResult` columns known before any path is drawn (level,
-    sharpness limit, reference sigma, blocks, error total, penalty, burn-in).
-    ``stat`` is each row's ``"mean"`` (for a constant radius), its sum of
-    squares ``"qv"``, its sum of squares about its mean ``"css"``, or its
-    block variance ``("vhat", m, floor_l)``.  An unmet requirement raises
-    ConfigError before any other check of its branch.  A precondition that
-    fails at this n (PreconditionError or DomainError) flags the plan: its
-    ``stat`` is None, its flags are ``["precondition: ..."]`` and its row
+    :class:`CellResult` columns known before any path is drawn.  Its
+    :data:`BOUND_TABLE` row gives the level rule, the budget regime and the
+    default xi.  ``stat`` is each row's ``"mean"`` (for a constant radius),
+    its sum of squares ``"qv"``, its sum of squares about its mean ``"css"``,
+    or its block variance ``("vhat", m, floor_l)``.  An unmet requirement
+    raises ConfigError before any other check of its branch.  A precondition
+    that fails at this n (PreconditionError or DomainError) flags the plan:
+    its ``stat`` is None, its flags are ``["precondition: ..."]`` and its row
     holds only the identifying columns, so a cell fails on construction, not
     inside a chunk."""
 
@@ -389,13 +401,16 @@ class _CellPlan:
         identity = dict(process=config.process.label(), bound=bound, n=n, delta=delta, alpha=alpha,
                         replications=config.replications, l_policy=l_policy.label(),
                         master_seed=config.master_seed)
+        spec = BOUND_TABLE[bound]
+        if spec.misses != 3:  # delta_eff is 2 alpha / 3, with a given delta's own bits
+            delta = 2.0 * alpha / spec.misses
         truth = processes.ground_truth(config.process)
-        self.row = dict(identity, level=1.0 - 3.0 * delta,
+        self.row = dict(identity, level=1.0 - spec.misses * delta,
                         sharpness_limit=math.sqrt(math.log(1.0 / delta) / math.log(1.0 / alpha)),
                         sigma_ref=math.sqrt(truth.sigma2_marginal), sigma_ref_source="marginal")
         self.flags = ["vacuous_level"] if self.row["level"] <= 0.0 else []
         try:
-            self._prepare(config, truth, delta, alpha)
+            self._prepare(config, truth, spec, delta)
         except (PreconditionError, DomainError) as exc:
             self.row, self.stat, self.flags = identity, None, [f"precondition: {exc}"]
 
@@ -406,17 +421,20 @@ class _CellPlan:
             raise ConfigError(f"bound {self.bound!r} is incompatible with process "
                               f"{config.process.label()!r}; requires: {unmet}")
 
-    def _prepare(self, config, truth, delta, alpha):
+    def _prepare(self, config, truth, spec, delta):
         n, bound, row = self.n, self.bound, self.row
         kind = config.process.kind
         log_term = math.log(1.0 / delta)
-        long_run = {"sigma_ref": math.sqrt(truth.sigma2_longrun), "sigma_ref_source": "long_run"}
+        if spec.regime is not None:
+            budget = processes.mixing_budget_for(config.process, spec.regime, n)
+            if spec.needs_budget is not None:
+                self._require(config, {spec.needs_budget: budget is not None})
+            row.update(sigma_ref=math.sqrt(truth.sigma2_longrun), sigma_ref_source="long_run")
         if bound == "freedman_oracle":
             self._require(config, {"an IID or bounded martingale-difference process "
                                    "(oracle variance)": kind in _MDS_KINDS})
             self.stat, self.rule = "mean", _constant(core_bounds.freedman_radius(
-                n, truth.sigma2_marginal, truth.b_centered, alpha))
-            row.update(level=1.0 - 2.0 * alpha, sharpness_limit=1.0)
+                n, truth.sigma2_marginal, truth.b_centered, delta))
         elif bound == "mds_empirical":
             self._require(config, {"a zero-mean martingale-difference process": truth.mu == 0.0})
             b = truth.b_abs
@@ -451,30 +469,20 @@ class _CellPlan:
             # A grid that reaches n >= 2 flags its smaller cells instead.
             self._require(config, {"[0,1]-valued data": truth.b_range == (0.0, 1.0),
                                    "n >= 2": max(config.n_grid) >= 2})
-            mp_log_term = core_bounds.maurer_pontil_log_term(n, alpha)
+            mp_log_term = core_bounds.maurer_pontil_log_term(n, delta)
             self.stat = "css"
             self.rule = lambda css: core_bounds.maurer_pontil_rows(css / (n - 1), n, mp_log_term)
-            row.update(level=1.0 - 2.0 * alpha,
-                       sharpness_limit=math.sqrt(math.log(2.0 / alpha) / math.log(1.0 / alpha)))
+            row["sharpness_limit"] = math.sqrt(mp_log_term / log_term)
         elif bound == "dedecker_baseline":
-            budget = processes.mixing_budget_for(config.process, "phi_tilde", n)
-            self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
             self._require(config, {"a strictly positive phi_tilde budget": budget.phi_sum > 0})
             if 3.0 * delta >= 1.0:
                 raise PreconditionError("total miss probability 3*delta >= 1")
             self.stat, self.rule = "mean", _constant(mixing_bounds.dedecker_prieur_radius(
                 n, budget.tv_norm, budget.phi_sum, 3.0 * delta))
-            row.update(long_run, sharpness_limit=None)
+            row["sharpness_limit"] = None
         else:  # a block bound; resolve_bound admits no other name
-            regime = "phi" if bound == "phi_mixing" else "phi_tilde"
-            budget = processes.mixing_budget_for(config.process, regime, n)
-            if bound == "phi_mixing":
-                self._require(config, {"phi budget required: the process provides no "
-                                       "uniform-mixing bound": budget is not None})
-            elif bound == "tilde_phi_mixing":
-                self._require(config, {_PHI_TILDE_BUDGET: budget is not None})
             partition = block_partition(n, self.l_policy.block_length(n))
-            row.update(long_run, block_len=partition.floor_l, blocks=partition.m,
+            row.update(block_len=partition.floor_l, blocks=partition.m,
                        remainder=partition.remainder_size)
             rw = truth.range_width
             if bound == "mixing_agnostic":

@@ -16,7 +16,8 @@ from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
 from ebmix.processes import (
-    ProcessSpec, bernoulli_ar1, ground_truth, iid_bernoulli, iid_rademacher, simulate,
+    ProcessSpec, bernoulli_ar1, finite_markov, ground_truth, iid_bernoulli, iid_rademacher,
+    mixing_budget_for, simulate, simulate_paths,
 )
 from ebmix.reporting import COVERAGE_COLUMNS, SENSITIVITY_COLUMNS
 
@@ -347,7 +348,7 @@ def test_bound_freedman_refuses_data_that_disagree_with_its_flags(tmp_path, caps
     data.write_text("0.1\n5\n0.3\n", encoding="utf-8")
     assert main(argv + ["--n", "3"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "value 5.0 exceeds --b 1.0" in captured.err
+    assert captured.out == "" and "values span 4.9 (max - min), more than 2 * --b = 2.0" in captured.err
 
 
 @pytest.mark.parametrize("method", ["phi", "tilde_phi", "agnostic"])
@@ -442,10 +443,12 @@ def test_bound_flags_a_level_that_is_not_positive(case, uniform_data, capsys):
     # --alpha 0.6 is delta 0.4 (0.6 for freedman): every level is -0.2 or
     # less.  mds_empirical, eb_ignore_linear and freedman once left it
     # unflagged, and so did agnostic when its error budget (here 1) made it so.
-    first = ["errors_unquantified"] if case == "agnostic-unbudgeted" else []
+    # eb_ignore_linear's level leaves out its penalty, which it flags first.
+    first = {"agnostic-unbudgeted": ["errors_unquantified"],
+             "eb_ignore_linear": ["penalty_unquantified"]}.get(case, [])
     for alpha in ("0.6", "0.3"):
         argv = _bound_argv(case.removesuffix("-unbudgeted"), uniform_data, "--alpha", alpha)
-        if first:
+        if case == "agnostic-unbudgeted":
             for flag in ("--phi-sum", "--tv-norm"):
                 at = argv.index(flag)
                 del argv[at:at + 2]
@@ -478,6 +481,104 @@ def test_bound_agnostic_zero_budget_agrees_with_harness(tmp_path, capsys):
     assert _bound_json(capsys.readouterr().out)["flags"] == ["errors_unquantified"]
 
 
+# Each `ebmix bound` method, the harness bound it computes, and a process
+# that bound suits.  The chain has a nonzero phi budget.
+_SLOW_CHAIN = finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+                            [0.0, 0.5, 1.0])
+_CLI_AND_HARNESS = {
+    "eb": ("empirical_bernstein", iid_bernoulli(0.3)),
+    "eb_ignore_linear": ("eb_ignore_linear", iid_bernoulli(0.3)),
+    "mds_empirical": ("mds_empirical", iid_rademacher()),
+    "freedman": ("freedman_oracle", iid_bernoulli(0.3)),
+    "phi": ("phi_mixing", _SLOW_CHAIN),
+    "tilde_phi": ("tilde_phi_mixing", bernoulli_ar1()),
+    "agnostic": ("mixing_agnostic", bernoulli_ar1()),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_CLI_AND_HARNESS))
+def test_bound_agrees_with_the_harness_on_one_path(method, tmp_path, capsys):
+    # The flags come from the process's ground truth and budget, as the
+    # harness takes them; freedman runs on the data, centred at their mean.
+    bound, spec = _CLI_AND_HARNESS[method]
+    n, seed = 2000, 77
+    methods = [r.method for r in harness.BOUND_TABLE.values() if r.method is not None]
+    assert sorted(methods) == sorted(_CLI_AND_HARNESS)
+    assert harness.BOUND_TABLE[bound].method == method
+    cfg = ExperimentConfig(process=spec, bounds=(bound,), n_grid=(n,), replications=1,
+                           master_seed=seed, alpha=0.05)
+    (row,) = run_coverage(cfg).rows
+    values = simulate_paths(spec, n, seed, range(1))[0]
+    data = tmp_path / "path.txt"
+    data.write_text("\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
+    truth = ground_truth(spec)
+    argv = ["bound", "--method", method, "--alpha", "0.05", "--data", str(data)]
+    if method == "freedman":
+        argv += ["--n", str(n), "--sigma2", repr(truth.sigma2_marginal),
+                 "--b", repr(truth.b_centered)]
+    elif method in ("eb", "eb_ignore_linear", "mds_empirical"):
+        argv += ["--b", repr(truth.b_abs)]
+    else:
+        regime = "phi" if method == "phi" else "phi_tilde"
+        budget = mixing_budget_for(spec, regime, n)
+        argv += ["--l", repr(n ** 0.4), "--range-width", repr(truth.range_width),
+                 "--phi-sum", repr(budget.phi_sum)]
+        if regime == "phi_tilde":
+            argv += ["--tv-norm", repr(budget.tv_norm)]
+    assert main(argv) == 0
+    out = _bound_json(capsys.readouterr().out)
+    assert out["level"] == row.level
+    if method == "eb_ignore_linear":  # the harness has the penalty; the CLI flags it
+        assert out["flags"] == ["penalty_unquantified"] and "below_burn_in" in row.flags
+    else:
+        assert tuple(out.get("flags", ())) == row.flags
+    assert out["radius"] == pytest.approx(row.mean_radius, rel=1e-12)
+
+
+def test_bound_agnostic_refuses_half_a_budget(uniform_data, capsys):
+    argv = _bound_argv("agnostic", uniform_data)
+    for flag in ("--phi-sum", "--tv-norm"):
+        half = list(argv)
+        at = half.index(flag)
+        del half[at:at + 2]
+        assert main(half) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: method 'agnostic' requires {flag} "
+                                "(its error budget needs both)\n")
+
+
+@pytest.mark.parametrize("method", ["eb", "eb_ignore_linear", "mds_empirical"])
+def test_bound_refuses_summary_flags_beside_data(method, uniform_data, capsys):
+    # These methods take n, mean and css from the file; the flags were once
+    # ignored without a word, even when they contradicted it.
+    argv = ["bound", "--method", method, "--alpha", "0.05", "--b", "1", "--data", str(uniform_data)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--n", "7", "--mean", "3", "--css", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: method {method!r} takes n, mean and css from --data; drop --n, --mean, --css\n")
+    assert main(argv + ["--css", "1"]) == 2
+    assert capsys.readouterr().err.endswith("drop --css\n")
+
+
+def test_bound_freedman_checks_the_spread_of_its_data_against_b(tmp_path, capsys):
+    # --b bounds |X - mu|, as the harness's b_centered does: Bernoulli data
+    # with b = 0.5 were once refused because 1.0 > 0.5.
+    data = tmp_path / "bernoulli.txt"
+    data.write_text("0\n1\n" * 200, encoding="utf-8")
+    argv = ["bound", "--method", "freedman", "--n", "400", "--sigma2", "0.25", "--alpha", "0.05",
+            "--data", str(data)]
+    assert main(argv + ["--b", "0.5"]) == 0
+    out = _bound_json(capsys.readouterr().out)
+    assert out["center"] == 0.5
+    assert out["radius"] == core_bounds.freedman_radius(400, 0.25, 0.5, 0.05)
+    assert main(argv + ["--b", "0.49"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "values span 1.0 (max - min), more than 2 * --b = 0.98" in captured.err
+
+
 def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     data = tmp_path / "data.txt"
     data.write_text("0.2\n0.4\n0.6\n0.8\n" * 50, encoding="utf-8")
@@ -489,7 +590,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys):
     assert main(argv) == 0
     default = _bound_json(capsys.readouterr().out)
     summary = core_bounds.summarize(read_values(str(data)), b=1.0)
-    xi = float(harness._DEFAULT_XI["eb_ignore_linear"].evaluate(summary.n))
+    xi = float(harness.BOUND_TABLE["eb_ignore_linear"].xi.evaluate(summary.n))
     assert default["radius"] == core_bounds.ignore_linear_interval(summary, 0.01, xi).radius
     assert with_xi["radius"] == core_bounds.ignore_linear_interval(summary, 0.01, 0.3).radius
     assert with_xi["radius"] != default["radius"]
