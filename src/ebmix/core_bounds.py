@@ -297,16 +297,26 @@ def ignore_linear_rows(css, n: int, log_term: float, nu: float, xi_n: float):
     return nu * (1.0 + xi_n) * _sqrt(2.0 * log_term * css) / n
 
 
+def _check_xi(xi_n):
+    """``xi_n`` as a finite float > 0: at xi_n = 0 the burn-in condition
+    ``eta sigma2 >= 5 b^2 log(1/delta) / (n xi_n^2)`` never holds, so the
+    interval would have no proven level."""
+    if _check_finite(xi_n, "xi_n") <= 0:
+        raise DomainError(f"xi_n must be > 0 (no burn-in holds at xi_n <= 0), got {xi_n!r}")
+    return float(xi_n)
+
+
 def ignore_linear_radius(summary: SampleSummary, delta: float, xi_n: float) -> float:
     """Simplified radius with the linear b-term dropped:
 
     radius = nu * (1 + xi_n) * sqrt(2 log(1/delta) css / n^2)
 
     Valid for IID data at level ``1 - 3 delta - penalty`` once
-    ``n >= burn_in_threshold(...)``; see :func:`ignorance_penalty`.
+    ``n >= burn_in_threshold(...)``; see :func:`ignorance_penalty`.  No n
+    is past burn-in at ``xi_n <= 0``, so that raises DomainError.
     """
     delta = _check_prob(delta, "delta")
-    _check_nonneg(xi_n, "xi_n")
+    _check_xi(xi_n)
     nu = inflation_factor(summary.n, delta)
     return ignore_linear_rows(summary.css, summary.n, math.log(1.0 / delta), nu, xi_n)
 
@@ -318,7 +328,7 @@ def ignore_linear_interval(summary: SampleSummary, delta: float, xi_n: float) ->
     (:func:`ignore_linear_rows` at ``nu = 1``) and the inflation.  Its radius,
     inflation times leading, may differ from :func:`ignore_linear_radius` in the last bit."""
     delta = _check_prob(delta, "delta")
-    _check_nonneg(xi_n, "xi_n")
+    _check_xi(xi_n)
     nu = inflation_factor(summary.n, delta)
     leading = ignore_linear_rows(summary.css, summary.n, math.log(1.0 / delta), 1.0, xi_n)
     return _interval(summary.mean, 1.0 - 3.0 * delta, {"leading": leading, "inflation": nu},

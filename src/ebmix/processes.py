@@ -12,18 +12,21 @@ against numpy's own.  Negative seeds and indices are refused with DomainError.
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
 time segments of all paths together, a contiguous tile of ``_TILE`` time
-indices at a time (see its docstring).  A step writes in place:
-``step(state, inputs, out)`` puts the next state into ``out``, not into a
-new array; the AR(1) step is ``(x + b) * 0.5`` in two calls, the table step
-an add and a ``take``.  Each recurrence reads one byte per time index, not the
-float64 uniform: the AR(1) reads its noise bit ``u < 0.5``, and a small
-finite chain reads the uniform's bucket, the number of its distinct
-cumulative transition probabilities at or below the uniform.  A chain whose
-(state, bucket) table has at most ``_TABLE_SIZE`` entries, with at most 256
-buckets, steps by one lookup in that table; a larger chain reads the uniform
-and counts, column by column, the cumulative transition probabilities of the
-current state that lie at or below it.  Both recurrences write their path
-into the uniform buffer.
+indices at a time (see its docstring).  Each segment starts from a guess
+driven through a 64-step warm-up; wrong starts are repaired in rounds, each
+re-run stopping where it meets the stored states.  The segment count is the
+one with the fewest sequential steps from half a cap up to it.  A step
+writes in place: ``step(state, inputs, out)`` puts the next state into
+``out``, not into a new array; the AR(1) step is ``(x + b) * 0.5`` in two
+calls, the table step an add and a ``take``.  Each recurrence reads one
+byte per time index, not the float64 uniform: the AR(1) reads its noise bit
+``u < 0.5``, and a small finite chain reads the uniform's bucket, the number
+of its distinct cumulative transition probabilities at or below the uniform.
+A chain whose (state, bucket) table has at most ``_TABLE_SIZE`` entries,
+with at most 256 buckets, steps by one lookup in that table; a larger chain
+reads the uniform and counts, column by column, the cumulative transition
+probabilities of the current state that lie at or below it.  Both
+recurrences write their path into the uniform buffer.
 """
 
 from __future__ import annotations
@@ -51,8 +54,10 @@ _PHI_RUN = 1 << 16
 
 # Path recurrences advance about this many states per vectorized step, and a
 # guessed segment start is driven through this many inputs before it is used.
+# A wrong guess costs only a repair until it meets the true path, so a short
+# warm-up is cheaper than a long one.
 _RECUR_STATES = 1 << 12
-_RECUR_WARMUP = 128
+_RECUR_WARMUP = 64
 # _recur steps through this many time indices per contiguous tile: wider
 # tiles make fewer copy calls per step, and each index adds a (paths,
 # segments) row of states to the tile buffer, 25 KB for 4 paths of 2e5.
@@ -675,8 +680,8 @@ def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
     def step(state, bucket, out):
         np.add(state, bucket, out=out)
         # take reads the small-int indices through an intp copy, so it may
-        # write over them.
-        return np.take(table, out, out=out, mode="clip")
+        # write over them.  The method skips np.take's Python wrapper.
+        return table.take(out, out=out, mode="clip")
 
     return step
 
@@ -688,9 +693,11 @@ def _buckets(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
     for block in _blocks(u.shape):
         ub, ob = u[block], out[block]
         hit = scratch[: ub.size].reshape(ub.shape)
+        # A bool is one byte of 0 or 1, so the hits add as uint8, with no cast.
+        hits = hit.view(np.uint8)
         for cut in cuts:
             np.greater_equal(ub, cut, out=hit)
-            ob += hit
+            ob += hits
     return out
 
 
@@ -702,16 +709,22 @@ def _column_step(cum_rows: np.ndarray):
     def step(state, ut, out):
         out.fill(0)
         for col in cols:
-            out += np.take(col, state) <= ut
+            out += col.take(state) <= ut
         return out
 
     return step
 
 
 def _segment_count(rows: int, n: int) -> int:
-    """Segments per path: about _RECUR_STATES states per step, and every
-    segment at least twice as long as the warm-up."""
-    return max(1, min(_RECUR_STATES // max(rows, 1), n // (2 * _RECUR_WARMUP)))
+    """Segments per path.  The cap keeps about _RECUR_STATES states per step
+    and every segment at least twice as long as the warm-up.  Among the
+    counts S from half the cap up to it, the one with the fewest sequential
+    steps, n // S in the segments plus the n % S of the tail, is taken, the
+    smallest on a tie: a 4 x 2e5 chunk gets S = 1000, a lone 2e6 row S = 4000,
+    and neither has a tail."""
+    cap = max(1, min(_RECUR_STATES // max(rows, 1), n // (2 * _RECUR_WARMUP)))
+    counts = np.arange((cap + 1) // 2, cap + 1)
+    return int(counts[np.argmin(n // counts + n % counts)])
 
 
 def _segment_view(a: np.ndarray, segments: int, length: int) -> np.ndarray:
@@ -731,18 +744,19 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     buffer, or the inputs themselves when they cast safely to the state's
     dtype (see ``_steps``).
 
-    Each path is cut into S segments of length L and all paths x segments
-    advance together, one vectorized step per index within a segment, in
-    contiguous time tiles of _TILE indices (``_steps``).  Segments after the
-    first start from a guess (the path's first state) driven, through the
-    same tiles, over the last _RECUR_WARMUP inputs of the previous segment.
-    ``step`` is deterministic in (state, u_t), so chains fed the same inputs
-    stay together once they meet (Propp & Wilson's coupling): a segment whose
-    start equals the true state is exact to its end.  Starts are checked in
-    order against one step from the previous segment's verified end, and only
-    the paths that differ are recomputed; the last n - S*L indices are
-    finished sequentially, as one more tiled run with one segment per path.
-    ``step`` must map states that compare equal to identical results.
+    Each path is cut into S segments of length L (``_segment_count``) and all
+    paths x segments advance together, one vectorized step per index within
+    a segment, in contiguous time tiles of _TILE indices (``_steps``).
+    Segments after the first start from a guess (the path's first state)
+    driven, through the same tiles, over the last _RECUR_WARMUP - 1 inputs of
+    the previous segment and the segment's own first input.  ``step`` is
+    deterministic in (state, u_t), so chains fed the same inputs stay
+    together once they meet (Propp & Wilson's coupling): a segment whose
+    start equals the true state is exact to its end.  Each start is then
+    checked against one step from the previous segment's end, and the wrong
+    ones are repaired in rounds (``_repair``).  The last n - S*L indices are
+    finished as one more tiled run with one segment per path.  ``step`` must
+    map states that compare equal to identical results.
     """
     rows, n = u.shape
     if out is None:
@@ -766,24 +780,52 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     _steps(step, xs[:, :, 0], us[:, :, 1:], xs[:, :, 1:], x_flat, u_flat)
     if segments > 1:
         ends = step(xs[:, :-1, -1], us[:, 1:, 0], np.empty((rows, segments - 1), out.dtype))
-        unsure = (ends != xs[:, 1:, 0]).any(axis=0)
-        repaired = False
-        for s in range(1, segments):
-            if not (repaired or unsure[s - 1]):
-                continue
-            start = step(xs[:, s - 1, -1], us[:, s, 0], np.empty(rows, out.dtype))
-            bad = np.flatnonzero(start != xs[:, s, 0])
-            repaired = bad.size > 0
-            if repaired:
-                state, nxt = start[bad], np.empty(bad.size, out.dtype)
-                xs[bad, s, 0] = state
-                for j in range(1, length):
-                    xs[bad, s, j] = step(state, us[bad, s, j], nxt)
-                    state, nxt = nxt, state
+        _repair(step, xs, us, ends != xs[:, 1:, 0])
     done = segments * length
     tail = np.s_[:, None, done:]
     _steps(step, out[:, done - 1 : done], u[tail], out[tail], x_flat, u_flat)
     return out
+
+
+def _repair(step, xs, us, wrong):
+    """Make every segment of ``xs`` (paths, segments, length) start from one
+    step of the previous segment's end, where ``wrong[p, s]`` says that the
+    start of segment s + 1 of path p does not.
+
+    Every stored segment follows the recurrence from its own start, so a
+    segment is exact once its start is.  Each round re-runs, for all paths at
+    once, the first wrong start of each run of wrong starts from the end
+    before it, and each re-run stops at the first index where it meets the
+    stored state: from there on the stored segment is the re-run's.  A
+    re-run that meets leaves its segment's end as it was, so the next start
+    keeps its mark; only one that never meets changes that end, and the next
+    start is checked again.  A path's first wrong start follows exact
+    segments, so each round makes it right for good: at most S - 1 rounds,
+    and a round costs the coupling time of the chains it re-runs.
+    """
+    segments, length = xs.shape[1:]
+    while wrong.any():
+        first = wrong.copy()
+        first[:, 1:] &= ~wrong[:, :-1]
+        wrong &= ~first
+        p, s = np.nonzero(first)
+        s += 1
+        state = step(xs[p, s - 1, -1], us[p, s, 0], np.empty(p.size, xs.dtype))
+        xs[p, s, 0] = state
+        for j in range(1, length):
+            state = step(state, us[p, s, j], np.empty_like(state))
+            apart = state != xs[p, s, j]
+            if not apart.all():
+                p, s, state = p[apart], s[apart], state[apart]
+                if not p.size:
+                    break
+            xs[p, s, j] = state
+        # Re-runs that never met carry a new end: check the start after it.
+        on = s < segments - 1
+        p, s = p[on], s[on]
+        if p.size:
+            nxt = step(xs[p, s, -1], us[p, s + 1, 0], np.empty(p.size, xs.dtype))
+            wrong[p, s] = nxt != xs[p, s + 1, 0]
 
 
 def _steps(step, state, us, xs, x_flat, u_flat):

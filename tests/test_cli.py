@@ -424,6 +424,15 @@ def test_bound_refuses_a_flag_that_is_not_finite(case, flag, token, uniform_data
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("token", ["0", "-0.0", "-0.3"])
+def test_bound_refuses_eb_ignore_linear_at_xi_zero_or_below(token, uniform_data, capsys):
+    # --xi 0 once exited 0 with a radius at level 0.97, though no n is past
+    # burn-in at xi_n = 0, so that level is not proven.
+    assert main(_bound_argv("eb_ignore_linear", uniform_data, "--xi", token)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: xi_n must be > 0")
+
+
 @pytest.mark.parametrize(
     "case, flag, message",
     [("eb-summary", "--mean", "mean must be a finite number, got nan"),

@@ -127,9 +127,20 @@ def test_eb_interval_alpha_radius_grows_as_alpha_shrinks():
 
 def test_ignore_linear_radius_values():
     zero = SampleSummary(n=100, mean=0.0, css=0.0, b=1.0)
-    assert ignore_linear_radius(zero, math.exp(-2), 0.0) == 0.0
+    assert ignore_linear_radius(zero, math.exp(-2), 0.1) == 0.0
     s = SampleSummary(n=100, mean=0.0, css=25.0, b=1.0)
     assert ignore_linear_radius(s, math.exp(-2), 0.1) == pytest.approx(0.1375, rel=RTOL)
+
+
+@pytest.mark.parametrize("xi", [0.0, -0.0, -0.1, -5e-324, -math.inf, math.nan])
+@pytest.mark.parametrize("bound", [ignore_linear_radius, ignore_linear_interval])
+def test_ignore_linear_refuses_xi_at_or_below_zero(bound, xi):
+    # No n is past burn-in at xi_n <= 0 (eta sigma2 >= 5 b^2 log(1/delta) /
+    # (n xi_n^2) never holds), so the interval would have no proven level.
+    s = SampleSummary(n=100, mean=0.0, css=25.0, b=1.0)
+    with pytest.raises(DomainError, match="xi_n must be"):
+        bound(s, 0.05, xi)
+    assert bound(s, 0.05, 5e-324) is not None  # the smallest positive xi_n is accepted
 
 
 def test_ignore_linear_below_eb_when_xi_small():
@@ -234,7 +245,7 @@ def test_mds_empirical_scale_equivariance(qv, b, t, c):
     css=nonneg,
     n=st.integers(min_value=100, max_value=10**7),
     delta=st.floats(min_value=1e-6, max_value=0.3),
-    xi=st.floats(min_value=0.0, max_value=10.0),
+    xi=st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
 )
 def test_ignore_linear_interval_matches_radius(css, n, delta, xi):
     # The interval's radius, nu * ((1 + xi) sqrt(...) / n), groups the

@@ -1,21 +1,25 @@
-"""Exact coverage on two-valued IID data, with no Monte Carlo error.
+"""Exact coverage on two-valued data, with no Monte Carlo error.
 
 For data taking the value ``hi`` k times and ``lo`` n - k times, the center
 and every row statistic depend only on the count k: the mean is
 (k hi + (n - k) lo) / n, the sum of squares about it k (n - k) (hi - lo)^2 / n,
 and the sum of squares k hi^2 + (n - k) lo^2.  So a bound's coverage is the
-binomial probability of the counts whose interval holds the mean,
+probability of the counts whose interval holds the mean,
 sum over k of P(K = k) * [|center(k) - mu| <= r(k)].  The radii r(k) come
-from the harness's own cell plans.  Bernoulli(p) is lo = 0, hi = 1;
-Rademacher is lo = -1, hi = 1 at p = 1/2.
+from the harness's own cell plans.  For IID data P(K = k) is binomial:
+Bernoulli(p) is lo = 0, hi = 1; Rademacher is lo = -1, hi = 1 at p = 1/2.
+For a stationary 2-state chain with h = (0, 1), K counts the visits to
+state 1, and its law comes from a forward pass over (state, count).
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from ebmix import ExperimentConfig, iid_bernoulli, iid_rademacher, run_coverage
+from ebmix import (ExperimentConfig, finite_markov, iid_bernoulli, iid_rademacher, run_coverage,
+                   stationary_distribution)
 from ebmix.harness import validate_config
 
 BERNOULLI_BOUNDS = ("empirical_bernstein", "maurer_pontil_baseline", "freedman_oracle",
@@ -29,12 +33,27 @@ def _binomial_pmf(n, p):
     return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
 
 
-def _exact_cells(config, p, lo=0.0, hi=1.0):
+def _visit_count_pmf(n, P):
+    """The law of the number of visits to state 1 in n steps of the
+    stationary 2-state chain with transition matrix P."""
+    P = np.asarray(P, dtype=float)
+    at = np.zeros((2, n + 1))  # at[s, k]: in state s after k visits to state 1
+    at[0, 0], at[1, 1] = stationary_distribution(P)
+    for _ in range(n - 1):
+        stay0 = at[0] * P[0, 0] + at[1] * P[1, 0]
+        at[1, 1:] = (at[0] * P[0, 1] + at[1] * P[1, 1])[:-1]
+        at[1, 0] = 0.0
+        at[0] = stay0
+    return at.sum(axis=0)
+
+
+def _exact_cells(config, p, lo=0.0, hi=1.0, count_pmf=_binomial_pmf):
     """Per bound of a one-n config on data that are ``hi`` with probability
-    ``p``, else ``lo``: (stated level less any penalty, exact coverage, exact
+    ``p``, else ``lo``, whose count of ``hi`` values has the law
+    ``count_pmf(n, p)``: (stated level less any penalty, exact coverage, exact
     mean radius, exact radius variance, whether the radius is constant)."""
     [(n, plans)] = validate_config(config)
-    pmf = _binomial_pmf(n, p)
+    pmf = count_pmf(n, p)
     assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
     k = np.arange(n + 1)
     center = (k * hi + (n - k) * lo) / n
@@ -103,3 +122,48 @@ def test_mds_empirical_harness_coverage_on_rademacher_lies_near_exact():
     config = _config(iid_rademacher(), ("mds_empirical",), 1000, 0.3, replications=20_000,
                      master_seed=5)
     _check_against_exact(config, _exact_cells(config, 0.5, lo=-1.0))
+
+
+# Flip probability 0.2, 0.05 and 1e-3, and a chain that is not symmetric.
+CHAINS = {"flip-0.2": [[0.8, 0.2], [0.2, 0.8]], "flip-0.05": [[0.95, 0.05], [0.05, 0.95]],
+          "flip-1e-3": [[0.999, 0.001], [0.001, 0.999]],
+          "asymmetric": [[0.9, 0.1], [0.3, 0.7]]}
+
+
+def _chain_cells(P, config):
+    """``_exact_cells`` of a config on the 2-state chain P with h = (0, 1)."""
+    return _exact_cells(config, stationary_distribution(P)[1],
+                        count_pmf=lambda n, _: _visit_count_pmf(n, P))
+
+
+def test_visit_count_pmf_equals_the_sum_over_all_paths():
+    P = np.asarray(CHAINS["asymmetric"])
+    pi = stationary_distribution(P)
+    n = 10
+    want = np.zeros(n + 1)
+    for path in itertools.product((0, 1), repeat=n):
+        want[sum(path)] += pi[path[0]] * math.prod(P[a, b] for a, b in zip(path, path[1:]))
+    assert np.allclose(_visit_count_pmf(n, P), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_dedecker_exact_coverage_on_two_state_chains_is_at_least_its_level(chain, n, alpha):
+    P = CHAINS[chain]
+    config = _config(finite_markov(P, [0.0, 1.0]), ("dedecker_baseline",), n, alpha)
+    [(level, coverage, _, _, constant)] = _chain_cells(P, config).values()
+    assert constant  # the radius depends on n, the budget and the level only
+    assert coverage >= level, (coverage, level)
+
+
+def test_dedecker_harness_coverage_on_a_two_state_chain_lies_near_exact():
+    # At alpha = 0.3 and n = 1000 the radius is 0.0425 at level 0.4, and the
+    # chain covers about 0.82 of the time, so a biased simulator shows.
+    P = CHAINS["flip-0.2"]
+    config = _config(finite_markov(P, [0.0, 1.0]), ("dedecker_baseline",), 1000, 0.3,
+                     replications=20_000, master_seed=5)
+    exact = _chain_cells(P, config)
+    level, _, radius, _, _ = exact["dedecker_baseline"]
+    assert level == pytest.approx(0.4) and radius == pytest.approx(0.0425, abs=5e-5)
+    _check_against_exact(config, exact)

@@ -517,7 +517,7 @@ def _skip_one_chain(k):
     ids=lambda v: v.label() if hasattr(v, "label") else str(v),
 )
 def test_recurrence_is_exact_at_any_tile_width(monkeypatch, tile, spec, rows, n):
-    # Every case but the short one has segments, so the 127-step warm-up
+    # Every case but the short one has segments, so the 63-step warm-up
     # ends in a partial tile at every width but 1; the lone rows and the
     # chains also leave a tail.
     monkeypatch.setattr(processes, "_TILE", tile)
@@ -597,6 +597,78 @@ def test_sticky_chain_forces_repairs_and_stays_exact():
     starts = seq[:, length : segments * length : length]
     assert np.any(starts != guess_state)
     _assert_bit_equal(spec, u)
+
+
+def _counting_recur(monkeypatch):
+    """Make ``_recur`` count its step calls into the returned list."""
+    calls = [0]
+    real = processes._recur
+
+    def recur(step, *args, **kwargs):
+        def counted(*step_args):
+            calls[0] += 1
+            return step(*step_args)
+
+        return real(counted, *args, **kwargs)
+
+    monkeypatch.setattr(processes, "_recur", recur)
+    return calls
+
+
+@pytest.mark.parametrize("rows, n, seed", [(8, 60_000, 4), (3, 200_000, 1)])
+def test_repair_steps_only_until_the_paths_meet(monkeypatch, rows, n, seed):
+    # Two copies of the flip chain (flip probability 1e-3) meet only when one
+    # of them flips, after ~500 steps on average, so most guessed starts are
+    # wrong and their re-runs outlast a segment.  Recomputing each wrong
+    # segment in turn took 58 086 and 153 879 step calls here.
+    spec = finite_markov(STICKY, H01)
+    u = np.random.default_rng(seed).random((rows, n))
+    calls = _counting_recur(monkeypatch)
+    got = processes._paths_from_uniforms(spec, u.copy())
+    assert calls[0] <= 6000
+    # Lone rows take the reference's fast scalar loop.
+    want = np.vstack([_sequential_paths(spec, u[i : i + 1]) for i in range(rows)])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [AR1, MARKOV_3], ids=lambda s: s.label())
+@pytest.mark.parametrize("rows, n", [(1, 5000), (3, 2000), (8, 1001), (16, 20_011)])
+def test_recurrence_with_a_two_step_warmup_stays_exact(monkeypatch, spec, rows, n):
+    # A guess driven through two inputs is nearly always wrong, so runs of
+    # consecutive wrong starts take several repair rounds of at most L + 1
+    # step calls each.
+    monkeypatch.setattr(processes, "_RECUR_WARMUP", 2)
+    segments = processes._segment_count(rows, n)
+    length = n // segments
+    assert segments > 1
+    calls = _counting_recur(monkeypatch)
+    u = np.random.default_rng(rows * 13 + n).random((rows, n))
+    _assert_bit_equal(spec, u)
+    # warm-up and start, the segments, the checks, the tail
+    unrepaired = 2 + (length - 1) + 1 + n % segments
+    assert calls[0] > unrepaired + 2 * (length + 1)
+
+
+@pytest.mark.parametrize(
+    "rows, n",
+    [(1, 1), (1, 255), (1, 256), (4, 1000), (94, 10_000), (4, 200_000), (16, 20_011),
+     (8, 60_000), (1, 2_000_000), (ROW_TARGET, 600), (1, 10**7 + 1)],
+)
+def test_segment_count_takes_the_fewest_steps_from_half_its_cap(rows, n):
+    cap = max(1, min(ROW_TARGET // rows, n // (2 * WARMUP)))
+    counts = range((cap + 1) // 2, cap + 1)
+    segments = processes._segment_count(rows, n)
+    assert segments in counts
+    steps = [n // s + n % s for s in counts]
+    assert n // segments + n % segments == min(steps)
+    assert segments == counts[steps.index(min(steps))]  # the smallest on a tie
+
+
+def test_long_rows_and_the_ar1_benchmark_chunk_have_no_tail():
+    # A 4 x 2e5 chunk and a lone 2e6 row left 64 and 1 152 tail steps with
+    # the most segments the cap allowed.
+    assert processes._segment_count(4, 200_000) == 1000
+    assert processes._segment_count(1, 2_000_000) == 4000
 
 
 @pytest.mark.parametrize(
