@@ -93,12 +93,20 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
     )
 
 
-def row_vhat(vals, m: int, fl: int) -> np.ndarray:
+def row_vhat(vals, m: int, fl: int, exact: bool = False) -> np.ndarray:
     """Each row's block variance: the squared deviations of its ``m`` block
     sums of length ``fl`` (the first ``m * fl`` values) from their mean,
-    summed and divided by the full row length."""
+    summed and divided by the full row length.
+
+    ``exact`` says that every partial sum of a row is an exact float
+    (:func:`ebmix.processes.sums_are_exact`).  The block sums are then the
+    same in any order, so they are taken by ``einsum``, several times faster
+    than numpy's pairwise ``sum``, which makes one inner-loop call per short
+    block; otherwise the pairwise order is kept, whose bits the pinned
+    reports hold."""
     rows, n = vals.shape
-    block_sums = vals[:, : m * fl].reshape(rows, m, fl).sum(axis=2)
+    blocks = vals[:, : m * fl].reshape(rows, m, fl)
+    block_sums = np.einsum("rmf->rm", blocks) if exact else blocks.sum(axis=2)
     h_bar = block_sums.sum(axis=1) / (m * fl)
     centered = block_sums - fl * h_bar[:, None]
     return row_sumsq(centered) / n

@@ -521,9 +521,12 @@ def _presummed(terms: dict, leading):
     return lambda stat: inflation * (leading(stat) + sqrt_terms + linear_terms) + remainder
 
 
-def _row_statistic(key, vals, means):
+def _row_statistic(key, vals, means, exact=False):
     """The row statistic ``key`` (see :class:`_CellPlan`) of each row of
-    ``vals``, whose row means are ``means``."""
+    ``vals``, whose row means are ``means``.  ``exact`` is
+    :func:`processes.sums_are_exact` for the rows' process and length: block
+    variances then take :func:`row_vhat`'s einsum block sums, with the same
+    bits as the pairwise ones."""
     if key == "mean":
         return means
     if key == "qv":
@@ -531,7 +534,7 @@ def _row_statistic(key, vals, means):
     if key == "css":
         return _row_css(vals, means)
     _, m, floor_l = key
-    return row_vhat(vals, m, floor_l)
+    return row_vhat(vals, m, floor_l, exact)
 
 
 def _row_css(vals, means):
@@ -580,12 +583,13 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
         centers = np.empty(r)
         radii = {k: np.empty(r) for k in live}
         vhats = {s: np.empty(r) for s in stats if isinstance(s, tuple)}
+        exact = processes.sums_are_exact(config.process, n)
 
         def work(chunk):
             lo, hi = chunk
             vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
             centers[lo:hi] = means = vals.mean(axis=1)
-            rows = {s: _row_statistic(s, vals, means) for s in stats}
+            rows = {s: _row_statistic(s, vals, means, exact) for s in stats}
             for s, vhat in vhats.items():
                 vhat[lo:hi] = rows[s]
             for key, plan in live.items():

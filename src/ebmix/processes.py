@@ -27,6 +27,10 @@ with at most 256 buckets, steps by one lookup in that table; a larger chain
 reads the uniform and counts, column by column, the cumulative transition
 probabilities of the current state that lie at or below it.  Both
 recurrences write their path into the uniform buffer.
+
+``sums_are_exact`` tells, from the spec alone, whether every partial sum of
+a path is an exact float (0/1, +-1 and other values on one dyadic grid), so
+that a consumer may sum such paths in any order without a bit moving.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -456,6 +461,36 @@ def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | 
             return None  # not uniformly mixing; only the weaker regime applies
         return bernoulli_ar1_budget(n)
     return None
+
+
+def sums_are_exact(spec: ProcessSpec, n: int) -> bool:
+    """Whether every partial sum of at most ``n`` values of the process is an
+    exact float, so that any summation order gives the same bits.
+
+    True when the values are a finite set of multiples ``k * 2**-e`` of one
+    power of two with ``n * max|k| <= 2**53`` and no sum of n of them
+    overflows: every partial sum is then an integer multiple of ``2**-e`` of
+    at most 53 bits.  That holds for iid Bernoulli (0/1) and Rademacher
+    (+-1), for ``hetero_mds`` with dyadic scales and for finite chains with
+    dyadic ``h`` such as (0, 1/2, 1), but not for iid uniform or
+    ``bernoulli_ar1``, whose values are no finite set."""
+    n = _check_count(n)
+    kind, p = spec.kind, spec.params
+    if kind == "iid_bounded" and p["dist"] != "uniform":
+        values = [0.0, 1.0] if p["dist"] == "bernoulli" else [-1.0, 1.0]
+    elif kind == "hetero_mds":
+        values = p["scales"]  # the values are +-scale
+    elif kind == "finite_markov":
+        values = p["h"]
+    else:
+        return False
+    sizes = [abs(Fraction(v)) for v in np.asarray(values, dtype=float).tolist() if v]
+    if not sizes:
+        return True
+    # A float's denominator is a power of two, so this is the largest power
+    # of two that divides every value.
+    unit = min(Fraction(s.numerator & -s.numerator, s.denominator) for s in sizes)
+    return n * max(sizes) / unit <= 2**53 and n * max(sizes) < 2**1024
 
 
 def entropy_words(seed) -> np.ndarray:

@@ -9,6 +9,7 @@ identical bytes on every platform.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -17,7 +18,7 @@ import os
 from pathlib import Path
 
 from .harness import CellResult, CoverageReport
-from .errors import OutputExistsError
+from .errors import InputError, OutputExistsError
 
 COVERAGE_COLUMNS = tuple(field.name for field in dataclasses.fields(CellResult))
 
@@ -91,11 +92,20 @@ def summary_lines(report: CoverageReport) -> list[str]:
 
 
 def atomic_write_text(path, text: str, force: bool = False) -> None:
-    """Write via a temp file + rename; refuse to overwrite unless force."""
+    """Write via a temp file + rename; refuse to overwrite unless force.  A
+    directory, or a write that fails, raises InputError ("cannot write
+    <path>: <reason>"), and a failed write leaves no temp file behind."""
     path = Path(path)
+    if path.is_dir():
+        raise InputError(f"cannot write {path}: it is a directory")
     if path.exists() and not force:
         raise OutputExistsError(f"refusing to overwrite existing output {path} (use --force)")
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):  # unlink never removes a directory
+            tmp.unlink()
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc

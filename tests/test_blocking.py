@@ -13,6 +13,7 @@ from ebmix import (
     block_partition,
     block_summary,
 )
+from ebmix.blocking import row_sumsq, row_vhat
 
 
 def test_partition_basic():
@@ -154,3 +155,56 @@ def test_identity_residual_is_algebraically_zero(m, l, mu, data):
     arr = np.asarray(values)
     rhs = float(np.sum((arr.reshape(m, l).sum(axis=1) - l * mu) ** 2))
     assert abs(block_identity_residual(arr, m, l, mu)) <= 1e-9 * max(rhs, 1.0)
+
+
+# Values whose partial sums are all exact floats, as processes.sums_are_exact
+# reports for their process: any summation order gives the same block sums.
+_EXACT_DATA = {
+    "bernoulli": lambda rng, shape: (rng.random(shape) < 0.3).astype(float),
+    "rademacher": lambda rng, shape: np.where(rng.random(shape) < 0.5, -1.0, 1.0),
+    "halves": lambda rng, shape: rng.choice([0.0, -0.0, 0.5, 1.0], size=shape),
+    "dyadic_scales": lambda rng, shape: (
+        np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+        * np.array([0.125, 1.5, 3.0, 0.25])[np.arange(shape[1]) % 4]
+    ),
+}
+_BLOCK_LENGTHS = (1, 2, 7, 8, 9, 15, 16, 128, 129, 131, 251)
+
+
+def _vhat_bits(vals, fl, exact):
+    return row_vhat(vals, vals.shape[1] // fl, fl, exact).view(np.uint64)
+
+
+@pytest.mark.parametrize("rows", (1, 2, 94))
+@pytest.mark.parametrize("fl", _BLOCK_LENGTHS)
+@pytest.mark.parametrize("data", sorted(_EXACT_DATA))
+def test_einsum_block_sums_of_exact_data_keep_every_vhat_bit(data, fl, rows):
+    rng = np.random.default_rng([fl, rows])
+    for n in (6 * fl, 6 * fl + fl // 2):  # without, then (fl > 1) with a remainder
+        vals = _EXACT_DATA[data](rng, (rows, n))
+        assert np.array_equal(_vhat_bits(vals, fl, True), _vhat_bits(vals, fl, False)), n
+
+
+@pytest.mark.parametrize("data", sorted(_EXACT_DATA))
+def test_einsum_block_sums_of_a_long_lone_exact_row_keep_every_vhat_bit(data):
+    # Past einsum's 8192-value buffer, where a lone row takes another kernel.
+    vals = _EXACT_DATA[data](np.random.default_rng(3), (1, 20_011))
+    for fl in _BLOCK_LENGTHS:
+        assert np.array_equal(_vhat_bits(vals, fl, True), _vhat_bits(vals, fl, False)), fl
+
+
+def test_block_variance_of_inexact_data_keeps_the_pairwise_block_sums():
+    # On uniform data einsum's block sums round differently from numpy's
+    # pairwise sum, so without exact the pairwise order must be kept.
+    vals = np.random.default_rng(5).random((64, 2000))
+    fl = 8
+    m = vals.shape[1] // fl
+    blocks = vals.reshape(64, m, fl)
+
+    def vhat_of(block_sums):
+        centered = block_sums - fl * (block_sums.sum(axis=1) / (m * fl))[:, None]
+        return (row_sumsq(centered) / vals.shape[1]).view(np.uint64)
+
+    pairwise, einsum = vhat_of(blocks.sum(axis=2)), vhat_of(np.einsum("rmf->rm", blocks))
+    assert np.count_nonzero(pairwise != einsum) > 0
+    assert np.array_equal(_vhat_bits(vals, fl, False), pairwise)

@@ -4,6 +4,7 @@ files, frozen CSV headers, and environment-variable defaults."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -691,6 +692,52 @@ def test_coverage_outputs_and_force_discipline(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["schema"] == "ebmix-report-v1"
     assert payload["rows"][0]["bound"] == "empirical_bernstein"
+
+
+def test_coverage_csv_onto_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", replications=20)
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    argv = ["coverage", "--config", str(cfg), "--out-dir", str(tmp_path), "--csv", str(outdir)]
+    assert main(argv + ["--force"]) == 2
+    assert f"error: cannot write {outdir}: " in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.tmp")) and not list(outdir.iterdir())
+    assert not (tmp_path / "coverage.json").exists()
+
+
+@pytest.mark.parametrize("out", [".", "outdir"])
+def test_simulate_out_onto_a_directory_exits_2_and_leaves_no_temp_file(
+    tmp_path, capsys, monkeypatch, out
+):
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    argv = ["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", out]
+    assert main(argv + ["--force"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["outdir"]
+
+
+def test_atomic_write_text_that_fails_raises_and_removes_its_temp_file(tmp_path, monkeypatch):
+    from ebmix import reporting
+
+    target = tmp_path / "report.csv"
+
+    def failing_replace(src, dst):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reporting.os, "replace", failing_replace)
+        with pytest.raises(InputError, match=rf"^cannot write {re.escape(str(target))}: No space left on device$"):
+            reporting.atomic_write_text(target, "a,b\n")
+    assert list(tmp_path.iterdir()) == []
+    # A directory in the temp file's place is not removed.
+    (tmp_path / "report.csv.tmp").mkdir()
+    with pytest.raises(InputError, match=rf"^cannot write {re.escape(str(target))}: Is a directory$"):
+        reporting.atomic_write_text(target, "a,b\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv.tmp"]
+    (tmp_path / "report.csv.tmp").rmdir()
+    reporting.atomic_write_text(target, "a,b\n")
+    assert target.read_text() == "a,b\n"
 
 
 def test_out_dir_env_variable(tmp_path, capsys, monkeypatch):

@@ -686,6 +686,31 @@ def test_cell_result_exact_coverage_ratio():
 
 
 
+@pytest.mark.parametrize("spec, exact", [
+    (iid_bernoulli(0.3), True),
+    (finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]], [0.0, 0.5, 1.0]),
+     True),
+    (bernoulli_ar1(), False),
+    (iid_uniform(-0.5, 2.0), False),
+])
+def test_block_variances_take_einsum_sums_only_for_exact_processes(monkeypatch, spec, exact):
+    from ebmix import harness
+
+    seen = []
+    row_vhat = harness.row_vhat
+
+    def recording_vhat(vals, m, fl, exact=False):
+        seen.append(exact)
+        return row_vhat(vals, m, fl, exact)
+
+    monkeypatch.setattr(harness, "row_vhat", recording_vhat)
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    cfg = _config(process=spec, bounds=("tilde_phi_mixing", "mixing_agnostic"), n_grid=(200,),
+                  replications=50, l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 15)))
+    assert all(row.covered is not None for row in run_coverage(cfg).rows)
+    assert seen == [exact] * 2 * len(_chunk_edges(50, 200))
+
+
 def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
     from ebmix import harness, processes
 

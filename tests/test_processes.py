@@ -319,6 +319,41 @@ def test_mixing_budget_for_regimes():
     assert markov_tilde.tv_norm == 1.0
 
 
+_HALF_CHAIN = [[0.5, 0.5], [0.5, 0.5]]
+
+
+@pytest.mark.parametrize("spec, n, exact", [
+    (iid_bernoulli(0.3), 10**6, True),
+    (iid_bernoulli(0.0), 200, True),
+    (iid_bernoulli(1.0), 200, True),
+    (iid_rademacher(), 10**6, True),
+    (hetero_mds([0.125, 1.5, 3.0]), 10**6, True),
+    (hetero_mds([0.3]), 1, True),  # one value: no sum to round
+    (hetero_mds([0.3]), 2, False),  # 0.3 has 54 fractional bits
+    (hetero_mds([2.0**1023]), 1, True),
+    (hetero_mds([2.0**1023]), 2, False),  # 2**1023 + 2**1023 overflows
+    (finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+                   [0.0, 0.5, 1.0]), 10_000, True),  # the benchmark's slow chain
+    (finite_markov(_HALF_CHAIN, [0, 1]), 2**53, True),
+    (finite_markov(_HALF_CHAIN, [0, 1]), 2**53 + 1, False),
+    (finite_markov(_HALF_CHAIN, [0.0, -0.0]), 2**60, True),
+    (finite_markov(_HALF_CHAIN, [0.1, 1]), 1, False),
+    (finite_markov(_HALF_CHAIN, [2.0**-1074, 1]), 1, False),
+    (finite_markov(_HALF_CHAIN, [2.0**-1074, 2.0**-1073]), 10**6, True),
+    (iid_uniform(0.0, 1.0), 1, False),
+    (iid_uniform(-0.5, 2.0), 200, False),
+    (bernoulli_ar1(), 1, False),
+    (bernoulli_ar1(), 200_000, False),
+])
+def test_sums_are_exact_truth_table(spec, n, exact):
+    assert processes.sums_are_exact(spec, n) is exact
+
+
+def test_sums_are_exact_refuses_a_bad_length():
+    with pytest.raises(DomainError):
+        processes.sums_are_exact(iid_bernoulli(0.3), 0)
+
+
 def test_ground_truth_values():
     bern = ground_truth(iid_bernoulli(0.3))
     assert bern.mu == 0.3
