@@ -28,6 +28,17 @@ OUT_DIR_ENV = "EBMIX_OUT_DIR"
 # Each `ebmix bound --method` and the bound-table row it reads.
 _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
 
+# Each experiment subcommand: its help text, and the names of its runner in
+# `harness` and its CSV renderer in `reporting`, looked up at each call so
+# that a wrapped function is the one that runs.  Its outputs are
+# <subcommand>.csv and <subcommand>.json.
+_EXPERIMENTS = {
+    "coverage": ("empirical coverage experiment from a config file", "run_coverage", "coverage_csv"),
+    "sweep": ("sharpness sweep over an increasing n grid", "run_sharpness_sweep", "coverage_csv"),
+    "sensitivity": ("block-length sensitivity table", "run_block_sensitivity", "sensitivity_csv"),
+    "compare": ("side-by-side bound comparison table", "run_coverage", "coverage_csv"),
+}
+
 
 def read_values(path: str) -> np.ndarray:
     """Newline-separated finite decimal reals; blank lines and '#' comments ignored."""
@@ -199,11 +210,22 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object ``text`` holds, or a ConfigError naming ``what``."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def cmd_simulate(args) -> int:
     if args.spec is not None:
-        spec = processes.ProcessSpec.from_dict(json.loads(args.spec))
+        spec = processes.ProcessSpec.from_dict(_json_object(args.spec, "--spec"))
     else:
-        params = json.loads(args.params) if args.params else {}
+        params = _json_object(args.params, "--params") if args.params else {}
         spec = processes.ProcessSpec(kind=args.kind, params=params)
     values, truth = processes.simulate(spec, args.n, args.seed)
     lines = "\n".join(repr(float(v)) for v in values) + "\n"
@@ -221,11 +243,10 @@ def _load_config(args) -> harness.ExperimentConfig:
     if args.config is None:
         raise ConfigError("--config FILE is required")
     try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    raw = _json_object(text, f"config {args.config}")
     # flat CLI overrides win over file values
     if args.n is not None:
         raw["n_grid"] = [args.n]
@@ -255,34 +276,17 @@ def _output_paths(args, stem: str) -> tuple[Path, Path]:
     return csv_path, json_path
 
 
-def _run_experiment(args, runner, stem: str, csv_renderer) -> int:
+def _run_experiment(args) -> int:
+    _, runner, renderer = _EXPERIMENTS[args.subcommand]
     config = _load_config(args)
-    report = runner(config, n_jobs=args.jobs)
-    csv_path, json_path = _output_paths(args, stem)
-    reporting.atomic_write_text(csv_path, csv_renderer(report), force=args.force)
+    report = getattr(harness, runner)(config, n_jobs=args.jobs)
+    csv_path, json_path = _output_paths(args, args.subcommand)
+    reporting.atomic_write_text(csv_path, getattr(reporting, renderer)(report), force=args.force)
     reporting.atomic_write_text(json_path, reporting.report_json(report), force=args.force)
     for line in reporting.summary_lines(report):
         print(line)
     print(f"wrote {csv_path} and {json_path}")
     return 0
-
-
-def cmd_coverage(args) -> int:
-    return _run_experiment(args, harness.run_coverage, "coverage", reporting.coverage_csv)
-
-
-def cmd_sweep(args) -> int:
-    return _run_experiment(args, harness.run_sharpness_sweep, "sweep", reporting.coverage_csv)
-
-
-def cmd_sensitivity(args) -> int:
-    return _run_experiment(
-        args, harness.run_block_sensitivity, "sensitivity", reporting.sensitivity_csv
-    )
-
-
-def cmd_compare(args) -> int:
-    return _run_experiment(args, harness.run_coverage, "compare", reporting.coverage_csv)
 
 
 def cmd_selfcheck(args) -> int:
@@ -333,12 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", help="write values here (default: stdout)")
     p_sim.add_argument("--force", action="store_true")
 
-    for name, help_text in (
-        ("coverage", "empirical coverage experiment from a config file"),
-        ("sweep", "sharpness sweep over an increasing n grid"),
-        ("sensitivity", "block-length sensitivity table"),
-        ("compare", "side-by-side bound comparison table"),
-    ):
+    for name, (help_text, _, _) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--csv", help="CSV output path")
@@ -365,7 +364,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # The command is looked up by name on each call, not bound into the
     # cached parser, so a replaced cmd_* function is the one that runs.
-    command = globals()["cmd_" + args.subcommand]
+    name = args.subcommand
+    command = _run_experiment if name in _EXPERIMENTS else globals()["cmd_" + name]
     try:
         return command(args)
     except OutputExistsError as exc:

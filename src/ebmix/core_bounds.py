@@ -244,15 +244,21 @@ def inflation_factor(n_eff: int, delta: float) -> float:
 
     Defined only when ``n_eff > 2 log(1/delta)``; always > 1.
     """
-    n_eff = _check_count(n_eff, "n_eff")
+    return _inflation(n_eff, delta, "n_eff", "effective samples", "")
+
+
+def _inflation(count, delta, name: str, what: str, got: str) -> float:
+    """1 / (1 - sqrt(2 log(1/delta) / count)) for the argument ``name``; too
+    few ``what`` raise PreconditionError, ``got`` prefixing the count."""
+    count = _check_count(count, name)
     delta = _check_prob(delta, "delta")
     log_term = math.log(1.0 / delta)
-    if n_eff <= 2.0 * log_term:
+    if count <= 2.0 * log_term:
         raise PreconditionError(
-            "inflation undefined: too few effective samples "
-            f"(need n_eff > 2 log(1/delta) = {2.0 * log_term:.6g}, got {n_eff})"
+            f"inflation undefined: too few {what} "
+            f"(need {name} > 2 log(1/delta) = {2.0 * log_term:.6g}, got {got}{count})"
         )
-    return 1.0 / (1.0 - math.sqrt(2.0 * log_term / n_eff))
+    return 1.0 / (1.0 - math.sqrt(2.0 * log_term / count))
 
 
 def eb_leading(css, n: int, log_term: float):

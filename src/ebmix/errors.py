@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package, and the argument checks.
 A check passes only finite numbers and raises DomainError for anything else
-(NaN, +-inf, None, a string), so a bad argument reaches the CLI as exit 2."""
+(NaN, +-inf, None, a string), so a bad argument reaches the CLI as exit 2.
+``_object`` is the one rule for every JSON object a config is read from."""
 
+import dataclasses
 import math
 import sys
 
@@ -79,3 +81,18 @@ def _check_array(values, name):
     except ValueError:  # a ragged nesting
         pass
     raise DomainError(f"{name} must hold finite numbers only")
+
+
+def _object(cls, d, field, extra=()):
+    """``d``, if it is a dict whose every key names a field of the dataclass
+    ``cls`` or is in ``extra``; else a ConfigError naming ``field`` (None:
+    the whole config) or the first unknown key as ``field.key``."""
+    if not isinstance(d, dict):
+        where = "config" if field is None else f"field {field!r}"
+        raise ConfigError(f"{where}: must be a JSON object, got {d!r}")
+    names = {f.name for f in dataclasses.fields(cls)}.union(extra)
+    for key in d:
+        if key not in names:
+            path = key if field is None else f"{field}.{key}"
+            raise ConfigError(f"field {path!r}: unknown field; known: {sorted(names)}")
+    return d

@@ -10,6 +10,7 @@ measured two-sided against the process's marginal mean.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,9 @@ import numpy as np
 
 from . import core_bounds, mixing_bounds, processes
 from .blocking import block_partition, row_sumsq, row_vhat
-from .errors import ConfigError, DomainError, PreconditionError, _check_count, _check_prob
+from .errors import (
+    ConfigError, DomainError, PreconditionError, _check_count, _check_prob, _object,
+)
 
 # Accepted shorthands; resolved once when a config is parsed.
 BOUND_ALIASES = {
@@ -72,8 +75,7 @@ def _as_tuple(field: str, value) -> tuple:
 
 class _Policy:
     """JSON round trip of the policy dataclasses below.  A missing key takes
-    the field's default; ``_FIELD`` and ``_EXPECTED`` word the error for a
-    value that is not an object."""
+    the field's default; ``_FIELD`` names the config field in errors."""
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -82,10 +84,8 @@ class _Policy:
         _set_numbers(self, f"{self._FIELD}.", *names)
 
     @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError(f"field {cls._FIELD!r}: expected {cls._EXPECTED}")
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls) if f.name in d})
+    def from_dict(cls, d, field: str | None = None):
+        return cls(**_object(cls, d, field or cls._FIELD))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,6 @@ class LPolicy(_Policy):
     """Block-length rule: either l = n**value or a fixed l = value."""
 
     _FIELD = "l_policy"
-    _EXPECTED = "an object with 'kind' and 'value'"
 
     kind: str = "exponent"
     value: float = 0.4
@@ -119,7 +118,6 @@ class XiPolicy(_Policy):
     """Vanishing-sequence rule xi_n = scale * n**power."""
 
     _FIELD = "xi"
-    _EXPECTED = "an object with 'scale' and 'power'"
 
     scale: float = 1.0
     power: float = -1.0
@@ -147,7 +145,6 @@ class KnobPolicy(_Policy):
     """
 
     _FIELD = "knobs"
-    _EXPECTED = "an object"
 
     t_scale: float = 1.0
     t_power: float = -0.45
@@ -234,6 +231,8 @@ class ExperimentConfig:
     eta: float = 0.5
 
     def __post_init__(self):
+        if not self.l_policies:
+            object.__setattr__(self, "l_policies", None)
         if not self.bounds:
             raise ConfigError("field 'bounds': at least one bound is required")
         object.__setattr__(self, "bounds", tuple(resolve_bound(b) for b in self.bounds))
@@ -269,57 +268,41 @@ class ExperimentConfig:
         return self.xi if self.xi is not None else BOUND_TABLE[bound].xi
 
     def to_dict(self) -> dict:
-        return {
-            "process": self.process.to_dict(),
-            "bounds": list(self.bounds),
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "l_policy": self.l_policy.to_dict(),
-            "l_policies": [p.to_dict() for p in self.l_policies] if self.l_policies else None,
-            "xi": self.xi.to_dict() if self.xi else None,
-            "knobs": self.knobs.to_dict(),
-            "eta": self.eta,
-        }
+        """The fields as JSON values: tuples become lists."""
+        return json.loads(json.dumps(dataclasses.asdict(self)))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)} | {"bound"}
-        for key in d:
-            if key not in known:
-                raise ConfigError(f"field {key!r}: unknown config field")
+        """The config of a JSON object.  A null (or, for a policy, ``{}``)
+        takes the field's default; ``[]`` for ``l_policies`` is None."""
+        _object(cls, d, None, extra=("bound",))
         for key in ("process", "n_grid", "replications", "master_seed"):
-            if key not in d or d[key] is None:
+            if d.get(key) is None:
                 raise ConfigError(f"field {key!r}: required")
-        given = [key for key in ("bounds", "bound") if d.get(key) is not None]
-        if not given:
+        named = [key for key in ("bounds", "bound") if d.get(key) is not None]
+        if not named:
             raise ConfigError("field 'bounds': required (a name or list of names)")
-        if len(given) > 1:
+        if len(named) > 1:
             raise ConfigError("fields 'bound' and 'bounds': set one, not both")
-        bounds = d[given[0]]
+        bounds = d[named[0]]
         if isinstance(bounds, str):
             bounds = [bounds]
-        scalars = {key: d[key] for key in ("delta", "alpha", "eta") if d.get(key) is not None}
-        return cls(
+        given = {key: d[key] for key in ("delta", "alpha", "eta") if d.get(key) is not None}
+        given.update(
             process=processes.ProcessSpec.from_dict(d["process"]),
             bounds=_as_tuple("bounds", bounds),
             n_grid=_as_tuple("n_grid", d["n_grid"]),
             replications=d["replications"],
             master_seed=d["master_seed"],
-            l_policy=LPolicy.from_dict(d["l_policy"]) if d.get("l_policy") else LPolicy(),
-            l_policies=(
-                tuple(LPolicy.from_dict(p) for p in _as_tuple("l_policies", d["l_policies"]))
-                if d.get("l_policies")
-                else None
-            ),
-            xi=XiPolicy.from_dict(d["xi"]) if d.get("xi") else None,
-            knobs=KnobPolicy.from_dict(d["knobs"]) if d.get("knobs") else KnobPolicy(),
-            **scalars,
         )
+        for key, policy in (("l_policy", LPolicy), ("xi", XiPolicy), ("knobs", KnobPolicy)):
+            if d.get(key) not in (None, {}):
+                given[key] = policy.from_dict(d[key])
+        if d.get("l_policies") is not None:
+            entries = _as_tuple("l_policies", d["l_policies"])
+            given["l_policies"] = tuple(LPolicy.from_dict(p, f"l_policies[{i}]")
+                                        for i, p in enumerate(entries))
+        return cls(**given)
 
 
 @dataclass(frozen=True, kw_only=True)

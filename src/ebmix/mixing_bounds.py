@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .blocking import BlockPartition, BlockSummary
-from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _interval, _sqrt
-from .errors import (
-    DomainError, PreconditionError, _check_count, _check_finite, _check_nonneg, _check_prob,
-)
+from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _inflation, _interval, _sqrt
+from .errors import DomainError, _check_count, _check_finite, _check_nonneg, _check_prob
 
 REGIMES = ("phi", "phi_tilde", "agnostic")
 PROVENANCES = ("exact", "analytic_bound", "user_supplied")
@@ -87,15 +85,7 @@ class ErrorBudget:
 
 def block_inflation(m: int, delta: float) -> float:
     """Inflation factor 1 / (1 - sqrt(2 log(1/delta) / m)) over m blocks."""
-    m = _check_count(m, "m")
-    delta = _check_prob(delta, "delta")
-    log_term = math.log(1.0 / delta)
-    if m <= 2.0 * log_term:
-        raise PreconditionError(
-            "inflation undefined: too few blocks "
-            f"(need m > 2 log(1/delta) = {2.0 * log_term:.6g}, got m = {m})"
-        )
-    return 1.0 / (1.0 - math.sqrt(2.0 * log_term / m))
+    return _inflation(m, delta, "m", "blocks", "m = ")
 
 
 # Term builders.  phi_interval and tilde_phi_interval must reduce to the
@@ -261,20 +251,18 @@ def agnostic_error_budget(
         raise DomainError(f"n = {n} does not match partition.n = {partition.n}")
     m, fl = partition.m, partition.floor_l
     rem = partition.remainder_size
+    t = math.sqrt(n * fl) * knobs.t_n / tv_phi_product
+    s = n * knobs.s_n / tv_phi_product
+    error1 = 0.0
+    if rem:
+        error1 = _tail(2.0, -(n * n * knobs.c_n * knobs.c_n) / (2.0 * rem * tv_phi_product))
+    return ErrorBudget(error1=error1, error2=_tail(2.0 * m, -0.5 * t * t),
+                       error3=_tail(2.0 * m, -0.5 * s * s))
 
-    def _tail(count, x):
-        # count * exp(-x^2 / 2) clamped; exponent underflows cleanly to 0.
-        z = -0.5 * x * x
-        return min(1.0, count * math.exp(z)) if z > -745.0 else 0.0
 
-    error2 = _tail(2.0 * m, math.sqrt(n * fl) * knobs.t_n / tv_phi_product)
-    error3 = _tail(2.0 * m, n * knobs.s_n / tv_phi_product)
-    if rem == 0:
-        error1 = 0.0
-    else:
-        z = -(n * n * knobs.c_n * knobs.c_n) / (2.0 * rem * tv_phi_product)
-        error1 = min(1.0, 2.0 * math.exp(z)) if z > -745.0 else 0.0
-    return ErrorBudget(error1=error1, error2=error2, error3=error3)
+def _tail(count: float, z: float) -> float:
+    """count * exp(z) clamped to 1; an exponent that would underflow gives 0."""
+    return min(1.0, count * math.exp(z)) if z > -745.0 else 0.0
 
 
 def agnostic_errors(
@@ -302,8 +290,7 @@ def dedecker_prieur_tail(m: int, t: float, tv_norm: float, phi_tilde_sum: float)
     if _check_finite(t, "t") <= 0:
         raise DomainError(f"t must be > 0, got {t!r}")
     _check_dedecker_budget(tv_norm, phi_tilde_sum)
-    z = -(m * t * t) / (2.0 * tv_norm * phi_tilde_sum)
-    return min(1.0, 2.0 * math.exp(z)) if z > -745.0 else 0.0
+    return _tail(2.0, -(m * t * t) / (2.0 * tv_norm * phi_tilde_sum))
 
 
 def dedecker_prieur_radius(n: int, tv_norm: float, phi_tilde_sum: float, eps: float) -> float:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, _check_array, _check_count, _check_finite
+from .errors import ConfigError, DomainError, _check_array, _check_count, _check_finite, _object
 from .mixing_bounds import MixingBudget
 
 KINDS = ("iid_bounded", "hetero_mds", "finite_markov", "bernoulli_ar1")
@@ -118,8 +118,8 @@ class ProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise DomainError("process spec must be a mapping with a 'kind' field")
+        if "kind" not in _object(cls, d, "process"):
+            raise ConfigError("field 'process.kind': required")
         params = d.get("params", {})
         return cls(kind=d["kind"], params=dict(params) if isinstance(params, dict) else params)
 
@@ -331,19 +331,25 @@ def bernoulli_ar1_budget(n: int) -> MixingBudget:
 @dataclass(frozen=True)
 class GroundTruth:
     """Analytic facts about a process: target mean, variances, bounds, and
-    moments used by oracles and reports.  ``b_abs`` bounds ``|Z_i|``."""
+    moments used by oracles and reports.  ``b_abs`` bounds ``|Z_i|`` and
+    ``tv_norm`` is the width of the range; both follow from ``b_range``."""
 
     mu: float
     sigma2_marginal: float
     sigma2_longrun: float
     b_range: tuple[float, float]
-    b_abs: float
-    tv_norm: float
+    b_abs: float = field(init=False)
+    tv_norm: float = field(init=False)
     m4: float
+
+    def __post_init__(self):
+        lo, hi = self.b_range
+        object.__setattr__(self, "b_abs", max(abs(lo), abs(hi)))
+        object.__setattr__(self, "tv_norm", hi - lo)
 
     @property
     def range_width(self) -> float:
-        return self.b_range[1] - self.b_range[0]
+        return self.tv_norm
 
     @property
     def b_centered(self) -> float:
@@ -362,8 +368,6 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
                 sigma2_marginal=s2,
                 sigma2_longrun=s2,
                 b_range=(0.0, 1.0),
-                b_abs=1.0,
-                tv_norm=1.0,
                 m4=q * (1.0 - q) * (1.0 - 3.0 * q + 3.0 * q * q),
             )
         if p["dist"] == "rademacher":
@@ -372,8 +376,6 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
                 sigma2_marginal=1.0,
                 sigma2_longrun=1.0,
                 b_range=(-1.0, 1.0),
-                b_abs=1.0,
-                tv_norm=2.0,
                 m4=1.0,
             )
         a, b = p["a"], p["b"]
@@ -383,8 +385,6 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
             sigma2_marginal=w * w / 12.0,
             sigma2_longrun=w * w / 12.0,
             b_range=(a, b),
-            b_abs=max(abs(a), abs(b)),
-            tv_norm=w,
             m4=w**4 / 80.0,
         )
     if kind == "hetero_mds":
@@ -396,8 +396,6 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
             sigma2_marginal=avg2,
             sigma2_longrun=avg2,
             b_range=(-top, top),
-            b_abs=top,
-            tv_norm=2.0 * top,
             m4=float(np.mean(s**4)),
         )
     if kind == "finite_markov":
@@ -411,8 +409,6 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
         sigma2_marginal=1.0 / 12.0,
         sigma2_longrun=0.25,
         b_range=(0.0, 1.0),
-        b_abs=1.0,
-        tv_norm=1.0,
         m4=1.0 / 80.0,
     )
 
@@ -431,8 +427,6 @@ def _markov_truth(p_bytes: bytes, shape: tuple, h_bytes: bytes) -> GroundTruth:
         sigma2_marginal=float(pi @ (hc * hc)),
         sigma2_longrun=markov_long_run_variance(P, h),
         b_range=(float(np.min(h)), float(np.max(h))),
-        b_abs=float(np.max(np.abs(h))),
-        tv_norm=float(np.max(h) - np.min(h)),
         m4=float(pi @ hc**4),
     )
 

@@ -94,7 +94,8 @@ def summary_lines(report: CoverageReport) -> list[str]:
 def atomic_write_text(path, text: str, force: bool = False) -> None:
     """Write via a temp file + rename; refuse to overwrite unless force.  A
     directory, or a write that fails, raises InputError ("cannot write
-    <path>: <reason>"), and a failed write leaves no temp file behind."""
+    <path>: <reason>", naming a parent that is not a directory), and a
+    failed write leaves no temp file behind."""
     path = Path(path)
     if path.is_dir():
         raise InputError(f"cannot write {path}: it is a directory")
@@ -108,4 +109,6 @@ def atomic_write_text(path, text: str, force: bool = False) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):  # unlink never removes a directory
             tmp.unlink()
-        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        reason = next((f"{parent} is not a directory" for parent in path.parents
+                       if parent.exists() and not parent.is_dir()), exc.strerror or exc)
+        raise InputError(f"cannot write {path}: {reason}") from exc

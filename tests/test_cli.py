@@ -740,6 +740,75 @@ def test_atomic_write_text_that_fails_raises_and_removes_its_temp_file(tmp_path,
     assert target.read_text() == "a,b\n"
 
 
+_TYPO_CONFIG = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
+                "n_grid": [500], "replications": 20, "master_seed": 0, "delta": 0.01,
+                "l_policy": {"kind": "exponent", "valeu": 0.3}}
+
+
+@pytest.mark.parametrize(
+    "argv, inputs, message",
+    [(["simulate", "--kind", "iid_bounded", "--params", "nonsense", "--n", "5", "--seed", "0"],
+      {}, "error: --params is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+     (["simulate", "--kind", "iid_bounded", "--params", "{", "--n", "5", "--seed", "0"], {},
+      "error: --params is not valid JSON: "),
+     (["simulate", "--spec", "[1]", "--n", "5", "--seed", "0"], {},
+      "error: --spec must be a JSON object, got [1]\n"),
+     (["simulate", "--spec", '{"kind": "bernoulli_ar1", "parmas": {}}', "--n", "5", "--seed", "0"],
+      {}, "error: field 'process.parmas': unknown field; known: ['kind', 'params']\n"),
+     (["coverage", "--config", "list.json", "--n", "5"], {"list.json": "[1, 2]"},
+      "error: config list.json must be a JSON object, got [1, 2]\n"),
+     (["coverage", "--config", "typo.json"], {"typo.json": json.dumps(_TYPO_CONFIG)},
+      "error: field 'l_policy.valeu': unknown field; known: ['kind', 'value']\n"),
+     (["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", "afile/x"],
+      {"afile": "x\n"}, "error: cannot write afile/x: afile is not a directory\n"),
+     (["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", "afile/y/z",
+       "--force"], {"afile": "x\n"}, "error: cannot write afile/y/z: afile is not a directory\n")],
+    ids=["params-not-json", "params-cut-short", "spec-a-list", "spec-unknown-key",
+         "config-a-list", "config-policy-typo", "out-under-a-file", "out-two-under-a-file"],
+)
+def test_json_and_output_refusals_exit_2_and_write_nothing(
+    argv, inputs, message, tmp_path, capsys, monkeypatch
+):
+    # The JSON cases once exited 1 with a traceback, or 0 at the default
+    # policy; a file as the output's parent was named "File exists".
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(inputs)
+
+
+def test_experiment_subcommands_keep_their_help_and_output_stem(tmp_path, capsys, monkeypatch):
+    helps = {
+        "coverage": "empirical coverage experiment from a config file",
+        "sweep": "sharpness sweep over an increasing n grid",
+        "sensitivity": "block-length sensitivity table",
+        "compare": "side-by-side bound comparison table",
+    }
+    monkeypatch.setenv("COLUMNS", "200")
+    text = cli.build_parser().format_help()
+    for name, help_text in helps.items():
+        assert re.search(rf"^ +{name} +{re.escape(help_text)}$", text, re.M), name
+    cfg = _write_config(
+        tmp_path / "cfg.json", process={"kind": "bernoulli_ar1", "params": {}},
+        bounds=["tilde_phi"], n_grid=[200, 400], replications=10,
+        l_policies=[{"kind": "exponent", "value": 0.3}, {"kind": "exponent", "value": 0.5}],
+    )
+    out = tmp_path / "out"
+    for name in helps:
+        assert main([name, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        header = (out / f"{name}.csv").read_text().splitlines()[0]
+        golden = GOLDEN_SENSITIVITY_HEADER if name == "sensitivity" else GOLDEN_COVERAGE_HEADER
+        assert header == golden
+        assert json.loads((out / f"{name}.json").read_text())["schema"] == "ebmix-report-v1"
+        assert capsys.readouterr().out.endswith(f"wrote {out / name}.csv and {out / name}.json\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"{name}.{ext}" for name in helps for ext in ("csv", "json"))
+
+
 def test_out_dir_env_variable(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path / "cfg.json")
     monkeypatch.setenv("EBMIX_OUT_DIR", str(tmp_path / "envout"))

@@ -1,6 +1,7 @@
 """Harness: config validation and round-trip, determinism, parallel
 invariance, coverage/comparison behavior at small scale."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -76,6 +77,103 @@ def test_config_rejects_unknown_field():
     raw["bogus_field"] = 1
     with pytest.raises(ConfigError, match="bogus_field"):
         ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("l_policy", {"kind": "exponent", "valeu": 0.3}, "l_policy.valeu"),
+     ("l_policies", [{"kind": "fixed", "value": 5}, {"kind": "exponent", "valeu": 0.3}],
+      "l_policies[1].valeu"),
+     ("xi", {"scale": 2.0, "powr": -0.5}, "xi.powr"),
+     ("knobs", {"t_scale": 0.5, "c_mod": "fixed"}, "knobs.c_mod"),
+     ("process", {"kind": "bernoulli_ar1", "parmas": {}}, "process.parmas")],
+)
+def test_config_refuses_an_unknown_key_inside_an_object(field, value, named):
+    # Each key was once dropped without a word, and the default ran.
+    raw = _config().to_dict()
+    raw[field] = value
+    with pytest.raises(ConfigError, match=f"^field {re.escape(repr(named))}: unknown field"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [(None, [1, 2], "config: must be a JSON object, got [1, 2]"),
+     ("l_policy", [0.3], "field 'l_policy': must be a JSON object, got [0.3]"),
+     ("l_policy", 0, "field 'l_policy': must be a JSON object, got 0"),
+     ("l_policies", [{"kind": "fixed", "value": 5}, "fixed"],
+      "field 'l_policies[1]': must be a JSON object, got 'fixed'"),
+     ("l_policies", 3, "field 'l_policies': must be a list, got 3"),
+     ("xi", "1/n", "field 'xi': must be a JSON object, got '1/n'"),
+     ("knobs", [], "field 'knobs': must be a JSON object, got []"),
+     ("process", "bernoulli_ar1", "field 'process': must be a JSON object, got 'bernoulli_ar1'"),
+     ("process", {"params": {}}, "field 'process.kind': required")],
+)
+def test_config_refuses_a_value_that_is_not_an_object(field, value, message):
+    raw = value if field is None else {**_config().to_dict(), field: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+
+
+_DEFAULT_KNOBS = {"t_scale": 1.0, "t_power": -0.45, "s_scale": 1.0, "s_power": -0.45,
+                  "c_mode": "remainder", "c_value": 0.0}
+_DEFAULT_L = {"kind": "exponent", "value": 0.4}
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [({"l_policy": None}, {}), ({"l_policy": {}}, {}),
+     ({"knobs": None}, {}), ({"knobs": {}}, {}),
+     ({"xi": None}, {}), ({"xi": {}}, {}),
+     ({"xi": {"power": -0.5}}, {"xi": {"scale": 1.0, "power": -0.5}}),
+     ({"l_policies": None}, {}), ({"l_policies": []}, {}),
+     ({"l_policies": [{}, {"kind": "fixed", "value": 7}]},
+      {"l_policies": [_DEFAULT_L, {"kind": "fixed", "value": 7.0}]}),
+     ({"alpha": None, "delta": 0.01}, {"alpha": None, "delta": 0.01}),
+     ({"delta": None}, {}), ({"eta": None}, {}),
+     ({"l_policy": {"kind": "exponent", "value": None}},
+      "field 'l_policy.value': must be a number, got None"),
+     ({"xi": {"scale": None}}, "field 'xi.scale': must be a number, got None"),
+     ({"knobs": {"c_value": None}}, "field 'knobs.c_value': must be a number, got None"),
+     ({"l_policies": [{"kind": None}]},
+      "field 'l_policy.kind': must be 'exponent' or 'fixed', got None")],
+)
+def test_config_null_and_empty_values_keep_their_meaning(given, expected):
+    raw = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
+           "n_grid": [500], "replications": 20, "master_seed": 0, "alpha": 0.05, **given}
+    if isinstance(expected, str):
+        with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+            ExperimentConfig.from_dict(raw)
+        return
+    assert ExperimentConfig.from_dict(raw).to_dict() == {
+        "process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi_mixing"],
+        "n_grid": [500], "replications": 20, "master_seed": 0, "delta": None, "alpha": 0.05,
+        "l_policy": _DEFAULT_L, "l_policies": None, "xi": None, "knobs": _DEFAULT_KNOBS,
+        "eta": 0.5, **expected,
+    }
+
+
+def test_config_to_dict_writes_every_field_as_json_values():
+    cfg = _config(
+        process=finite_markov(TWO_STATE, [0.0, 1.0]), bounds=("eb", "phi", "agnostic"),
+        n_grid=(100, 200.0), replications=10.0, master_seed=3, l_policy=LPolicy("fixed", 7),
+        l_policies=(LPolicy("fixed", 7), LPolicy("exponent", 0.3)), xi=XiPolicy(2, -0.5),
+        knobs=KnobPolicy(t_scale=0.5, c_mode="fixed", c_value=0.1), eta=0.25,
+    )
+    assert cfg.to_dict() == {
+        "process": {"kind": "finite_markov", "params": {"P": TWO_STATE, "h": [0.0, 1.0]}},
+        "bounds": ["empirical_bernstein", "phi_mixing", "mixing_agnostic"],
+        "n_grid": [100, 200], "replications": 10, "master_seed": 3, "delta": None,
+        "alpha": 0.05, "l_policy": {"kind": "fixed", "value": 7.0},
+        "l_policies": [{"kind": "fixed", "value": 7.0}, {"kind": "exponent", "value": 0.3}],
+        "xi": {"scale": 2.0, "power": -0.5},
+        "knobs": {"t_scale": 0.5, "t_power": -0.45, "s_scale": 1.0, "s_power": -0.45,
+                  "c_mode": "fixed", "c_value": 0.1},
+        "eta": 0.25,
+    }
+    assert list(cfg.to_dict()) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert _config(l_policies=()).to_dict()["l_policies"] is None
+    assert _config(l_policies=()).l_policies is None
 
 
 def test_config_round_trip_is_idempotent():

@@ -1,6 +1,7 @@
 """Mixing-regime intervals: frozen hand values, reductions, error budgets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from ebmix import (
     block_summary,
     dedecker_prieur_radius,
     dedecker_prieur_tail,
+    inflation_factor,
     phi_interval,
     recompose,
     tilde_phi_interval,
@@ -53,6 +55,32 @@ def test_block_inflation_boundary():
     assert block_inflation(10, math.exp(-2)) == pytest.approx(
         1.0 / (1.0 - math.sqrt(0.4)), rel=RTOL
     )
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-9, 0.001, 0.01, 0.05, math.exp(-1), 0.5, 0.99])
+def test_block_inflation_is_inflation_factor_bit_for_bit(delta):
+    for count in (1, 2, 3, 5, 9, 10, 11, 19, 20, 50, 100, 1000, 12345, 10**9):
+        try:
+            expected = inflation_factor(count, delta)
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="too few blocks"):
+                block_inflation(count, delta)
+        else:
+            assert block_inflation(count, delta).hex() == expected.hex()
+
+
+def test_inflation_errors_keep_their_words():
+    with pytest.raises(PreconditionError, match=re.escape(
+            "inflation undefined: too few effective samples "
+            "(need n_eff > 2 log(1/delta) = 9.21034, got 9)")):
+        inflation_factor(9, 0.01)
+    with pytest.raises(PreconditionError, match=re.escape(
+            "inflation undefined: too few blocks (need m > 2 log(1/delta) = 9.21034, got m = 9)")):
+        block_inflation(9, 0.01)
+    with pytest.raises(DomainError, match="^n_eff must be a positive integer, got 0$"):
+        inflation_factor(0, 0.01)
+    with pytest.raises(DomainError, match="^m must be a positive integer, got 2.5$"):
+        block_inflation(2.5, 0.01)
 
 
 def test_phi_interval_zero_budget_reduces_to_blocked_form():
@@ -199,6 +227,36 @@ def test_error_budget_error1_with_remainder():
     budget = agnostic_error_budget(105, part, knobs, 2.0)
     expected = 2.0 * math.exp(-(105.0**2 * 0.01) / (2.0 * 5.0 * 2.0))
     assert budget.error1 == pytest.approx(expected, rel=RTOL)
+
+
+@pytest.mark.parametrize("n, floor_l", [(100, 10), (105, 10), (1000, 7), (50, 50), (10**6, 200)])
+@pytest.mark.parametrize("c_n, t_n, s_n", [(0.0, 0.0, 0.0), (0.01, 0.1, 0.1), (1.0, 10.0, 10.0),
+                                           (1e-9, 1e-5, 1e-6), (0.3, 0.02, 0.004)])
+@pytest.mark.parametrize("tv_phi", [1e-3, 0.5, 2.0, 1e6])
+def test_error_budget_equals_its_written_out_terms(n, floor_l, c_n, t_n, s_n, tv_phi):
+    part = block_partition(n, floor_l)
+    m, rem = part.m, part.remainder_size
+    budget = agnostic_error_budget(n, part, AgnosticKnobs(c_n=c_n, t_n=t_n, s_n=s_n), tv_phi)
+    t = math.sqrt(n * floor_l) * t_n / tv_phi
+    s = n * s_n / tv_phi
+    z2, z3 = -0.5 * t * t, -0.5 * s * s
+    z1 = -(n * n * c_n * c_n) / (2.0 * rem * tv_phi) if rem else None
+    # An exponent at or below -745 gives 0, never a subnormal exp.
+    assert budget.error2 == (min(1.0, 2.0 * m * math.exp(z2)) if z2 > -745.0 else 0.0)
+    assert budget.error3 == (min(1.0, 2.0 * m * math.exp(z3)) if z3 > -745.0 else 0.0)
+    if rem == 0:  # no remainder to control: Error1 is zero whatever c_n is
+        assert budget.error1 == 0.0
+    else:
+        assert budget.error1 == (min(1.0, 2.0 * math.exp(z1)) if z1 > -745.0 else 0.0)
+
+
+def test_tails_are_zero_from_an_exponent_of_minus_745():
+    # z = -m t^2 / 2 = -745 exactly at m = 1490, t = 1; 2 exp(-745) is subnormal.
+    assert dedecker_prieur_tail(1490, 1.0, 1.0, 1.0) == 0.0
+    assert dedecker_prieur_tail(1489, 1.0, 1.0, 1.0) == 2.0 * math.exp(-744.5) > 0.0
+    part = block_partition(100, 10)
+    deep = agnostic_error_budget(100, part, AgnosticKnobs(0.0, 1e3, 1e3), 1.0)
+    assert (deep.error1, deep.error2, deep.error3) == (0.0, 0.0, 0.0)
 
 
 def test_error_budget_vanishes_as_knobs_grow():

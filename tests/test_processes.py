@@ -56,6 +56,25 @@ def test_simulate_respects_declared_range(spec):
     assert np.max(np.abs(values)) <= truth.b_abs
 
 
+@pytest.mark.parametrize(
+    "spec, b_abs, tv_norm",
+    [(iid_bernoulli(0.3), 1.0, 1.0), (iid_rademacher(), 1.0, 2.0), (iid_uniform(-1, 2), 2.0, 3.0),
+     (iid_uniform(-0.5, 0.25), 0.5, 0.75), (hetero_mds([0.5, 1]), 1.0, 2.0),
+     (hetero_mds([0.3, 0.6]), 0.6, 1.2), (finite_markov(TWO_STATE, H01), 1.0, 1.0),
+     (finite_markov([[0.5, 0.25, 0.25]] * 3, [-0.5, 0.25, 2.0]), 2.0, 2.5),
+     (finite_markov(TWO_STATE, [-3.0, -1.0]), 3.0, 2.0), (bernoulli_ar1(), 1.0, 1.0)],
+    ids=lambda v: v.label() if hasattr(v, "label") else repr(v),
+)
+def test_ground_truth_derives_b_abs_and_tv_norm_from_b_range(spec, b_abs, tv_norm):
+    truth = ground_truth(spec)
+    assert (truth.b_abs, truth.tv_norm) == (b_abs, tv_norm)
+    assert truth.range_width == tv_norm
+    assert type(truth.b_abs) is float and type(truth.tv_norm) is float
+    with pytest.raises(TypeError):
+        type(truth)(mu=0.0, sigma2_marginal=1.0, sigma2_longrun=1.0, b_range=(-1.0, 1.0),
+                    b_abs=1.0, tv_norm=2.0, m4=1.0)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
 def test_batch_rows_equal_single_paths(spec):
     batch = simulate_paths(spec, 50, 11, range(4))
