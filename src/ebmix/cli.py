@@ -145,6 +145,13 @@ def _values_within_b(args) -> np.ndarray:
                           "value {value!r} exceeds --b {limit!r} in absolute value")
 
 
+def _summary_within_b(value: float, limit: float, message: str) -> None:
+    """Refuse a summary flag, worded by ``message``, if its ``value``
+    exceeds ``limit``, the most that data within --b allow."""
+    if value > limit * (1 + core_bounds._RANGE_RTOL):
+        raise DomainError(f"{message}, which no data within --b can have")
+
+
 def cmd_bound(args) -> int:
     """The library interval of --method.  Its bound-table row gives the level
     rule (``delta = 2 alpha / misses``), the regime of the budget from
@@ -167,6 +174,9 @@ def cmd_bound(args) -> int:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
             center = float(np.mean(values))
         res = core_bounds.freedman_interval(center, args.n, args.sigma2, args.b, delta)
+        b2 = args.b * args.b
+        _summary_within_b(args.sigma2, b2, f"--sigma2 {args.sigma2!r} exceeds --b^2 = {b2!r} "
+                          "(--b bounds |X - mu|)")
     elif method == "mds_empirical":  # data are treated as zero-mean increments
         _require(args, ["b"])
         if args.data is None:
@@ -179,6 +189,12 @@ def cmd_bound(args) -> int:
         else:
             _require(args, ["n", "mean", "css"])
             summary = core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
+            mean, b, css = summary.mean, summary.b, summary.css
+            _summary_within_b(abs(mean), b, f"--mean {mean!r} exceeds --b {b!r} in absolute value")
+            # Bhatia-Davis: data in [-b, b] have css <= n (b - mean) (b + mean),
+            # which is n (b^2 - mean^2) without its cancellation near |mean| = b.
+            most = summary.n * (b - mean) * (b + mean)
+            _summary_within_b(css, most, f"--css {css!r} exceeds --n * (--b^2 - --mean^2) = {most!r}")
         if method == "eb":
             res = core_bounds.eb_interval(summary, delta)
         else:

@@ -27,6 +27,8 @@ from .errors import (
 EMPIRICAL_LINEAR_CONSTANT = 3.15
 
 _RECOMPOSE_RTOL = 1e-12
+# Relative rounding slack of a summary statistic checked against its most.
+_RANGE_RTOL = 1e-9
 
 
 def recompose(breakdown: dict) -> float:
@@ -86,7 +88,7 @@ class SampleSummary:
             if a > hi:
                 raise DomainError(f"range must satisfy a <= b, got {self.range!r}")
             width = hi - a
-            if self.css > self.n * width * width * (1 + 1e-9) + 1e-12:
+            if self.css > self.n * width * width * (1 + _RANGE_RTOL) + 1e-12:
                 raise DomainError(
                     f"css={self.css!r} exceeds n*(range width)^2={self.n * width * width!r}"
                 )
@@ -160,7 +162,8 @@ def _check_stat(x, name):
     return x if isinstance(x, np.ndarray) else _check_nonneg(x, name)
 
 
-def _freedman_terms(n, sigma2, b, delta) -> dict:
+def freedman_terms(n, sigma2, b, delta) -> dict:
+    """The terms ``leading`` and ``linear`` of :func:`freedman_radius`."""
     n = _check_count(n)
     _check_nonneg(sigma2, "sigma2")
     _check_nonneg(b, "b")
@@ -180,13 +183,13 @@ def freedman_radius(n: int, sigma2: float, b: float, delta: float) -> float:
     One-sided coverage at least ``1 - delta`` for bounded martingale
     differences with conditional variance ``sigma2`` and ``|Z_i| <= b``.
     """
-    return recompose(_freedman_terms(n, sigma2, b, delta))
+    return recompose(freedman_terms(n, sigma2, b, delta))
 
 
 def freedman_interval(center: float, n: int, sigma2: float, b: float, delta: float) -> IntervalResult:
     """:func:`freedman_radius` around ``center``.  Each side misses with
     probability at most ``delta``, so the two-sided level is ``1 - 2 delta``."""
-    return _interval(center, 1.0 - 2.0 * delta, _freedman_terms(n, sigma2, b, delta))
+    return _interval(center, 1.0 - 2.0 * delta, freedman_terms(n, sigma2, b, delta))
 
 
 def mds_predictable_radius(pred_qv: float, b: float, t: float) -> float:
@@ -348,10 +351,15 @@ def maurer_pontil_log_term(n: int, delta: float) -> float:
     return math.log(2.0 / _check_prob(delta, "delta"))
 
 
-def maurer_pontil_rows(sample_var_unbiased, n: int, log_term: float):
-    """:func:`maurer_pontil_radius` from the per-row unbiased variances and
-    the unchecked ``log_term = log(2/delta)``."""
-    return _sqrt(2.0 * sample_var_unbiased * log_term / n) + 7.0 * log_term / (3.0 * (n - 1))
+def maurer_pontil_leading(sample_var_unbiased, n: int, log_term: float):
+    """Leading term sqrt(2 vhat L / n) of :func:`maurer_pontil_radius`, with
+    L = ``log_term`` unchecked; ``sample_var_unbiased`` may be an array."""
+    return _sqrt(2.0 * sample_var_unbiased * log_term / n)
+
+
+def maurer_pontil_terms(n: int, log_term: float) -> dict:
+    """The other term of :func:`maurer_pontil_radius`: linear 7 L / (3 (n - 1))."""
+    return {"linear": 7.0 * log_term / (3.0 * (n - 1))}
 
 
 def maurer_pontil_radius(n: int, sample_var_unbiased, delta: float):
@@ -363,7 +371,8 @@ def maurer_pontil_radius(n: int, sample_var_unbiased, delta: float):
     ``sample_var_unbiased`` may be an array of per-row values.
     """
     log_term = maurer_pontil_log_term(n, delta)
-    return maurer_pontil_rows(_check_stat(sample_var_unbiased, "sample variance"), n, log_term)
+    var = _check_stat(sample_var_unbiased, "sample variance")
+    return maurer_pontil_leading(var, n, log_term) + maurer_pontil_terms(n, log_term)["linear"]
 
 
 def ignorance_penalty(n: int, sigma2: float, m4: float, b: float, eta: float) -> float:

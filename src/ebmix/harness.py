@@ -363,18 +363,20 @@ _MDS_KINDS = ("iid_bounded", "hetero_mds")
 
 class _CellPlan:
     """One cell's bound, decided once, in ``_prepare``: its requirements of
-    the process, the row statistic it reads (``stat``), the rule that maps it
-    to radii (:meth:`evaluate`), the cell's flags, and ``row``, the
-    :class:`CellResult` columns known before any path is drawn.  Its
-    :data:`BOUND_TABLE` row gives the level rule, the budget regime and the
-    default xi.  ``stat`` is each row's ``"mean"`` (for a constant radius),
-    its sum of squares ``"qv"``, its sum of squares about its mean ``"css"``,
-    or its block variance ``("vhat", m, floor_l)``.  An unmet requirement
-    raises ConfigError before any other check of its branch.  A precondition
-    that fails at this n (PreconditionError or DomainError) flags the plan:
-    its ``stat`` is None, its flags are ``["precondition: ..."]`` and its row
-    holds only the identifying columns, so a cell fails on construction, not
-    inside a chunk."""
+    the process, the row statistic it reads (``stat``), its radius as data,
+    the cell's flags, and ``row``, the :class:`CellResult` columns known
+    before any path is drawn.  Its :data:`BOUND_TABLE` row gives the level
+    rule, the budget regime and the default xi.  ``stat`` is each row's
+    ``"mean"`` (for a constant radius), its sum of squares ``"qv"``, its sum
+    of squares about its mean ``"css"``, or its block variance ``("vhat", m,
+    floor_l)``.  The radius is ``leading``, a map from the statistic to each
+    row's leading term (or the term itself, for a constant radius), and
+    ``terms``, the other terms as the library's term builders return them.
+    An unmet requirement raises ConfigError before any other check of its
+    branch.  A precondition that fails at this n (PreconditionError or
+    DomainError) flags the plan: its ``stat`` is None, its flags are
+    ``["precondition: ..."]`` and its row holds only the identifying
+    columns, so a cell fails on construction, not inside a chunk."""
 
     def __init__(self, config: ExperimentConfig, bound: str, n: int, l_policy: LPolicy):
         self.bound = bound
@@ -408,6 +410,7 @@ class _CellPlan:
         n, bound, row = self.n, self.bound, self.row
         kind = config.process.kind
         log_term = math.log(1.0 / delta)
+        terms = {}
         if spec.regime is not None:
             budget = processes.mixing_budget_for(config.process, spec.regime, n)
             if spec.needs_budget is not None:
@@ -416,19 +419,17 @@ class _CellPlan:
         if bound == "freedman_oracle":
             self._require(config, {"an IID or bounded martingale-difference process "
                                    "(oracle variance)": kind in _MDS_KINDS})
-            self.stat, self.rule = "mean", _constant(core_bounds.freedman_radius(
-                n, truth.sigma2_marginal, truth.b_centered, delta))
+            terms = core_bounds.freedman_terms(n, truth.sigma2_marginal, truth.b_centered, delta)
+            stat, leading = "mean", terms.pop("leading")
         elif bound == "mds_empirical":
             self._require(config, {"a zero-mean martingale-difference process": truth.mu == 0.0})
-            b = truth.b_abs
-            self.stat = "qv"
-            self.rule = lambda qv: core_bounds.mds_empirical_radius(qv, b, log_term) / n
+            stat = "qv"
+            leading = lambda qv: core_bounds.mds_empirical_radius(qv, truth.b_abs, log_term) / n
         elif bound == "empirical_bernstein":
             self._require(config, {"constant conditional mean (IID or bounded MDS data)":
                                    kind in _MDS_KINDS})
-            self.stat, self.rule = "css", _presummed(
-                core_bounds.eb_terms(n, truth.b_abs, delta),
-                lambda css: core_bounds.eb_leading(css, n, log_term))
+            stat, terms = "css", core_bounds.eb_terms(n, truth.b_abs, delta)
+            leading = lambda css: core_bounds.eb_leading(css, n, log_term)
         elif bound == "eb_ignore_linear":
             self._require(config, {"IID data (the penalty analysis is IID-only)":
                                    kind == "iid_bounded"})
@@ -437,8 +438,8 @@ class _CellPlan:
             nu = core_bounds.inflation_factor(n, delta)
             xi_policy = config.xi_for(bound)
             xi_n = float(xi_policy.evaluate(n))
-            self.stat = "css"
-            self.rule = lambda css: core_bounds.ignore_linear_rows(css, n, log_term, nu, xi_n)
+            stat = "css"
+            leading = lambda css: core_bounds.ignore_linear_rows(css, n, log_term, nu, xi_n)
             row["penalty"] = core_bounds.ignorance_penalty(
                 n, truth.sigma2_marginal, truth.m4, truth.b_abs, config.eta
             )
@@ -453,15 +454,15 @@ class _CellPlan:
             self._require(config, {"[0,1]-valued data": truth.b_range == (0.0, 1.0),
                                    "n >= 2": max(config.n_grid) >= 2})
             mp_log_term = core_bounds.maurer_pontil_log_term(n, delta)
-            self.stat = "css"
-            self.rule = lambda css: core_bounds.maurer_pontil_rows(css / (n - 1), n, mp_log_term)
+            stat, terms = "css", core_bounds.maurer_pontil_terms(n, mp_log_term)
+            leading = lambda css: core_bounds.maurer_pontil_leading(css / (n - 1), n, mp_log_term)
             row["sharpness_limit"] = math.sqrt(mp_log_term / log_term)
         elif bound == "dedecker_baseline":
             self._require(config, {"a strictly positive phi_tilde budget": budget.phi_sum > 0})
             if 3.0 * delta >= 1.0:
                 raise PreconditionError("total miss probability 3*delta >= 1")
-            self.stat, self.rule = "mean", _constant(mixing_bounds.dedecker_prieur_radius(
-                n, budget.tv_norm, budget.phi_sum, 3.0 * delta))
+            stat, leading = "mean", mixing_bounds.dedecker_prieur_radius(
+                n, budget.tv_norm, budget.phi_sum, 3.0 * delta)
             row["sharpness_limit"] = None
         else:  # a block bound; resolve_bound admits no other name
             partition = block_partition(n, self.l_policy.block_length(n))
@@ -479,29 +480,25 @@ class _CellPlan:
             else:
                 xi_n = float(config.xi_for(bound).evaluate(n))
                 terms = mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n)
-            self.stat, self.rule = ("vhat", partition.m, partition.floor_l), _presummed(
-                terms, lambda vhat: mixing_bounds.block_leading(vhat, n, log_term))
+            stat = ("vhat", partition.m, partition.floor_l)
+            leading = lambda vhat: mixing_bounds.block_leading(vhat, n, log_term)
+        self.stat, self.leading, self.terms = stat, leading, terms
+        keys = [k for k in terms if k not in ("inflation", "remainder")]
+        split = keys.index("linear") if keys else 0
+        self._inflation, self._remainder = terms.get("inflation", 1.0), terms.get("remainder", 0.0)
+        self._a, self._b = (sum(terms[k] for k in part) for part in (keys[:split], keys[split:]))
 
     def evaluate(self, stat: np.ndarray) -> np.ndarray:
-        """Per-replication radii from the rows' ``self.stat``, which is only read."""
-        return self.rule(stat)
-
-
-def _constant(radius: float):
-    """The rule of a bound whose radius does not depend on the data."""
-    return lambda means: np.full(means.shape[0], radius)
-
-
-def _presummed(terms: dict, leading):
-    """The rule ``inflation * (leading(stat) + A + B) + remainder`` of a
-    bound's cell terms: A adds the terms before ``linear``, B the terms from
-    ``linear`` on."""
-    keys = [k for k in terms if k not in ("inflation", "remainder")]
-    split = keys.index("linear")
-    inflation, remainder = terms["inflation"], terms.get("remainder", 0.0)
-    sqrt_terms = sum(terms[k] for k in keys[:split])
-    linear_terms = sum(terms[k] for k in keys[split:])
-    return lambda stat: inflation * (leading(stat) + sqrt_terms + linear_terms) + remainder
+        """Per-replication radii from the rows' ``self.stat``, which is only
+        read: ``inflation * (leading + A + B) + remainder``, where A adds the
+        terms before ``linear``, B the rest, a missing inflation is 1.0 and a
+        missing remainder 0.0.  The pinned reports hold this float order,
+        which may differ from :func:`core_bounds.recompose` in the last bit.
+        ``mds_empirical`` and ``eb_ignore_linear`` keep their whole rule in
+        ``leading``: no split of ``(a + c) / n`` or ``((nu (1 + xi)) s) / n``
+        into terms keeps its bits."""
+        leading = self.leading(stat) if callable(self.leading) else np.full(len(stat), self.leading)
+        return self._inflation * (leading + self._a + self._b) + self._remainder
 
 
 def _row_statistic(key, vals, means, exact=False):

@@ -158,13 +158,22 @@ def bernoulli_ar1() -> ProcessSpec:
     return ProcessSpec("bernoulli_ar1", {})
 
 
+# The keys of each kind's params, and of each iid_bounded dist's.
+_PARAM_KEYS = {"bernoulli": ("dist", "p"), "rademacher": ("dist",), "uniform": ("dist", "a", "b"),
+               "hetero_mds": ("scales",), "finite_markov": ("P", "h"), "bernoulli_ar1": ()}
+
+
 def _validate_params(kind: str, params: dict) -> None:
     if not isinstance(params, dict):
         raise DomainError(f"process params must be a mapping, got {params!r}")
+    dist = params.get("dist")
+    if kind == "iid_bounded" and dist not in IID_DISTS:
+        raise DomainError(f"iid_bounded dist must be one of {IID_DISTS}, got {dist!r}")
+    known = _PARAM_KEYS[dist if kind == "iid_bounded" else kind]
+    for key in params:
+        if key not in known:
+            raise ConfigError(f"field 'process.params.{key}': unknown field; known: {sorted(known)}")
     if kind == "iid_bounded":
-        dist = params.get("dist")
-        if dist not in IID_DISTS:
-            raise DomainError(f"iid_bounded dist must be one of {IID_DISTS}, got {dist!r}")
         if dist == "bernoulli":
             p = params.get("p")
             if _numbers(p, 0) is None or not (0.0 <= p <= 1.0):
@@ -363,54 +372,29 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
         if p["dist"] == "bernoulli":
             q = p["p"]
             s2 = q * (1.0 - q)
-            return GroundTruth(
-                mu=q,
-                sigma2_marginal=s2,
-                sigma2_longrun=s2,
-                b_range=(0.0, 1.0),
-                m4=q * (1.0 - q) * (1.0 - 3.0 * q + 3.0 * q * q),
-            )
+            return GroundTruth(mu=q, sigma2_marginal=s2, sigma2_longrun=s2, b_range=(0.0, 1.0),
+                               m4=q * (1.0 - q) * (1.0 - 3.0 * q + 3.0 * q * q))
         if p["dist"] == "rademacher":
-            return GroundTruth(
-                mu=0.0,
-                sigma2_marginal=1.0,
-                sigma2_longrun=1.0,
-                b_range=(-1.0, 1.0),
-                m4=1.0,
-            )
+            return GroundTruth(mu=0.0, sigma2_marginal=1.0, sigma2_longrun=1.0,
+                               b_range=(-1.0, 1.0), m4=1.0)
         a, b = p["a"], p["b"]
         w = b - a
-        return GroundTruth(
-            mu=(a + b) / 2.0,
-            sigma2_marginal=w * w / 12.0,
-            sigma2_longrun=w * w / 12.0,
-            b_range=(a, b),
-            m4=w**4 / 80.0,
-        )
+        return GroundTruth(mu=(a + b) / 2.0, sigma2_marginal=w * w / 12.0,
+                           sigma2_longrun=w * w / 12.0, b_range=(a, b), m4=w**4 / 80.0)
     if kind == "hetero_mds":
         s = np.asarray(p["scales"], dtype=float)
         avg2 = float(np.mean(s * s))
         top = float(np.max(s))
-        return GroundTruth(
-            mu=0.0,
-            sigma2_marginal=avg2,
-            sigma2_longrun=avg2,
-            b_range=(-top, top),
-            m4=float(np.mean(s**4)),
-        )
+        return GroundTruth(mu=0.0, sigma2_marginal=avg2, sigma2_longrun=avg2,
+                           b_range=(-top, top), m4=float(np.mean(s**4)))
     if kind == "finite_markov":
         P = np.asarray(p["P"], dtype=float)
         h = np.asarray(p["h"], dtype=float)
         return _markov_truth(P.tobytes(), P.shape, h.tobytes())
     # bernoulli_ar1: stationary law is Uniform[0, 1]; AR coefficient 1/2
     # gives long-run variance (1/12) * (1 + 0.5) / (1 - 0.5) = 1/4.
-    return GroundTruth(
-        mu=0.5,
-        sigma2_marginal=1.0 / 12.0,
-        sigma2_longrun=0.25,
-        b_range=(0.0, 1.0),
-        m4=1.0 / 80.0,
-    )
+    return GroundTruth(mu=0.5, sigma2_marginal=1.0 / 12.0, sigma2_longrun=0.25,
+                       b_range=(0.0, 1.0), m4=1.0 / 80.0)
 
 
 @functools.lru_cache(maxsize=64)
@@ -422,13 +406,9 @@ def _markov_truth(p_bytes: bytes, shape: tuple, h_bytes: bytes) -> GroundTruth:
     pi = _stationary(p_bytes, shape)
     mu = float(pi @ h)
     hc = h - mu
-    return GroundTruth(
-        mu=mu,
-        sigma2_marginal=float(pi @ (hc * hc)),
-        sigma2_longrun=markov_long_run_variance(P, h),
-        b_range=(float(np.min(h)), float(np.max(h))),
-        m4=float(pi @ hc**4),
-    )
+    return GroundTruth(mu=mu, sigma2_marginal=float(pi @ (hc * hc)),
+                       sigma2_longrun=markov_long_run_variance(P, h),
+                       b_range=(float(np.min(h)), float(np.max(h))), m4=float(pi @ hc**4))
 
 
 def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | None:
@@ -444,17 +424,10 @@ def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | 
         base = markov_phi_budget(np.asarray(spec.params["P"], dtype=float), n)
         # The conditional-CDF coefficient never exceeds the uniform one, so
         # the same sum is a valid phi_tilde budget.
-        return MixingBudget(
-            regime=regime,
-            phi_sum=base.phi_sum,
-            tv_norm=truth.tv_norm,
-            provenance="analytic_bound",
-        )
-    if spec.kind == "bernoulli_ar1":
-        if regime == "phi":
-            return None  # not uniformly mixing; only the weaker regime applies
-        return bernoulli_ar1_budget(n)
-    return None
+        return MixingBudget(regime=regime, phi_sum=base.phi_sum, tv_norm=truth.tv_norm,
+                            provenance="analytic_bound")
+    # bernoulli_ar1 is not uniformly mixing; only the weaker regime applies.
+    return None if regime == "phi" else bernoulli_ar1_budget(n)
 
 
 def sums_are_exact(spec: ProcessSpec, n: int) -> bool:

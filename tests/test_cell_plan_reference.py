@@ -1,5 +1,6 @@
 """The harness's per-row radii against a frozen copy of the formulas it used
-before it called the library's term builders.
+before it called the library's term builders, and each plan's terms against
+the library's assembly rule, :func:`ebmix.core_bounds.recompose`.
 
 The reference below keeps those expressions, in their order of operations,
 and their cell constants.  Report bytes depend on every bit of the radii,
@@ -22,8 +23,8 @@ from ebmix import (
     iid_rademacher,
     processes,
 )
-from ebmix.core_bounds import inflation_factor
-from ebmix.harness import _CellPlan, _row_statistic
+from ebmix.core_bounds import _RECOMPOSE_RTOL, inflation_factor, recompose
+from ebmix.harness import BOUNDS, _CellPlan, _row_statistic
 from ebmix.mixing_bounds import block_inflation, dedecker_prieur_radius
 
 C = 3.15  # the linear constant, written out as the reference had it
@@ -142,3 +143,53 @@ def test_reference_cases_cover_a_remainder_and_a_zero_budget():
     assert block_partition(1000, 1000**0.4).remainder_size == 10
     assert block_partition(1024, 16).remainder_size == 0
     assert processes.mixing_budget_for(IID, "phi", 1000).phi_sum == 0.0
+
+
+# Bounds whose plan recomposes to its radius bit for bit: a constant radius
+# (no terms but ``linear``, or none), or a whole rule kept in ``leading``.
+EXACT_RECOMPOSE = ("freedman_oracle", "dedecker_baseline", "mds_empirical", "eb_ignore_linear")
+
+
+@pytest.mark.parametrize("bound, process", CASES)
+def test_cell_plan_terms_recompose_to_its_radii(bound, process):
+    n, l_policy = 1000, LPolicy("exponent", 0.4)
+    config = ExperimentConfig(process=process, bounds=(bound,), n_grid=(n,), replications=32,
+                              master_seed=0, alpha=0.05, l_policy=l_policy)
+    vals = np.random.default_rng([n, len(bound), 1]).random((32, n))
+    if bound == "mds_empirical":
+        vals = 2.0 * vals - 1.0
+    plan = _CellPlan(config, bound, n, l_policy)
+    stat = _row_statistic(plan.stat, vals, vals.mean(axis=1))
+    radii = plan.evaluate(stat)
+    leading = plan.leading(stat) if callable(plan.leading) else np.full(len(stat), plan.leading)
+    assert "leading" not in plan.terms
+    assert np.ptp(leading) > 0 if plan.stat != "mean" else np.ptp(radii) == 0
+    for lead, radius in zip(leading.tolist(), radii.tolist()):
+        recomposed = recompose({"leading": lead, **plan.terms})
+        if bound in EXACT_RECOMPOSE:
+            assert recomposed == radius
+        else:
+            assert recomposed == pytest.approx(radius, rel=_RECOMPOSE_RTOL, abs=0.0)
+
+
+def test_recompose_cases_cover_every_bound_and_kind_of_plan():
+    assert {bound for bound, _ in CASES} == set(BOUNDS)
+    kinds = {}
+    for bound, process in CASES:
+        config = ExperimentConfig(process=process, bounds=(bound,), n_grid=(1000,),
+                                  replications=1, master_seed=0, alpha=0.05)
+        plan = _CellPlan(config, bound, 1000, config.l_policy)
+        kinds[bound] = (callable(plan.leading), sorted(plan.terms))
+    assert kinds == {
+        "freedman_oracle": (False, ["linear"]),
+        "dedecker_baseline": (False, []),
+        "mds_empirical": (True, []),
+        "eb_ignore_linear": (True, []),
+        "empirical_bernstein": (True, ["inflation", "linear"]),
+        "maurer_pontil_baseline": (True, ["linear"]),
+        "phi_mixing": (True, ["inflation", "linear", "linear_mixing", "mixing_sqrt", "remainder",
+                              "slack"]),
+        "tilde_phi_mixing": (True, ["inflation", "linear", "linear_mixing", "mixing_sqrt",
+                                    "remainder", "slack"]),
+        "mixing_agnostic": (True, ["inflation", "knob_c", "knob_t", "linear"]),
+    }

@@ -1056,3 +1056,58 @@ def test_selfcheck_refuses_fewer_than_one_case(cases, capsys):
     captured = capsys.readouterr()
     assert "PASS" not in captured.out
     assert f"got {cases}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["--method", "eb", "--n", "10", "--mean", "5", "--css", "1", "--b", "1"],
+      "--mean 5.0 exceeds --b 1.0 in absolute value, which no data within --b can have"),
+     (["--method", "eb_ignore_linear", "--n", "10", "--mean", "-1.5", "--css", "0", "--b", "1"],
+      "--mean -1.5 exceeds --b 1.0 in absolute value, which no data within --b can have"),
+     (["--method", "eb", "--n", "10", "--mean", "0.5", "--css", "100", "--b", "1"],
+      "--css 100.0 exceeds --n * (--b^2 - --mean^2) = 7.5, which no data within --b can have"),
+     # The slack is relative, so it scales with the data.
+     (["--method", "eb", "--n", "100", "--mean", "0", "--css", "1e-13", "--b", "1e-8"],
+      "--css 1e-13 exceeds --n * (--b^2 - --mean^2) = 1e-14, which no data within --b can have"),
+     (["--method", "freedman", "--n", "10", "--sigma2", "4", "--b", "1"],
+      "--sigma2 4.0 exceeds --b^2 = 1.0 (--b bounds |X - mu|), which no data within --b can have")],
+    ids=["mean-above-b", "mean-below-minus-b", "css-above-bhatia-davis", "css-above-at-small-b",
+         "sigma2-above-b2"],
+)
+def test_bound_refuses_summaries_that_no_data_within_b_can_have(argv, message, capsys):
+    # All five once exited 0 (a center of 5.0, a radius of 111).
+    assert main(["bound", *argv, "--delta", "0.01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--method", "freedman", "--n", "2000", "--sigma2", "0.25", "--b", "0.5"],  # sigma2 = b^2
+     ["--method", "eb", "--n", "400", "--mean", "0.5", "--css", "30", "--b", "1"],
+     ["--method", "eb", "--n", "10", "--mean", "0.5", "--css", "7.5", "--b", "1"],  # css at its most
+     ["--method", "eb", "--n", "10", "--mean", "-1", "--css", "0", "--b", "1"]],  # |mean| = b
+)
+def test_bound_accepts_summaries_at_the_edge_of_b(argv, capsys):
+    assert main(["bound", *argv, "--delta", "0.01"]) == 0
+    assert _bound_json(capsys.readouterr().out)["radius"] > 0
+
+
+@pytest.mark.parametrize("source", ["params", "spec", "config"])
+def test_an_unknown_process_params_key_exits_2(source, tmp_path, capsys, monkeypatch):
+    # Once silently dropped: the process ran without the key.
+    monkeypatch.chdir(tmp_path)
+    params = {"dist": "bernoulli", "p": 0.3, "q": 1}
+    process = {"kind": "iid_bounded", "params": params}
+    if source == "config":
+        argv = ["coverage", "--config", str(_write_config(tmp_path / "c.json", process=process))]
+    elif source == "spec":
+        argv = ["simulate", "--spec", json.dumps(process), "--n", "5", "--seed", "0"]
+    else:
+        argv = ["simulate", "--kind", "iid_bounded", "--params", json.dumps(params), "--n", "5",
+                "--seed", "0"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: field 'process.params.q': unknown field; known: ['dist', 'p']\n"
+    assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if source == "config" else [])

@@ -167,3 +167,20 @@ def test_dedecker_harness_coverage_on_a_two_state_chain_lies_near_exact():
     level, _, radius, _, _ = exact["dedecker_baseline"]
     assert level == pytest.approx(0.4) and radius == pytest.approx(0.0425, abs=5e-5)
     _check_against_exact(config, exact)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "dedecker_baseline under-covers near independence: its radius "
+    "sqrt(2 tv Phi~ log(2/eps) / n) goes to 0 with Phi~, with no independent-data "
+    "term (Rio 2000; Dedecker & Prieur 2005); the fix moves the ar1_long_paths pin"))
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("flip", [0.45, 0.4])
+def test_dedecker_exact_coverage_near_independence_is_at_least_its_level(flip, n):
+    # Exact coverage at level 0.9: 0.680 (n = 100) and 0.710 (n = 1000) at
+    # flip 0.45, where Phi~ is about 0.056; 0.836 and 0.844 at flip 0.4
+    # (Phi~ = 0.125).  Flips 0.3 and 0.2 cover: 0.935 or more at both n.
+    P = [[1.0 - flip, flip], [flip, 1.0 - flip]]
+    config = _config(finite_markov(P, [0.0, 1.0]), ("dedecker_baseline",), n, 0.05)
+    [(level, coverage, _, _, _)] = _chain_cells(P, config).values()
+    assert level == pytest.approx(0.9)
+    assert coverage >= level, (coverage, level)

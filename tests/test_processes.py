@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ebmix import processes
+from ebmix import ConfigError, processes
 from ebmix.processes import _PHI_BLOCK
 from ebmix import (
     DomainError,
@@ -921,3 +921,20 @@ def test_markov_phi_budget_refuses_a_non_ergodic_chain_on_every_call():
     for _ in range(2):
         with pytest.raises(DomainError, match="ergodic"):
             markov_phi_budget(periodic, 10)
+
+
+@pytest.mark.parametrize(
+    "spec, known",
+    [(iid_bernoulli(0.3), ["dist", "p"]), (iid_rademacher(), ["dist"]),
+     (iid_uniform(-1.0, 2.0), ["a", "b", "dist"]), (hetero_mds([0.5, 1.0]), ["scales"]),
+     (finite_markov(TWO_STATE, H01), ["P", "h"]), (bernoulli_ar1(), [])],
+    ids=lambda x: x.label() if isinstance(x, processes.ProcessSpec) else None,
+)
+def test_process_params_refuse_a_key_of_no_other_kind(spec, known):
+    assert sorted(spec.params) == known  # each built spec passes with exactly its keys
+    for extra in ("q", "dist_", "P" if "P" not in known else "p"):
+        with pytest.raises(ConfigError) as info:
+            processes.ProcessSpec(spec.kind, {**spec.params, extra: 1})
+        assert str(info.value) == f"field 'process.params.{extra}': unknown field; known: {known}"
+    with pytest.raises(ConfigError, match=r"^field 'process\.params\.q': unknown field"):
+        processes.ProcessSpec.from_dict({"kind": spec.kind, "params": {**spec.params, "q": 0}})
