@@ -87,10 +87,17 @@ class SampleSummary:
             a, hi = (_check_finite(v, "range") for v in self.range)
             if a > hi:
                 raise DomainError(f"range must satisfy a <= b, got {self.range!r}")
+            # Bhatia–Davis: data in [a, hi] with this mean have css at most
+            # n (hi - mean)(mean - a).  The slack scales with the data: a
+            # mean rounded at the data's magnitude moves the bound by up to
+            # n * width * (its error), so a range far from 0 gets more.
+            most = self.n * (hi - self.mean) * (self.mean - a)
             width = hi - a
-            if self.css > self.n * width * width * (1 + _RANGE_RTOL) + 1e-12:
+            scale = max(width, abs(a), abs(hi))
+            if self.css > most + _RANGE_RTOL * self.n * width * scale:
                 raise DomainError(
-                    f"css={self.css!r} exceeds n*(range width)^2={self.n * width * width!r}"
+                    f"css={self.css!r} exceeds n*(hi - mean)*(mean - a)={most!r} "
+                    f"for range {self.range!r}"
                 )
 
 

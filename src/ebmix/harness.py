@@ -39,7 +39,9 @@ BOUND_ALIASES = {
 
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 
-# A simulation chunk holds at most this many values (8 MB of float64), or one row.
+# A run holds at most this many simulated values at once (8 MB of float64),
+# split evenly over its threads: a chunk holds at most _CHUNK_VALUES // n_jobs
+# values, or one row if a row is longer.
 _CHUNK_VALUES = 1 << 20
 # _row_css centers about this many values at a time.
 _CSS_VALUES = 1 << 16
@@ -529,17 +531,21 @@ def _row_css(vals, means):
     return css
 
 
-def _chunk_edges(replications: int, n: int) -> list[tuple[int, int]]:
-    """The fewest chunks of replications of at most _CHUNK_VALUES values, or
-    one row, their sizes differing by at most one.  No row statistic depends
-    on the chunk its row is in, so the chunks set speed and memory only."""
-    k = -(-replications // max(1, _CHUNK_VALUES // n))
+def _chunk_edges(replications: int, n: int, n_jobs: int = 1) -> list[tuple[int, int]]:
+    """The fewest chunks of replications of at most ``_CHUNK_VALUES // n_jobs``
+    values, or one row, their sizes differing by at most one.  The ``n_jobs``
+    threads of a run then hold at most _CHUNK_VALUES values together, as a
+    serial run does.  No row statistic depends on the chunk its row is in,
+    so the chunks set speed and memory only."""
+    k = -(-replications // max(1, _CHUNK_VALUES // n_jobs // n))
     return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
 
 
 def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ...]:
     """Evaluate every (n, bound, l_policy) cell of the config, running the
-    chunks of replications on up to ``n_jobs`` (>= 1) threads.
+    chunks of replications on up to ``n_jobs`` (>= 1) threads.  The threads
+    share one chunk budget (:func:`_chunk_edges`), so a threaded run holds
+    no more simulated values at once than a serial one.
 
     Rows come by n, then l policy, then bound; a bound without blocks gets
     one row per n, under the first policy.  All cells at an n share the
@@ -575,7 +581,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             for key, plan in live.items():
                 radii[key][lo:hi] = plan.evaluate(rows[plan.stat])
 
-        chunks = _chunk_edges(r, n) if live else []
+        chunks = _chunk_edges(r, n, n_jobs) if live else []
         if n_jobs > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 list(pool.map(work, chunks))

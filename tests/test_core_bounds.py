@@ -221,6 +221,46 @@ def test_sample_summary_validation():
                 SampleSummary(**stats)
 
 
+def _refused(**stats) -> bool:
+    try:
+        SampleSummary(**stats)
+    except DomainError as err:
+        assert "exceeds n*(hi - mean)*(mean - a)" in str(err)
+        return True
+    return False
+
+
+def test_range_check_is_bhatia_davis_and_scales_with_the_data():
+    # Data in [0, 1e-8] with mean 0 are all 0, so css must be 0; the old
+    # absolute slack of 1e-12 let css = 1e-13 through.  Then Bhatia–Davis
+    # at its edge, just past it, within the width bound n*width^2 but past
+    # n*(hi - mean)*(mean - a), at the middle, and a mean outside the range.
+    edge = 100 * 0.75e-8 * 0.25e-8
+    cases = [(0.0, 1e-13), (0.0, 0.0), (0.25e-8, edge), (0.25e-8, edge * (1 + 1e-6)),
+             (0.25e-8, 0.9 * 100 * 1e-16), (0.5e-8, 100 * 0.25e-16), (-1e-9, 0.0)]
+    refused = [True, False, False, True, True, False, True]
+    for k in (-20, 0, 20):
+        s = 2.0**k
+        got = [_refused(n=100, mean=mean * s, css=css * s * s, b=1e-8 * s,
+                        range=(0.0, 1e-8 * s)) for mean, css in cases]
+        assert got == refused, k
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, 0.7), (0.1, 0.3), (1e3, 1e3 + 1e-6),
+                                    (-2.0**-30, 2.0**-29)])
+def test_summarize_accepts_data_inside_the_range(lo, hi):
+    rng = np.random.default_rng(7)
+    b = max(abs(lo), abs(hi))
+    for n in (1, 2, 17, 100_000):
+        summarize(lo + (hi - lo) * rng.random(n), b=b, range=(lo, hi))
+        for value in (lo, hi, (lo + hi) / 2):
+            assert summarize(np.full(n, value), b=b, range=(lo, hi)).css == 0.0
+        for k in {1, n // 3, n // 2, n - 1} - {0, n}:
+            ends = np.where(np.arange(n) < k, lo, hi)
+            for x in (ends, ends[::-1], rng.permutation(ends)):
+                summarize(x, b=b, range=(lo, hi))
+
+
 def test_interval_result_recomposition_enforced():
     with pytest.raises(DomainError, match="recomposes"):
         IntervalResult(center=0.0, radius=1.0, level=0.9, breakdown={"leading": 0.3})

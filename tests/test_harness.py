@@ -654,15 +654,18 @@ def test_chunk_edges_are_balanced_and_cover_exactly():
         (0, 94), (94, 188), (188, 283), (283, 377), (377, 472),
         (472, 566), (566, 661), (661, 755), (755, 850),
     ]
-    for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
-                 (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
-        edges = _chunk_edges(r, n)
-        cap = max(1, _CHUNK_VALUES // n)
-        sizes = [hi - lo for lo, hi in edges]
-        assert edges[0][0] == 0 and edges[-1][1] == r
-        assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-        assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
-        assert len(edges) == -(-r // cap)
+    # Two threads share the budget: 52 rows fit half of it, seventeen chunks of 50.
+    assert _chunk_edges(850, 10_000, 2) == [(50 * i, 50 * i + 50) for i in range(17)]
+    for n_jobs in (1, 2, 3, 8):
+        for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
+                     (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
+            edges = _chunk_edges(r, n, n_jobs)
+            cap = max(1, _CHUNK_VALUES // n_jobs // n)
+            sizes = [hi - lo for lo, hi in edges]
+            assert edges[0][0] == 0 and edges[-1][1] == r
+            assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+            assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
+            assert len(edges) == -(-r // cap)
 
 
 def _digests(report):
@@ -718,7 +721,8 @@ def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
 def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch):
     # 7 rows of 2e4 values come in chunks of one row (2**12), of two or three
     # rows (2**16) and of all seven (2**20), whose css blocks are 3, 3 and a
-    # lone row.  tilde_phi with l = 2 reduces 10^4 block sums per row.
+    # lone row; on 2 or 3 threads the 2**16 budget is split into one-row
+    # chunks.  tilde_phi with l = 2 reduces 10^4 block sums per row.
     from ebmix import harness
 
     cfg = _config(process=iid_bernoulli(0.3),
@@ -729,7 +733,7 @@ def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch):
     digests = set()
     for values in (1 << 12, 1 << 16, 1 << 20):
         monkeypatch.setattr(harness, "_CHUNK_VALUES", values)
-        for jobs in (1, 2):
+        for jobs in (1, 2, 3):
             digests.add(_digests(run_coverage(cfg, n_jobs=jobs)))
     assert len(digests) == 1
 
@@ -870,6 +874,68 @@ def test_iid_coverage_run_traces_under_16_mib():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
+
+
+def _traced_peak(cfg, n_jobs):
+    tracemalloc.start()
+    try:
+        run_coverage(cfg, n_jobs=n_jobs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_threads_share_one_chunk_budget():
+    # 400 paths of 10^4 values, 32 MB as one array: four chunks of 100 rows
+    # on one thread, eight of 50 on two.  Each thread holding a chunk of the
+    # serial size would double the peak.
+    cfg = _config(process=finite_markov(SLOW_3, [0.0, 0.5, 1.0]), bounds=("tilde_phi_mixing",),
+                  n_grid=(10_000,), replications=400, master_seed=0)
+    run_coverage(cfg)  # the chain's cached set-up, outside the traced runs
+    assert _traced_peak(cfg, 2) <= 1.25 * _traced_peak(cfg, 1)
+
+
+def _scale_fault(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+_SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
+
+
+@pytest.mark.parametrize("process, bound", [
+    (lambda s: iid_uniform(-s, 2 * s), "empirical_bernstein"),
+    (lambda s: iid_uniform(-s, 2 * s), "eb_ignore_linear"),
+    (lambda s: iid_uniform(-s, 2 * s), "freedman_oracle"),
+    (lambda s: hetero_mds([s / 2, s]), "mds_empirical"),
+    (lambda s: hetero_mds([s / 2, s]), "empirical_bernstein"),
+    pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "phi_mixing",
+                 marks=_SLACK_FAULT),
+    pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "tilde_phi_mixing",
+                 marks=_SLACK_FAULT),
+    pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "dedecker_baseline",
+                 marks=_scale_fault("the radius sqrt(2 tv phi_sum log(2/eps) / n) scales "
+                                    "like sqrt(s)")),
+])
+def test_radius_scales_with_the_data_bit_for_bit(process, bound):
+    # Scaling the data, and with them every scale input, by s = 2**k is
+    # exact in floating point, and so is every operation of a radius whose
+    # terms carry one data unit.
+    def row(s):
+        cfg = _config(process=process(s), bounds=(bound,), n_grid=(2000,), replications=64,
+                      master_seed=3)
+        return run_coverage(cfg).rows[0]
+
+    base = row(1.0)
+    assert base.covered is not None
+    for k in (-3, 1, 5):
+        s, scaled = 2.0**k, row(2.0**k)
+        assert scaled.mean_radius == s * base.mean_radius, k
+        assert scaled.median_radius == s * base.median_radius, k
+        assert (scaled.level, scaled.flags, scaled.covered) == (
+            base.level, base.flags, base.covered), k
 
 
 def test_chain_set_up_runs_once_per_run_not_per_plan_or_chunk(monkeypatch):
