@@ -106,7 +106,8 @@ def summarize(values, b: float, range: tuple[float, float] | None = None) -> Sam
 
     Values are centered at the first observation before accumulating, which
     avoids the catastrophic cancellation of the naive sum-of-squares formula
-    when the mean is large relative to the spread.
+    when the mean is large relative to the spread.  Data with ``max |x|``
+    above ``b * (1 + 1e-12)`` make the interval void and are refused.
     """
     x = _check_array(values, "values")
     if x.ndim != 1 or x.size < 1:
@@ -119,8 +120,8 @@ def summarize(values, b: float, range: tuple[float, float] | None = None) -> Sam
     s2 = float(np.sum(d * d))
     mean = shift + s1 / n
     css = max(0.0, s2 - s1 * s1 / n)
-    if b > 0 and float(np.max(np.abs(x))) > b * (1 + 1e-12):
-        warnings.warn(f"data exceed the declared bound b={b}", stacklevel=2)
+    if (top := float(np.max(np.abs(x)))) > b * (1 + 1e-12):
+        raise DomainError(f"data exceed the declared bound: max |x| = {top!r} > b = {b!r}")
     return SampleSummary(n=n, mean=mean, css=css, b=b, range=range)
 
 

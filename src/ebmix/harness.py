@@ -87,7 +87,13 @@ class _Policy:
 
     @classmethod
     def from_dict(cls, d, field: str | None = None):
-        return cls(**_object(cls, d, field or cls._FIELD))
+        """The policy of ``d``, read as the config field ``field`` (default
+        ``_FIELD``), which every error names."""
+        field = field or cls._FIELD
+        try:
+            return cls(**_object(cls, d, field))
+        except ConfigError as exc:  # the checks name _FIELD, not an entry such as l_policies[1]
+            raise ConfigError(str(exc).replace(f"'{cls._FIELD}.", f"'{field}.", 1)) from None
 
 
 @dataclass(frozen=True)

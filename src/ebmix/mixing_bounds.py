@@ -17,7 +17,7 @@ from .blocking import BlockPartition, BlockSummary
 from .core_bounds import EMPIRICAL_LINEAR_CONSTANT, IntervalResult, _inflation, _interval, _sqrt
 from .errors import DomainError, _check_count, _check_finite, _check_nonneg, _check_prob
 
-REGIMES = ("phi", "phi_tilde", "agnostic")
+REGIMES = ("phi", "phi_tilde")
 PROVENANCES = ("exact", "analytic_bound", "user_supplied")
 
 

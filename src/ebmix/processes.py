@@ -38,7 +38,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -193,7 +194,7 @@ def _validate_params(kind: str, params: dict) -> None:
         h = _numbers(params.get("h"), 1)
         if h is None or h.size != P.shape[0]:
             raise DomainError("h must list one finite number per state")
-        _check_ergodic(P)
+        _chain(P)  # checks ergodicity, once per chain
 
 
 def _numbers(value, ndim: int) -> np.ndarray | None:
@@ -231,14 +232,29 @@ def _check_ergodic(P: np.ndarray) -> None:
 
 def stationary_distribution(P) -> np.ndarray:
     """Stationary row vector pi of an ergodic chain via a least-squares solve."""
-    P = _check_array(P, "P")
-    return _stationary(P.tobytes(), P.shape).copy()
+    return _chain(_check_array(P, "P")).pi.copy()
+
+
+_ChainSetUp = namedtuple("_ChainSetUp", "pi cum_pi cuts step width dtype")
+
+
+def _chain(P) -> _ChainSetUp:
+    """The set-up of the finite chain with transition matrix ``P``, built on
+    first use and then served from a cache keyed by P's float64 bytes."""
+    P = np.asarray(P, dtype=float)
+    return _chain_set_up(P.tobytes(), P.shape)
 
 
 @functools.lru_cache(maxsize=64)
-def _stationary(p_bytes: bytes, shape: tuple) -> np.ndarray:
-    """``stationary_distribution`` of the float64 matrix with these bytes and
-    shape, read-only.  Exceptions are not cached."""
+def _chain_set_up(p_bytes: bytes, shape: tuple) -> _ChainSetUp:
+    """The set-up of the finite chain whose float64 P has these bytes, built
+    once per chain rather than once per spec, plan or chunk; a chain that is
+    not ergodic raises here, so each chain is checked once.  It holds the
+    stationary law ``pi`` and the path set-up: the cumulative stationary law
+    ``cum_pi``, the ``cuts`` that bucket the uniforms (None when the step
+    reads the uniforms), the ``step``, the state ``width`` and its ``dtype``.
+    Its arrays are read-only and the step only reads them, so threads may
+    share it.  Exceptions are not cached."""
     P = np.frombuffer(p_bytes).reshape(shape)
     _check_ergodic(P)
     s = P.shape[0]
@@ -248,8 +264,19 @@ def _stationary(p_bytes: bytes, shape: tuple) -> np.ndarray:
     pi, *_ = np.linalg.lstsq(a, b, rcond=None)
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
-    pi.flags.writeable = False
-    return pi
+    cum_pi = np.cumsum(pi)
+    cum_rows = np.cumsum(P, axis=1)
+    cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
+    cum_rows[:, -1] = 1.0
+    # u < 1 never reaches the last column, 1.0, so it is left out.
+    cuts = _unique(cum_rows[:, :-1])
+    pi.flags.writeable = cum_pi.flags.writeable = cuts.flags.writeable = False
+    # Each cut costs the buckets one counting pass, and they fit a byte.
+    if cuts.size < 256 and s * (cuts.size + 1) <= _TABLE_SIZE:
+        step, width = _table_step(cum_rows, cuts), cuts.size + 1
+    else:
+        step, width, cuts = _column_step(cum_rows), 1, None
+    return _ChainSetUp(pi, cum_pi, cuts, step, width, np.min_scalar_type(s * width - 1))
 
 
 def markov_long_run_variance(P, h) -> float:
@@ -260,7 +287,7 @@ def markov_long_run_variance(P, h) -> float:
     sum_{k>=1} P^k h_c = (Z - I) h_c.
     """
     P, h = _check_array(P, "P"), _check_array(h, "h")
-    pi = stationary_distribution(P)
+    pi = _chain(P).pi
     if h.shape != pi.shape:
         raise DomainError(f"h must list one finite number per state, got shape {h.shape}")
     mu = float(pi @ h)
@@ -296,7 +323,7 @@ def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
     """``markov_phi_budget``'s sum for the float64 matrix with these bytes and
     shape.  Exceptions are not cached."""
     P = np.frombuffer(p_bytes).reshape(shape)
-    pi = _stationary(p_bytes, shape)
+    pi = _chain_set_up(p_bytes, shape).pi
     total = 0.0
     power = np.eye(P.shape[0])
     powers = np.empty((min(n, _PHI_BLOCK),) + P.shape)
@@ -341,7 +368,8 @@ def bernoulli_ar1_budget(n: int) -> MixingBudget:
 class GroundTruth:
     """Analytic facts about a process: target mean, variances, bounds, and
     moments used by oracles and reports.  ``b_abs`` bounds ``|Z_i|`` and
-    ``tv_norm`` is the width of the range; both follow from ``b_range``."""
+    ``tv_norm`` is the width of the range; both follow from ``b_range``.
+    A field that is not finite (values too large for floats) is refused."""
 
     mu: float
     sigma2_marginal: float
@@ -355,6 +383,10 @@ class GroundTruth:
         lo, hi = self.b_range
         object.__setattr__(self, "b_abs", max(abs(lo), abs(hi)))
         object.__setattr__(self, "tv_norm", hi - lo)
+        for f in fields(self):
+            if not np.isfinite(value := getattr(self, f.name)).all():
+                raise DomainError(f"ground truth {f.name} = {value!r} is not finite: "
+                                  "the process's values are too large")
 
     @property
     def range_width(self) -> float:
@@ -366,6 +398,7 @@ class GroundTruth:
         return max(self.b_range[1] - self.mu, self.mu - self.b_range[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # GroundTruth names the field that overflows
 def ground_truth(spec: ProcessSpec) -> GroundTruth:
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
@@ -379,8 +412,12 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
                                b_range=(-1.0, 1.0), m4=1.0)
         a, b = p["a"], p["b"]
         w = b - a
+        try:
+            m4 = w**4 / 80.0
+        except OverflowError:  # a float power raises where a product gives inf
+            m4 = math.inf
         return GroundTruth(mu=(a + b) / 2.0, sigma2_marginal=w * w / 12.0,
-                           sigma2_longrun=w * w / 12.0, b_range=(a, b), m4=w**4 / 80.0)
+                           sigma2_longrun=w * w / 12.0, b_range=(a, b), m4=m4)
     if kind == "hetero_mds":
         s = np.asarray(p["scales"], dtype=float)
         avg2 = float(np.mean(s * s))
@@ -388,27 +425,16 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
         return GroundTruth(mu=0.0, sigma2_marginal=avg2, sigma2_longrun=avg2,
                            b_range=(-top, top), m4=float(np.mean(s**4)))
     if kind == "finite_markov":
-        P = np.asarray(p["P"], dtype=float)
-        h = np.asarray(p["h"], dtype=float)
-        return _markov_truth(P.tobytes(), P.shape, h.tobytes())
+        pi, h = _chain(p["P"]).pi, np.asarray(p["h"], dtype=float)
+        mu = float(pi @ h)
+        hc = h - mu
+        return GroundTruth(mu=mu, sigma2_marginal=float(pi @ (hc * hc)),
+                           sigma2_longrun=markov_long_run_variance(p["P"], h),
+                           b_range=(float(np.min(h)), float(np.max(h))), m4=float(pi @ hc**4))
     # bernoulli_ar1: stationary law is Uniform[0, 1]; AR coefficient 1/2
     # gives long-run variance (1/12) * (1 + 0.5) / (1 - 0.5) = 1/4.
     return GroundTruth(mu=0.5, sigma2_marginal=1.0 / 12.0, sigma2_longrun=0.25,
                        b_range=(0.0, 1.0), m4=1.0 / 80.0)
-
-
-@functools.lru_cache(maxsize=64)
-def _markov_truth(p_bytes: bytes, shape: tuple, h_bytes: bytes) -> GroundTruth:
-    """``ground_truth`` of the finite chain whose float64 P and h have these
-    bytes.  Exceptions are not cached."""
-    P = np.frombuffer(p_bytes).reshape(shape)
-    h = np.frombuffer(h_bytes)
-    pi = _stationary(p_bytes, shape)
-    mu = float(pi @ h)
-    hc = h - mu
-    return GroundTruth(mu=mu, sigma2_marginal=float(pi @ (hc * hc)),
-                       sigma2_longrun=markov_long_run_variance(P, h),
-                       b_range=(float(np.min(h)), float(np.max(h))), m4=float(pi @ hc**4))
 
 
 def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | None:
@@ -587,13 +613,12 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         u *= scales[np.arange(u.shape[1]) % scales.size]
         return u
     if kind == "finite_markov":
-        P = np.asarray(p["P"], dtype=float)
-        cum_pi, cuts, step, width, dtype = _markov_steps(P.tobytes(), P.shape)
-        first = (cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
-        inputs = u if cuts is None else _buckets(cuts, u)
-        states = _recur(step, (first * width).astype(dtype), inputs)
+        chain = _chain(p["P"])
+        first = (chain.cum_pi[None, :] <= u[:, 0:1]).sum(axis=1)
+        inputs = u if chain.cuts is None else _buckets(chain.cuts, u)
+        states = _recur(chain.step, (first * chain.width).astype(chain.dtype), inputs)
         # State s is held as s * width, so h is looked up through a repeat.
-        h = np.repeat(np.asarray(p["h"], dtype=float), width)
+        h = np.repeat(np.asarray(p["h"], dtype=float), chain.width)
         for block in _blocks(u.shape):
             np.take(h, states[block], out=u[block], mode="clip")
         return u
@@ -617,30 +642,6 @@ def _signs(u: np.ndarray) -> np.ndarray:
     negative exactly when ``u < 0.5``, and +0.0 when ``u == 0.5``."""
     np.subtract(u, 0.5, out=u)
     return np.copysign(1.0, u, out=u)
-
-
-@functools.lru_cache(maxsize=64)
-def _markov_steps(p_bytes: bytes, shape: tuple):
-    """The path set-up of the finite chain whose float64 P has these bytes,
-    built once per chain rather than once per chunk: the cumulative
-    stationary law, the cuts that bucket the uniforms (None when the step
-    reads the uniforms), the step, the state width and the state dtype.
-    The step only reads its arrays, so threads may share it.  Exceptions
-    are not cached."""
-    P = np.frombuffer(p_bytes).reshape(shape)
-    cum_pi = np.cumsum(_stationary(p_bytes, shape))
-    cum_rows = np.cumsum(P, axis=1)
-    cum_pi[-1] = 1.0  # guard the top bin against rounding undershoot
-    cum_rows[:, -1] = 1.0
-    # u < 1 never reaches the last column, 1.0, so it is left out.
-    cuts = _unique(cum_rows[:, :-1])
-    cum_pi.flags.writeable = cuts.flags.writeable = False  # shared by every call
-    # Each cut costs the buckets one counting pass, and they fit a byte.
-    if cuts.size < 256 and P.shape[0] * (cuts.size + 1) <= _TABLE_SIZE:
-        step, width = _table_step(cum_rows, cuts), cuts.size + 1
-    else:
-        step, width, cuts = _column_step(cum_rows), 1, None
-    return cum_pi, cuts, step, width, np.min_scalar_type(P.shape[0] * width - 1)
 
 
 def _unique(a) -> np.ndarray:
@@ -870,10 +871,9 @@ def simulate(spec: ProcessSpec, n: int, seed) -> tuple[np.ndarray, GroundTruth]:
     the pair form draws from the same substream the Monte Carlo harness uses
     for that replication.
     """
-    n = _check_count(n)
+    n, truth = _check_count(n), ground_truth(spec)  # a truth that overflows draws nothing
     keys = _philox_keys(entropy_words(seed)[None, :])
-    values = _paths_from_uniforms(spec, _uniforms(keys, n))[0]
-    return values, ground_truth(spec)
+    return _paths_from_uniforms(spec, _uniforms(keys, n))[0], truth
 
 
 def simulate_paths(spec: ProcessSpec, n: int, master_seed: int, indices) -> np.ndarray:

@@ -1111,3 +1111,100 @@ def test_an_unknown_process_params_key_exits_2(source, tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert captured.err == "error: field 'process.params.q': unknown field; known: ['dist', 'p']\n"
     assert [p.name for p in tmp_path.iterdir()] == (["c.json"] if source == "config" else [])
+
+
+_WIDE_UNIFORM = {"kind": "iid_bounded", "params": {"dist": "uniform", "a": -1e308, "b": 1e308}}
+
+
+@pytest.mark.parametrize("argv, inputs, message", [
+    (["simulate", "--kind", "hetero_mds", "--params", '{"scales": [1e200]}', "--n", "5",
+      "--seed", "0"], {}, "ground truth sigma2_marginal = inf is not finite"),
+    (["simulate", "--spec", json.dumps(_WIDE_UNIFORM), "--n", "5", "--seed", "0", "--out", "x"],
+     {}, "ground truth sigma2_marginal = inf is not finite"),
+    (["coverage", "--config", "wide.json"],
+     {"wide.json": json.dumps({"process": _WIDE_UNIFORM, "bounds": ["eb"], "n_grid": [200],
+                               "replications": 10, "master_seed": 0, "alpha": 0.05})},
+     "ground truth sigma2_marginal = inf is not finite"),
+    (["coverage", "--config", "policies.json"],
+     {"policies.json": json.dumps({
+         "process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
+         "n_grid": [500], "replications": 20, "master_seed": 0, "delta": 0.01,
+         "l_policies": [{"kind": "exponent", "value": 0.3}, {"kind": "exponent", "value": 1.5}]})},
+     "field 'l_policies[1].value': exponent must lie in (0, 1), got 1.5"),
+], ids=["simulate-hetero", "simulate-uniform", "coverage-uniform", "coverage-l-policies"])
+def test_overflowing_truths_and_bad_policy_entries_exit_2_and_write_nothing(
+    argv, inputs, message, tmp_path, capsys, monkeypatch
+):
+    # The two processes once ran with exit 0, writing NaN into coverage.json
+    # or Infinity into the truth line; the entry was named l_policy.value.
+    monkeypatch.chdir(tmp_path)
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(inputs)
+
+
+# Each method's flags; a flag with the data's unit is scaled with the data
+# (--sigma2 with their square) in the metamorphic tests below.
+_SCALED_BOUND_ARGV = {
+    "eb": {"--b": 1.0},
+    "eb_ignore_linear": {"--b": 1.0},
+    "mds_empirical": {"--b": 1.0},
+    "freedman": {"--n": 400, "--sigma2": 0.25, "--b": 1.0},
+    "phi": {"--l": 12, "--range-width": 2.0, "--phi-sum": 1.0},
+    "tilde_phi": {"--l": 12, "--range-width": 2.0, "--phi-sum": 1.0, "--tv-norm": 2.0},
+    "agnostic": {"--l": 12, "--range-width": 2.0, "--phi-sum": 1.0, "--tv-norm": 2.0},
+}
+_UNIT = {"--b": 1, "--range-width": 1, "--tv-norm": 1, "--sigma2": 2}
+
+
+def _bound_on(method, values, s, tmp_path, capsys):
+    """``ebmix bound --method`` on ``values`` and flags scaled by s, as parsed JSON."""
+    data = tmp_path / f"x{s!r}.txt"
+    data.write_text("\n".join(repr(float(v)) for v in values) + "\n", encoding="utf-8")
+    argv = ["bound", "--method", method, "--delta", "0.01", "--data", str(data)]
+    for flag, value in _SCALED_BOUND_ARGV[method].items():
+        argv += [flag, repr(value * s ** _UNIT[flag] if flag in _UNIT else value)]
+    assert main(argv) == 0
+    return _bound_json(capsys.readouterr().out)
+
+
+_BOUND_DATA = np.random.default_rng(11).uniform(-0.5, 1.0, 400)
+
+
+def _scale_fault(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+_SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
+
+
+@pytest.mark.parametrize("method", [
+    "eb", "eb_ignore_linear", "mds_empirical", "freedman",
+    pytest.param("phi", marks=_SLACK_FAULT),
+    pytest.param("tilde_phi", marks=_SLACK_FAULT),
+    pytest.param("agnostic", marks=_scale_fault("the knobs t_n and s_n are absolute")),
+])
+def test_bound_radius_scales_with_the_data_bit_for_bit(method, tmp_path, capsys):
+    # Scaling the data and every flag in their unit by 2**k is exact in
+    # floating point, and so is every operation of a radius whose terms
+    # carry one data unit.
+    base = _bound_on(method, _BOUND_DATA, 1.0, tmp_path, capsys)
+    for k in (-3, 1, 5):
+        s = 2.0**k
+        scaled = _bound_on(method, s * _BOUND_DATA, s, tmp_path, capsys)
+        assert scaled["radius"] == s * base["radius"], k
+        assert scaled["center"] == s * base["center"], k
+        assert (scaled["level"], scaled.get("flags")) == (base["level"], base.get("flags")), k
+
+
+@pytest.mark.parametrize("method", sorted(_SCALED_BOUND_ARGV))
+def test_bound_reflected_data_keep_the_radius_and_negate_the_center(method, tmp_path, capsys):
+    base = _bound_on(method, _BOUND_DATA, 1.0, tmp_path, capsys)
+    reflected = _bound_on(method, -_BOUND_DATA, 1.0, tmp_path, capsys)
+    assert reflected["radius"].hex() == base["radius"].hex()
+    assert reflected["center"] == -base["center"]
+    assert (reflected["level"], reflected.get("flags")) == (base["level"], base.get("flags"))

@@ -202,9 +202,21 @@ def test_summarize_matches_two_pass_and_resists_cancellation():
     assert s.mean == pytest.approx(float(x.mean()), rel=1e-12)
 
 
-def test_summarize_warns_when_bound_violated():
-    with pytest.warns(UserWarning, match="declared bound"):
-        summarize(np.array([0.0, 2.0]), b=1.0)
+@pytest.mark.parametrize("values, b, top", [
+    ([0.0, 2.0], 1.0, 2.0),
+    ([0.5, 0.7, 0.9] * 50, 0.0, 0.9),  # b = 0 once passed without a word
+    ([0.0, -1e-300], 0.0, 1e-300),
+    ([1.0, -(1.0 + 2e-12)], 1.0, 1.0 + 2e-12),
+])
+def test_summarize_refuses_data_beyond_b(values, b, top):
+    with pytest.raises(DomainError) as info:
+        summarize(np.array(values), b=b)
+    assert str(info.value) == f"data exceed the declared bound: max |x| = {top!r} > b = {b!r}"
+
+
+def test_summarize_accepts_data_at_b():
+    assert summarize(np.zeros(5), b=0.0).css == 0.0
+    assert summarize(np.array([1.0, -(1.0 + 1e-13)]), b=1.0).n == 2
 
 
 def test_sample_summary_validation():

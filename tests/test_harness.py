@@ -9,6 +9,7 @@ import math
 import re
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ def test_config_refuses_an_unknown_key_inside_an_object(field, value, named):
 
 @pytest.mark.parametrize(
     "field, value, message",
+    [("l_policies", [{"kind": "exponent", "value": 0.3}, {"kind": "exponent", "value": 1.5}],
+      "field 'l_policies[1].value': exponent must lie in (0, 1), got 1.5"),
+     ("l_policies", [{"kind": "fixed", "value": 5}, {"kind": "fixed", "value": 0.5}],
+      "field 'l_policies[1].value': fixed l must be >= 1, got 0.5"),
+     ("l_policies", [{"kind": "exponent", "value": "0.3"}],
+      "field 'l_policies[0].value': must be a number, got '0.3'"),
+     ("l_policies", [{"kind": "fixed", "value": 5}, {"kind": "linear", "value": 0.3}],
+      "field 'l_policies[1].kind': must be 'exponent' or 'fixed', got 'linear'"),
+     ("l_policy", {"kind": "exponent", "value": 1.5},
+      "field 'l_policy.value': exponent must lie in (0, 1), got 1.5")],
+)
+def test_config_names_the_entry_that_holds_a_bad_value_or_kind(field, value, message):
+    # An l_policies entry was once named as l_policy.
+    raw = {**_config().to_dict(), field: value}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
     [(None, [1, 2], "config: must be a JSON object, got [1, 2]"),
      ("l_policy", [0.3], "field 'l_policy': must be a JSON object, got [0.3]"),
      ("l_policy", 0, "field 'l_policy': must be a JSON object, got 0"),
@@ -136,7 +157,7 @@ _DEFAULT_L = {"kind": "exponent", "value": 0.4}
      ({"xi": {"scale": None}}, "field 'xi.scale': must be a number, got None"),
      ({"knobs": {"c_value": None}}, "field 'knobs.c_value': must be a number, got None"),
      ({"l_policies": [{"kind": None}]},
-      "field 'l_policy.kind': must be 'exponent' or 'fixed', got None")],
+      "field 'l_policies[0].kind': must be 'exponent' or 'fixed', got None")],
 )
 def test_config_null_and_empty_values_keep_their_meaning(given, expected):
     raw = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
@@ -942,21 +963,23 @@ def test_chain_set_up_runs_once_per_run_not_per_plan_or_chunk(monkeypatch):
     from ebmix import harness, processes
 
     monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 300)
+    checks = []
+    monkeypatch.setattr(processes, "_check_ergodic",
+                        lambda P, _real=processes._check_ergodic: checks.append(P) or _real(P))
+    processes._chain_set_up.cache_clear()
     cfg = _config(process=finite_markov(TWO_STATE, [0.0, 1.0]),
                   bounds=("phi_mixing", "tilde_phi_mixing", "mixing_agnostic"),
                   n_grid=(300, 600), replications=50,
                   l_policies=(LPolicy("exponent", 0.4), LPolicy("exponent", 0.5)))
     chunks = sum(len(_chunk_edges(50, n)) for n in cfg.n_grid)
     assert chunks == 3 + 5
-    cached = (processes._stationary, processes._markov_truth, processes._markov_steps)
-    for fn in cached:
-        fn.cache_clear()
     rows = harness.run_cells(cfg)
     assert all(row.covered is not None for row in rows)
-    assert [fn.cache_info().misses for fn in cached] == [1, 1, 1]
-    # asked for by every plan, bound check and budget, and by every chunk
-    assert processes._markov_truth.cache_info().hits >= 2 * len(rows)
-    assert processes._markov_steps.cache_info().hits == chunks - 1
+    info = processes._chain_set_up.cache_info()
+    # built once, with its one ergodicity check, when the spec was made
+    assert info.misses == 1 and len(checks) == 1
+    # and read by every plan, bound check and budget, and by every chunk
+    assert info.hits >= 2 * len(rows) + chunks
 
 
 def test_threads_sharing_a_cold_chain_set_up_write_the_serial_bytes(monkeypatch):
@@ -968,11 +991,19 @@ def test_threads_sharing_a_cold_chain_set_up_write_the_serial_bytes(monkeypatch)
     cfg = _config(process=finite_markov([[0.99, 0.01], [0.01, 0.99]], [0.0, 1.0]),
                   bounds=("phi_mixing", "tilde_phi_mixing"), n_grid=(500,), replications=120)
     serial = reporting.coverage_csv(run_coverage(cfg))
+    paths = processes.simulate_paths(cfg.process, 500, 0, range(120))
+    chunks = [range(lo, lo + 4) for lo in range(0, 120, 4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            processes._markov_steps.cache_clear()
+            processes._chain_set_up.cache_clear()
             assert reporting.coverage_csv(run_coverage(cfg, n_jobs=8)) == serial
+            # the plans build the set-up before any chunk runs, so race for it here
+            processes._chain_set_up.cache_clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                raced = list(pool.map(
+                    lambda rows: processes.simulate_paths(cfg.process, 500, 0, rows), chunks))
+            assert np.array_equal(np.concatenate(raced).view(np.uint64), paths.view(np.uint64))
     finally:
         sys.setswitchinterval(interval)

@@ -120,6 +120,13 @@ def test_phi_interval_rejects_wrong_regime():
         phi_interval(s, 1.0, MixingBudget("phi_tilde", 0.5, tv_norm=1.0), 0.05)
 
 
+def test_mixing_budget_refuses_the_agnostic_regime():
+    # No bound reads an "agnostic" budget; mixing_terms once raised TypeError on one.
+    with pytest.raises(DomainError) as info:
+        MixingBudget(regime="agnostic", phi_sum=1.0)
+    assert str(info.value) == "regime must be one of ('phi', 'phi_tilde'), got 'agnostic'"
+
+
 def test_tilde_phi_interval_hand_value():
     s = _summary_with_vhat(100, 10, 0.25)
     budget = MixingBudget("phi_tilde", 1.0, tv_norm=1.0)

@@ -1,6 +1,8 @@
 """Process generators: determinism, boundedness, moment agreement, and the
 brute-force oracles for mixing budgets and the long-run variance."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -386,6 +388,35 @@ def test_ground_truth_values():
     assert mk.mu == pytest.approx(0.5)
     assert mk.sigma2_longrun == pytest.approx(2.25, rel=1e-9)
     assert mk.b_range == (0.0, 1.0)
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way
+@pytest.mark.parametrize("spec, message", [
+    (iid_uniform(-1e308, 1e308), "ground truth sigma2_marginal = inf is not finite"),
+    (hetero_mds([1e200]), "ground truth sigma2_marginal = inf is not finite"),
+    (finite_markov(_HALF_CHAIN, [1e200, -1e200]),
+     "ground truth sigma2_marginal = inf is not finite"),
+    (iid_uniform(0.0, 1e100), "ground truth m4 = inf is not finite"),
+], ids=["uniform", "hetero", "markov", "uniform-m4"])
+def test_a_process_whose_ground_truth_overflows_is_refused_before_any_path(
+    spec, message, monkeypatch
+):
+    # Such processes once ran and reported NaN radii with exit 0.
+    monkeypatch.setattr(processes, "_uniforms", lambda *_: pytest.fail("a path was drawn"))
+    want = f"^{re.escape(message)}: the process's values are too large$"
+    with pytest.raises(DomainError, match=want):
+        ground_truth(spec)
+    with pytest.raises(DomainError, match=want):
+        simulate(spec, 5, 0)
+
+
+def test_a_ground_truth_with_a_field_that_is_not_finite_is_refused():
+    with pytest.raises(DomainError, match=r"^ground truth m4 = nan is not finite"):
+        processes.GroundTruth(mu=0.0, sigma2_marginal=1.0, sigma2_longrun=1.0,
+                              b_range=(-1.0, 1.0), m4=math.nan)
+    with pytest.raises(DomainError, match=r"^ground truth b_range = \(0.0, inf\) is not finite"):
+        processes.GroundTruth(mu=0.0, sigma2_marginal=1.0, sigma2_longrun=1.0,
+                              b_range=(0.0, math.inf), m4=1.0)
 
 
 def test_non_ergodic_chains_rejected():
@@ -789,7 +820,7 @@ def test_markov_table_step_edge_cases_match_sequential_loop(monkeypatch, P, step
 
         monkeypatch.setattr(processes, name, spy)
     # The step is built once per chain and cached; build this one afresh.
-    processes._markov_steps.cache_clear()
+    processes._chain_set_up.cache_clear()
     _assert_bit_equal(spec, u)
     assert taken == [step]
 
