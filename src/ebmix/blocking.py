@@ -108,8 +108,8 @@ def row_vhat(vals, m: int, fl: int, exact: bool = False) -> np.ndarray:
     blocks = vals[:, : m * fl].reshape(rows, m, fl)
     block_sums = np.einsum("rmf->rm", blocks) if exact else blocks.sum(axis=2)
     h_bar = block_sums.sum(axis=1) / (m * fl)
-    centered = block_sums - fl * h_bar[:, None]
-    return row_sumsq(centered) / n
+    block_sums -= fl * h_bar[:, None]  # centered in place: one (rows, m) temporary
+    return row_sumsq(block_sums) / n
 
 
 def row_sumsq(d) -> np.ndarray:

@@ -43,7 +43,9 @@ _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 # split evenly over its threads: a chunk holds at most _CHUNK_VALUES // n_jobs
 # values, or one row if a row is longer.
 _CHUNK_VALUES = 1 << 20
-# _row_css centers about this many values at a time.
+# _row_statistic reduces a chunk to css or block variances over blocks of rows
+# whose temporary (centered values or block sums) holds at most this many
+# values, so it stays small whatever the chunk holds.
 _CSS_VALUES = 1 << 16
 
 
@@ -498,43 +500,41 @@ class _CellPlan:
 
     def evaluate(self, stat: np.ndarray) -> np.ndarray:
         """Per-replication radii from the rows' ``self.stat``, which is only
-        read: ``inflation * (leading + A + B) + remainder``, where A adds the
-        terms before ``linear``, B the rest, a missing inflation is 1.0 and a
-        missing remainder 0.0.  The pinned reports hold this float order,
-        which may differ from :func:`core_bounds.recompose` in the last bit.
-        ``mds_empirical`` and ``eb_ignore_linear`` keep their whole rule in
-        ``leading``: no split of ``(a + c) / n`` or ``((nu (1 + xi)) s) / n``
-        into terms keeps its bits."""
+        read; :func:`run_cells` calls it once per plan, on every
+        replication's statistic.  The rule is elementwise, so no radius
+        depends on the other rows: ``inflation * (leading + A + B) +
+        remainder``, where A adds the terms before ``linear``, B the rest, a
+        missing inflation is 1.0 and a missing remainder 0.0.  The pinned
+        reports hold this float order, which may differ from
+        :func:`core_bounds.recompose` in the last bit.  ``mds_empirical`` and
+        ``eb_ignore_linear`` keep their whole rule in ``leading``: no split of
+        ``(a + c) / n`` or ``((nu (1 + xi)) s) / n`` into terms keeps its
+        bits."""
         leading = self.leading(stat) if callable(self.leading) else np.full(len(stat), self.leading)
         return self._inflation * (leading + self._a + self._b) + self._remainder
 
 
 def _row_statistic(key, vals, means, exact=False):
     """The row statistic ``key`` (see :class:`_CellPlan`) of each row of
-    ``vals``, whose row means are ``means``.  ``exact`` is
-    :func:`processes.sums_are_exact` for the rows' process and length: block
-    variances then take :func:`row_vhat`'s einsum block sums, with the same
-    bits as the pairwise ones."""
+    ``vals``, whose row means are ``means``.  The css (the sum of squares
+    about the row mean) and the block variances are reduced over blocks of
+    rows whose temporary, the centered rows or their block sums, holds at
+    most ``_CSS_VALUES`` values (or one row's); no row's statistic depends
+    on its block.  ``exact`` is :func:`processes.sums_are_exact` for the rows'
+    process and length: block variances then take :func:`row_vhat`'s einsum
+    block sums, with the same bits as the pairwise ones."""
     if key == "mean":
         return means
     if key == "qv":
         return row_sumsq(vals)
-    if key == "css":
-        return _row_css(vals, means)
-    _, m, floor_l = key
-    return row_vhat(vals, m, floor_l, exact)
-
-
-def _row_css(vals, means):
-    """Each row's sum of squares about its mean, :func:`row_sumsq` of
-    ``vals - means[:, None]``, over blocks of rows so that no centered copy
-    of the whole chunk is held.  A row's css does not depend on its block."""
     rows, n = vals.shape
-    step = max(1, _CSS_VALUES // n)
-    css = np.empty(rows)
+    step = max(1, _CSS_VALUES // (n if key == "css" else key[1]))
+    out = np.empty(rows)
     for lo in range(0, rows, step):
-        css[lo:lo + step] = row_sumsq(vals[lo:lo + step] - means[lo:lo + step, None])
-    return css
+        block = vals[lo:lo + step]
+        out[lo:lo + step] = (row_sumsq(block - means[lo:lo + step, None]) if key == "css"
+                             else row_vhat(block, key[1], key[2], exact))
+    return out
 
 
 def _chunk_edges(replications: int, n: int, n_jobs: int = 1) -> list[tuple[int, int]]:
@@ -559,8 +559,9 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     cell whose preconditions fail gets a ``precondition:`` flag, no coverage.
 
     Each chunk is reduced once to every distinct row statistic its plans
-    read (:func:`_row_statistic`); each plan then maps its statistic to
-    the chunk's radii with :meth:`_CellPlan.evaluate`.
+    read (:func:`_row_statistic`), and a run keeps one float per
+    replication for each, the row means among them.  Once the chunks are
+    done, :func:`_finish_cell` maps each plan's statistic to its radii.
     """
     try:
         n_jobs = _check_count(n_jobs, "n_jobs")
@@ -570,22 +571,16 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     mu = processes.ground_truth(config.process).mu
     results = []
     for n, plans in validate_config(config):
-        live = {k: p for k, p in plans.items() if p.stat is not None}
-        stats = list(dict.fromkeys(p.stat for p in live.values()))
-        centers = np.empty(r)
-        radii = {k: np.empty(r) for k in live}
-        vhats = {s: np.empty(r) for s in stats if isinstance(s, tuple)}
+        live = [p.stat for p in plans.values() if p.stat is not None]
+        stats = {s: np.empty(r) for s in dict.fromkeys(["mean"] + live)}
         exact = processes.sums_are_exact(config.process, n)
 
         def work(chunk):
             lo, hi = chunk
             vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
-            centers[lo:hi] = means = vals.mean(axis=1)
-            rows = {s: _row_statistic(s, vals, means, exact) for s in stats}
-            for s, vhat in vhats.items():
-                vhat[lo:hi] = rows[s]
-            for key, plan in live.items():
-                radii[key][lo:hi] = plan.evaluate(rows[plan.stat])
+            means = vals.mean(axis=1)
+            for s, out in stats.items():
+                out[lo:hi] = _row_statistic(s, vals, means, exact)
 
         chunks = _chunk_edges(r, n, n_jobs) if live else []
         if n_jobs > 1 and len(chunks) > 1:
@@ -595,8 +590,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             for chunk in chunks:
                 work(chunk)
 
-        for key, plan in plans.items():
-            results.append(_finish_cell(plan, radii.get(key), centers, mu, vhats.get(plan.stat)))
+        results.extend(_finish_cell(plan, stats, mu) for plan in plans.values())
     return tuple(results)
 
 
@@ -615,15 +609,17 @@ def _median(x) -> float:
     return math.nan if np.isnan(part[-1]) else float(middle)  # partition puts NaN last
 
 
-def _finish_cell(plan: _CellPlan, radii, centers, mu: float, vhat) -> CellResult:
+def _finish_cell(plan: _CellPlan, stats: dict, mu: float) -> CellResult:
     """The plan's report row: its planned columns and flags, plus, unless the
-    plan is flagged, the columns measured from the per-replication radii and
-    centers, the process mean ``mu``, and the block variances ``vhat`` (None
-    for a bound without blocks)."""
+    plan is flagged, the columns measured from every replication's row
+    statistics ``stats`` (keyed as ``plan.stat``; ``"mean"`` holds the
+    centers) and the process mean ``mu``.  The plan's radii are evaluated
+    here, once, and a block bound also reports its mean block variance."""
     if plan.stat is None:
         return CellResult(**plan.row, flags=tuple(plan.flags))
-    row, r = plan.row, radii.size
-    covered = int(np.count_nonzero(np.abs(centers - mu) <= radii))
+    row, stat = plan.row, stats[plan.stat]
+    radii, r = plan.evaluate(stat), stat.size
+    covered = int(np.count_nonzero(np.abs(stats["mean"] - mu) <= radii))
     p_hat = covered / r
     mean_radius = float(np.mean(radii))
     sharpness, sigma_ref = None, row["sigma_ref"]
@@ -638,7 +634,7 @@ def _finish_cell(plan: _CellPlan, radii, centers, mu: float, vhat) -> CellResult
         mean_radius=mean_radius,
         median_radius=_median(radii),
         sharpness_ratio=sharpness,
-        mean_vhat=float(np.mean(vhat)) if vhat is not None else None,
+        mean_vhat=float(np.mean(stat)) if isinstance(plan.stat, tuple) else None,
         flags=tuple(plan.flags),
     )
 

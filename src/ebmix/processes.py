@@ -284,7 +284,8 @@ def markov_long_run_variance(P, h) -> float:
 
     The covariance series is resolved exactly by the fundamental-matrix
     linear solve Z = (I - P + 1 pi)^{-1}: with h centered under pi,
-    sum_{k>=1} P^k h_c = (Z - I) h_c.
+    sum_{k>=1} P^k h_c = (Z - I) h_c.  A chain that is ergodic but so
+    barely that Z is singular in floating point raises DomainError.
     """
     P, h = _check_array(P, "P"), _check_array(h, "h")
     pi = _chain(P).pi
@@ -294,7 +295,11 @@ def markov_long_run_variance(P, h) -> float:
     hc = h - mu
     var = float(pi @ (hc * hc))
     s = P.shape[0]
-    fundamental = np.linalg.inv(np.eye(s) - P + np.outer(np.ones(s), pi))
+    try:
+        fundamental = np.linalg.inv(np.eye(s) - P + np.outer(np.ones(s), pi))
+    except np.linalg.LinAlgError:
+        raise DomainError(f"P = {P.tolist()} mixes too slowly for a long-run variance: "
+                          "its fundamental matrix is singular") from None
     tail = (fundamental - np.eye(s)) @ hc
     return var + 2.0 * float(pi @ (hc * tail))
 

@@ -1114,6 +1114,11 @@ def test_an_unknown_process_params_key_exits_2(source, tmp_path, capsys, monkeyp
 
 
 _WIDE_UNIFORM = {"kind": "iid_bounded", "params": {"dist": "uniform", "a": -1e308, "b": 1e308}}
+_BARELY_ERGODIC = {"kind": "finite_markov",
+                   "params": {"P": [[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [1e-200, 0.0, 1.0]],
+                              "h": [0, 0.5, 1]}}
+_SINGULAR = ("P = [[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [1e-200, 0.0, 1.0]] mixes too slowly "
+             "for a long-run variance: its fundamental matrix is singular")
 
 
 @pytest.mark.parametrize("argv, inputs, message", [
@@ -1131,12 +1136,21 @@ _WIDE_UNIFORM = {"kind": "iid_bounded", "params": {"dist": "uniform", "a": -1e30
          "n_grid": [500], "replications": 20, "master_seed": 0, "delta": 0.01,
          "l_policies": [{"kind": "exponent", "value": 0.3}, {"kind": "exponent", "value": 1.5}]})},
      "field 'l_policies[1].value': exponent must lie in (0, 1), got 1.5"),
-], ids=["simulate-hetero", "simulate-uniform", "coverage-uniform", "coverage-l-policies"])
+    (["simulate", "--spec", json.dumps(_BARELY_ERGODIC), "--n", "3", "--seed", "0"], {},
+     _SINGULAR),
+    (["coverage", "--config", "chain.json", "--out-dir", "out"],
+     {"chain.json": json.dumps({"process": _BARELY_ERGODIC, "bounds": ["phi"], "n_grid": [200],
+                                "replications": 10, "master_seed": 0, "alpha": 0.05})},
+     _SINGULAR),
+], ids=["simulate-hetero", "simulate-uniform", "coverage-uniform", "coverage-l-policies",
+        "simulate-barely-ergodic", "coverage-barely-ergodic"])
 def test_overflowing_truths_and_bad_policy_entries_exit_2_and_write_nothing(
     argv, inputs, message, tmp_path, capsys, monkeypatch
 ):
     # The two processes once ran with exit 0, writing NaN into coverage.json
     # or Infinity into the truth line; the entry was named l_policy.value.
+    # The barely ergodic chain, whose long-run variance has no fundamental
+    # matrix to solve with, once exited 1 with a traceback.
     monkeypatch.chdir(tmp_path)
     for name, text in inputs.items():
         (tmp_path / name).write_text(text, encoding="utf-8")

@@ -34,9 +34,10 @@ from ebmix import (
     run_coverage,
     run_sharpness_sweep,
 )
+from ebmix.blocking import block_partition, row_vhat
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_css, resolve_bound,
+    BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_statistic, resolve_bound,
 )
 from ebmix import processes, reporting
 
@@ -717,12 +718,15 @@ def test_pinned_css_report_digests_with_few_replications(replications):
         assert _digests(run_coverage(cfg, n_jobs=jobs)) == PINNED_CSS_SHA256[replications], jobs
 
 
-@pytest.mark.parametrize(
+_ROW_BLOCK_GRID = pytest.mark.parametrize(
     "rows, n",
     [(1, 1000), (2, 1 << 17), (5, 40_000), (131, 1000), (196, 1000), (64, 1000), (4001, 200),
      (66, 1000), (1, 10_000), (1, 200_000)]
     + [(rows, n) for n in (8_191, 8_193, 10_000, 200_000) for rows in (2, 3, 7)],
 )
+
+
+@_ROW_BLOCK_GRID
 def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
     # 196 rows of 1000 values: css blocks of 65, 65, 65 and a lone row.  einsum
     # reduces each row of a chunk of two or more rows alike, so the chunk is
@@ -732,11 +736,37 @@ def test_blocked_row_css_equals_the_whole_chunk_expression_bit_for_bit(rows, n):
     means = vals.mean(axis=1)
     d = np.concatenate([vals, vals]) - np.concatenate([means, means])[:, None]
     expected = np.einsum("ij,ij->i", d, d)[:rows].view(np.uint64)
-    assert np.array_equal(_row_css(vals, means).view(np.uint64), expected)
+    assert np.array_equal(_row_statistic("css", vals, means).view(np.uint64), expected)
     # A row alone gets the bits it gets among the others.
     for i in range(rows):
-        alone = _row_css(vals[i:i + 1], means[i:i + 1]).view(np.uint64)
+        alone = _row_statistic("css", vals[i:i + 1], means[i:i + 1]).view(np.uint64)
         assert alone[0] == expected[i], i
+
+
+@_ROW_BLOCK_GRID
+@pytest.mark.parametrize("exact", [False, True])
+def test_blocked_row_vhat_equals_the_whole_chunk_row_vhat_bit_for_bit(monkeypatch, rows, n,
+                                                                     exact):
+    # 4001 rows of 200 values, 25 blocks of 8 each: v-hat blocks of 2621
+    # rows and 1380, against row_vhat over the whole chunk.  Data of 0s and
+    # 1s have exact partial sums, as the einsum block sums need.
+    from ebmix import harness
+
+    vals = np.random.default_rng([rows, n]).random((rows, n))
+    vals = (vals < 0.3).astype(float) if exact else vals * 1e3
+    partition = block_partition(n, float(n) ** 0.4)
+    key = ("vhat", partition.m, partition.floor_l)
+    expected = row_vhat(vals, partition.m, partition.floor_l, exact).view(np.uint64)
+    heights = []
+    monkeypatch.setattr(harness, "row_vhat", lambda block, *args: heights.append(len(block))
+                        or row_vhat(block, *args))
+    got = _row_statistic(key, vals, vals.mean(axis=1), exact).view(np.uint64)
+    assert np.array_equal(got, expected)
+    # No block's block sums hold more than _CSS_VALUES values, or one row's.
+    assert sum(heights) == rows and max(heights) * partition.m <= max(_CSS_VALUES, partition.m)
+    for i in range(rows):
+        alone = _row_statistic(key, vals[i:i + 1], vals[i:i + 1].mean(axis=1), exact)
+        assert alone.view(np.uint64)[0] == expected[i], i
 
 
 def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch):
@@ -838,17 +868,17 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
     from ebmix import harness, processes
 
     calls = {"css": 0, "vhat": 0}
-    row_css, row_vhat = harness._row_css, harness.row_vhat
+    row_sumsq, row_vhat = harness.row_sumsq, harness.row_vhat
 
-    def counted_css(*args):
+    def counted_css(*args):  # the harness takes a row sum of squares only for css here
         calls["css"] += 1
-        return row_css(*args)
+        return row_sumsq(*args)
 
     def counted_vhat(*args):
         calls["vhat"] += 1
         return row_vhat(*args)
 
-    monkeypatch.setattr(harness, "_row_css", counted_css)
+    monkeypatch.setattr(harness, "row_sumsq", counted_css)
     monkeypatch.setattr(harness, "row_vhat", counted_vhat)
     monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
     css_bounds = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
@@ -880,21 +910,47 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
             assert np.array_equal(radii.view(np.uint64), plan.evaluate(kept).view(np.uint64)), bound
 
 
-def test_iid_coverage_run_traces_under_16_mib():
-    # The iid_short_paths bounds on half its replications: 4 * 10^6 values,
-    # 32 MB as one array, streamed through chunks of at most 8 MB.
-    cfg = _config(process=iid_bernoulli(0.3),
-                  bounds=("freedman_oracle", "empirical_bernstein", "eb_ignore_linear",
-                          "phi_mixing", "tilde_phi_mixing", "mixing_agnostic",
-                          "maurer_pontil_baseline"),
-                  n_grid=(200,), replications=20_000, master_seed=0)
+_IID_BOUNDS = ("freedman_oracle", "empirical_bernstein", "eb_ignore_linear", "phi_mixing",
+               "tilde_phi_mixing", "mixing_agnostic", "maurer_pontil_baseline")
+
+
+def test_each_plan_is_evaluated_once_per_n_not_per_chunk(monkeypatch):
+    from ebmix import harness
+
+    calls = []
+    evaluate = harness._CellPlan.evaluate
+
+    def counted(plan, stat):
+        calls.append((plan.n, plan.bound))
+        return evaluate(plan, stat)
+
+    monkeypatch.setattr(harness._CellPlan, "evaluate", counted)
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    cfg = _config(process=iid_bernoulli(0.3), bounds=_IID_BOUNDS, n_grid=(200, 100),
+                  replications=50)
+    assert len(_chunk_edges(50, 200)) == 3
+    rows = harness.run_cells(cfg)
+    assert all(row.covered is not None for row in rows)
+    assert sorted(calls) == sorted((row.n, row.bound) for row in rows)
+
+
+def test_iid_short_paths_run_holds_one_chunk_and_one_float_per_replication_per_statistic():
+    # The iid_short_paths config: 8 * 10^6 values, 64 MB as one array, in
+    # chunks of 5000 rows.  Its 7 bounds read 3 distinct row statistics: the
+    # mean, the css and one block variance.  Radii are made one plan at a
+    # time, at the end.
+    n, r = 200, 40_000
+    cfg = _config(process=iid_bernoulli(0.3), bounds=_IID_BOUNDS, n_grid=(n,), replications=r,
+                  master_seed=0)
+    run_coverage(dataclasses.replace(cfg, replications=10))  # one-time imports, outside the trace
+    chunk_bytes = 8 * n * max(hi - lo for lo, hi in _chunk_edges(r, n))
     tracemalloc.start()
     try:
         run_coverage(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak <= chunk_bytes + 3 * 8 * r + 1.5 * 2**20
 
 
 SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
@@ -936,6 +992,8 @@ _SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
                  marks=_SLACK_FAULT),
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "tilde_phi_mixing",
                  marks=_SLACK_FAULT),
+    pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "mixing_agnostic",
+                 marks=_scale_fault("the knobs t_n and s_n carry no data unit")),
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "dedecker_baseline",
                  marks=_scale_fault("the radius sqrt(2 tv phi_sum log(2/eps) / n) scales "
                                     "like sqrt(s)")),
@@ -957,6 +1015,29 @@ def test_radius_scales_with_the_data_bit_for_bit(process, bound):
         assert scaled.median_radius == s * base.median_radius, k
         assert (scaled.level, scaled.flags, scaled.covered) == (
             base.level, base.flags, base.covered), k
+
+
+def test_reflected_chain_keeps_every_radius_bit_for_bit():
+    # h -> -h keeps the states, so each path is negated bit for bit, and so
+    # are its mean and block sums; the block variances, the range and the
+    # budgets are unchanged, and so is |center - mu|.  These are the bounds
+    # a chain admits.
+    def spec(sign):
+        return finite_markov(SLOW_3, [sign * 0.0, sign * 0.5, sign * 1.0])
+
+    def rows(sign):
+        cfg = _config(process=spec(sign), bounds=("phi_mixing", "tilde_phi_mixing",
+                                                  "mixing_agnostic", "dedecker_baseline"),
+                      n_grid=(2000,), replications=64, master_seed=3)
+        return run_coverage(cfg).rows
+
+    base, mirrored = rows(1.0), rows(-1.0)
+    path, flipped = (processes.simulate_paths(spec(sign), 2000, 3, range(8)) for sign in (1, -1))
+    assert np.array_equal((-path).view(np.uint64), flipped.view(np.uint64))
+    for a, b in zip(base, mirrored, strict=True):
+        assert a.covered is not None, a.bound
+        assert a.mean_radius == b.mean_radius and a.median_radius == b.median_radius, a.bound
+        assert (a.level, a.flags, a.covered) == (b.level, b.flags, b.covered), a.bound
 
 
 def test_chain_set_up_runs_once_per_run_not_per_plan_or_chunk(monkeypatch):

@@ -440,6 +440,18 @@ def test_ergodicity_check_sees_tiny_transition_probabilities():
         finite_markov([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], [0.0, 0.5, 1.0])
 
 
+def test_a_chain_too_slow_for_its_fundamental_matrix_is_refused_with_its_p():
+    # Ergodic, so the spec is built, but I - P + 1 pi is singular in floats;
+    # numpy's LinAlgError once escaped as a traceback.
+    P = [[1.0, 1e-200, 0.0], [0.0, 1.0, 1e-200], [1e-200, 0.0, 1.0]]
+    spec = finite_markov(P, [0.0, 0.5, 1.0])
+    want = r"^P = \[\[1\.0, 1e-200, 0\.0\], .* fundamental matrix is singular$"
+    with pytest.raises(DomainError, match=want):
+        markov_long_run_variance(P, [0.0, 0.5, 1.0])
+    with pytest.raises(DomainError, match=want):
+        ground_truth(spec)
+
+
 def test_invalid_specs_rejected():
     with pytest.raises(DomainError):
         iid_bernoulli(1.5)
