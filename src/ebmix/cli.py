@@ -256,8 +256,6 @@ def cmd_simulate(args) -> int:
 
 
 def _load_config(args) -> harness.ExperimentConfig:
-    if args.config is None:
-        raise ConfigError("--config FILE is required")
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -234,15 +234,18 @@ def mds_empirical_radius(qv, b: float, t: float):
 
 def mds_empirical_interval(values, b: float, delta: float) -> IntervalResult:
     """Interval for the mean of bounded martingale increments ``values`` at
-    level ``1 - 3 delta``, centered at their sample mean.
+    level ``1 - 3 delta``, centered at their sample mean.  Values above ``b *
+    (1 + 1e-12)`` in absolute value make the interval void and are refused.
 
     With ``t = log(1/delta)`` the breakdown is :func:`mds_empirical_terms`
     with each term divided by n.
     """
-    x = np.asarray(values, dtype=float)
+    x = _check_array(values, "values")
     if x.ndim != 1 or x.size < 1:
         raise DomainError("values must be a nonempty 1-d sequence")
     b = _check_nonneg(b, "b")
+    if (top := float(np.max(np.abs(x)))) > b * (1 + 1e-12):
+        raise DomainError(f"data exceed the declared bound: max |x| = {top!r} > b = {b!r}")
     delta = _check_prob(delta, "delta")
     n, t = x.size, math.log(1.0 / delta)
     terms = mds_empirical_terms(float(np.sum(x * x)), b, t)

@@ -24,19 +24,6 @@ from .errors import (
     ConfigError, DomainError, PreconditionError, _check_count, _check_prob, _object,
 )
 
-# Accepted shorthands; resolved once when a config is parsed.
-BOUND_ALIASES = {
-    "eb": "empirical_bernstein",
-    "eb_corollary1": "empirical_bernstein",
-    "phi": "phi_mixing",
-    "phi_thm2": "phi_mixing",
-    "tilde_phi": "tilde_phi_mixing",
-    "tilde_phi_thm3": "tilde_phi_mixing",
-    "agnostic": "mixing_agnostic",
-    "agnostic_thm4": "mixing_agnostic",
-    "maurer_pontil": "maurer_pontil_baseline",
-}
-
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 
 # A run holds at most this many simulated values at once (8 MB of float64),
@@ -199,28 +186,34 @@ _PHI_TILDE_BUDGET = "a conditional-CDF (phi_tilde) mixing budget"
 class BoundRow:
     """A bound as the harness and ``ebmix bound`` read it: its --method, the
     misses its level ``1 - misses * delta`` pays for (``delta = 2 alpha /
-    misses``), its budget's regime and worded need (None: optional), its xi."""
+    misses``), its budget's regime and worded need (None: optional), its xi,
+    and the legacy spelling a config may still use."""
 
     method: str | None = None
     misses: int = 3
     regime: str | None = None
     needs_budget: str | None = None
     xi: XiPolicy = XiPolicy(1.0, -1.0)
+    legacy: str | None = None
 
 
 BOUND_TABLE = {
     "freedman_oracle": BoundRow("freedman", misses=2),
     "mds_empirical": BoundRow("mds_empirical"),
-    "empirical_bernstein": BoundRow("eb"),
+    "empirical_bernstein": BoundRow("eb", legacy="eb_corollary1"),
     "eb_ignore_linear": BoundRow("eb_ignore_linear", xi=XiPolicy(1.0, -0.25)),
     "phi_mixing": BoundRow("phi", regime="phi", needs_budget="phi budget required: the "
-                           "process provides no uniform-mixing bound"),
-    "tilde_phi_mixing": BoundRow("tilde_phi", regime="phi_tilde", needs_budget=_PHI_TILDE_BUDGET),
-    "mixing_agnostic": BoundRow("agnostic", regime="phi_tilde"),
+                           "process provides no uniform-mixing bound", legacy="phi_thm2"),
+    "tilde_phi_mixing": BoundRow("tilde_phi", regime="phi_tilde",
+                                 needs_budget=_PHI_TILDE_BUDGET, legacy="tilde_phi_thm3"),
+    "mixing_agnostic": BoundRow("agnostic", regime="phi_tilde", legacy="agnostic_thm4"),
     "dedecker_baseline": BoundRow(regime="phi_tilde", needs_budget=_PHI_TILDE_BUDGET),
-    "maurer_pontil_baseline": BoundRow(misses=2),
+    "maurer_pontil_baseline": BoundRow(misses=2, legacy="maurer_pontil"),
 }
 BOUNDS = tuple(BOUND_TABLE)
+# Each bound's other names, its --method and legacy spelling; resolved once per config.
+BOUND_ALIASES = {alias: name for name, row in BOUND_TABLE.items()
+                 for alias in (row.method, row.legacy) if alias}
 
 
 @dataclass(frozen=True)

@@ -188,13 +188,12 @@ def _validate_params(kind: str, params: dict) -> None:
         if scales is None or not scales.size or np.any(scales <= 0):
             raise DomainError("hetero_mds needs a nonempty list of finite positive scales")
     elif kind == "finite_markov":
-        P = _numbers(params.get("P"), 2)
-        if P is None or P.shape[0] != P.shape[1] or P.shape[0] < 1:
-            raise DomainError("P must be a square matrix of finite numbers")
+        if _numbers(params.get("P"), 2) is None:
+            raise DomainError(_NOT_SQUARE)
+        pi = _chain(params["P"]).pi  # checks the shape and ergodicity, once per chain
         h = _numbers(params.get("h"), 1)
-        if h is None or h.size != P.shape[0]:
+        if h is None or h.size != pi.size:
             raise DomainError("h must list one finite number per state")
-        _chain(P)  # checks ergodicity, once per chain
 
 
 def _numbers(value, ndim: int) -> np.ndarray | None:
@@ -210,8 +209,6 @@ def _numbers(value, ndim: int) -> np.ndarray | None:
 
 
 def _check_ergodic(P: np.ndarray) -> None:
-    if not np.isfinite(P).all():
-        raise DomainError("P must hold finite numbers")
     if np.any(P < -1e-12):
         raise DomainError("P must be elementwise nonnegative")
     rows = P.sum(axis=1)
@@ -232,16 +229,20 @@ def _check_ergodic(P: np.ndarray) -> None:
 
 def stationary_distribution(P) -> np.ndarray:
     """Stationary row vector pi of an ergodic chain via a least-squares solve."""
-    return _chain(_check_array(P, "P")).pi.copy()
+    return _chain(P).pi.copy()
 
 
-_ChainSetUp = namedtuple("_ChainSetUp", "pi cum_pi cuts step width dtype")
+_ChainSetUp = namedtuple("_ChainSetUp", "P pi cum_pi cuts step width dtype")
+_NOT_SQUARE = "P must be a square matrix of finite numbers"
 
 
 def _chain(P) -> _ChainSetUp:
-    """The set-up of the finite chain with transition matrix ``P``, built on
-    first use and then served from a cache keyed by P's float64 bytes."""
-    P = np.asarray(P, dtype=float)
+    """The set-up of the finite chain with transition matrix ``P``, the one
+    reader of a P: anything but a nonempty square matrix of finite numbers
+    raises DomainError.  Served from a cache keyed by P's float64 bytes."""
+    P = _check_array(P, "P")
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or not P.size:
+        raise DomainError(_NOT_SQUARE)
     return _chain_set_up(P.tobytes(), P.shape)
 
 
@@ -249,7 +250,7 @@ def _chain(P) -> _ChainSetUp:
 def _chain_set_up(p_bytes: bytes, shape: tuple) -> _ChainSetUp:
     """The set-up of the finite chain whose float64 P has these bytes, built
     once per chain rather than once per spec, plan or chunk; a chain that is
-    not ergodic raises here, so each chain is checked once.  It holds the
+    not ergodic raises here, so each chain is checked once.  It holds P, the
     stationary law ``pi`` and the path set-up: the cumulative stationary law
     ``cum_pi``, the ``cuts`` that bucket the uniforms (None when the step
     reads the uniforms), the ``step``, the state ``width`` and its ``dtype``.
@@ -276,7 +277,7 @@ def _chain_set_up(p_bytes: bytes, shape: tuple) -> _ChainSetUp:
         step, width = _table_step(cum_rows, cuts), cuts.size + 1
     else:
         step, width, cuts = _column_step(cum_rows), 1, None
-    return _ChainSetUp(pi, cum_pi, cuts, step, width, np.min_scalar_type(s * width - 1))
+    return _ChainSetUp(P, pi, cum_pi, cuts, step, width, np.min_scalar_type(s * width - 1))
 
 
 def markov_long_run_variance(P, h) -> float:
@@ -287,8 +288,8 @@ def markov_long_run_variance(P, h) -> float:
     sum_{k>=1} P^k h_c = (Z - I) h_c.  A chain that is ergodic but so
     barely that Z is singular in floating point raises DomainError.
     """
-    P, h = _check_array(P, "P"), _check_array(h, "h")
-    pi = _chain(P).pi
+    P, pi, *_ = _chain(P)
+    h = _check_array(h, "h")
     if h.shape != pi.shape:
         raise DomainError(f"h must list one finite number per state, got shape {h.shape}")
     mu = float(pi @ h)
@@ -318,7 +319,7 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
     first n terms either way.  It is computed once per (P, n) and then served
     from a cache; a P that is not ergodic raises on every call.
     """
-    P = _check_array(P, "P")
+    P = _chain(P).P
     total = _phi_sum(P.tobytes(), P.shape, _check_count(n))
     return MixingBudget(regime="phi", phi_sum=total, tv_norm=None, provenance="analytic_bound")
 
@@ -327,8 +328,7 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
 def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
     """``markov_phi_budget``'s sum for the float64 matrix with these bytes and
     shape.  Exceptions are not cached."""
-    P = np.frombuffer(p_bytes).reshape(shape)
-    pi = _chain_set_up(p_bytes, shape).pi
+    P, pi, *_ = _chain_set_up(p_bytes, shape)
     total = 0.0
     power = np.eye(P.shape[0])
     powers = np.empty((min(n, _PHI_BLOCK),) + P.shape)
@@ -452,7 +452,7 @@ def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | 
         # Independent coordinates: every mixing coefficient is exactly zero.
         return MixingBudget(regime=regime, phi_sum=0.0, tv_norm=truth.tv_norm, provenance="exact")
     if spec.kind == "finite_markov":
-        base = markov_phi_budget(np.asarray(spec.params["P"], dtype=float), n)
+        base = markov_phi_budget(spec.params["P"], n)
         # The conditional-CDF coefficient never exceeds the uniform one, so
         # the same sum is a valid phi_tilde budget.
         return MixingBudget(regime=regime, phi_sum=base.phi_sum, tv_norm=truth.tv_norm,
@@ -512,11 +512,16 @@ def entropy_words(seed) -> np.ndarray:
 
 
 def _index_array(indices) -> np.ndarray:
-    """Replication indices as an int64 or uint64 array, refusing negatives and
-    values at or above 2^64."""
+    """Replication indices as a 1-d int64 or uint64 array, refusing nested
+    indices, negatives and values at or above 2^64."""
     if not isinstance(indices, (range, np.ndarray)):
         indices = list(indices)
-    idx = np.asarray(indices)
+    try:
+        idx = np.asarray(indices)
+    except ValueError:  # a ragged nesting
+        idx = None
+    if idx is None or idx.ndim != 1:
+        raise DomainError("replication indices must be a flat sequence of integers")
     if idx.size and idx.dtype.kind not in "iu":
         # Ints beyond int64 come back as float or object: check them exactly.
         try:

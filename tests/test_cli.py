@@ -114,10 +114,32 @@ def test_bound_mixing_method(tmp_path, capsys):
     assert out["radius"] > 0 and "remainder" in out["breakdown"]
 
 
-def test_bound_missing_required_flag(capsys):
-    assert main(["bound", "--method", "eb", "--alpha", "0.05", "--n", "100",
-                 "--mean", "0.5", "--css", "1.0"]) == 2
-    assert "--b" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["--method", "eb", "--alpha", "0.05", "--n", "100", "--mean", "0.5", "--css", "1.0"],
+     "error: method 'eb' requires --b\n"),
+    (["--method", "mds_empirical", "--b", "1", "--delta", "0.01", "--n", "100"],
+     "error: method 'mds_empirical' requires --data (raw increments)\n"),
+], ids=["eb-without-b", "mds_empirical-without-data"])
+def test_bound_missing_required_flag(argv, message, capsys):
+    assert main(["bound", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize("delta", ["0.01", "0.4"])
+def test_bound_human_format_prints_the_json_fields(delta, capsys):
+    argv = ["bound", "--method", "eb", "--n", "400", "--mean", "0.5", "--css", "30", "--b", "1",
+            "--delta", delta]
+    assert main(argv) == 0
+    out = _bound_json(capsys.readouterr().out)
+    assert main([*argv, "--format", "human"]) == 0
+    want = [f"center  {out['center']!r}", f"radius  {out['radius']!r}",
+            f"level   {out['level']!r}"]
+    want += [f"  {name:<12} {value!r}" for name, value in out["breakdown"].items()]
+    want += [f"  flag: {flag}" for flag in out.get("flags", [])]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == want
+    assert (lines[-1] == "  flag: vacuous_level") == (delta == "0.4")
 
 
 def test_read_values_reports_line_numbers(tmp_path):
@@ -759,12 +781,15 @@ _TYPO_CONFIG = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["
       "error: config list.json must be a JSON object, got [1, 2]\n"),
      (["coverage", "--config", "typo.json"], {"typo.json": json.dumps(_TYPO_CONFIG)},
       "error: field 'l_policy.valeu': unknown field; known: ['kind', 'value']\n"),
+     (["coverage", "--config", "missing.json"], {},
+      "error: cannot read config missing.json: [Errno 2] No such file or directory"),
      (["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", "afile/x"],
       {"afile": "x\n"}, "error: cannot write afile/x: afile is not a directory\n"),
      (["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", "afile/y/z",
        "--force"], {"afile": "x\n"}, "error: cannot write afile/y/z: afile is not a directory\n")],
     ids=["params-not-json", "params-cut-short", "spec-a-list", "spec-unknown-key",
-         "config-a-list", "config-policy-typo", "out-under-a-file", "out-two-under-a-file"],
+         "config-a-list", "config-policy-typo", "config-unreadable", "out-under-a-file",
+         "out-two-under-a-file"],
 )
 def test_json_and_output_refusals_exit_2_and_write_nothing(
     argv, inputs, message, tmp_path, capsys, monkeypatch
@@ -816,13 +841,19 @@ def test_out_dir_env_variable(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "envout" / "coverage.csv").exists()
 
 
-def test_overrides_win_over_file_values(tmp_path, capsys):
-    cfg = _write_config(tmp_path / "cfg.json")
-    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path),
-                 "--replications", "77", "--n", "123", "--force"]) == 0
-    payload = json.loads((tmp_path / "coverage.json").read_text())
-    assert payload["config"]["replications"] == 77
-    assert payload["config"]["n_grid"] == [123]
+@pytest.mark.parametrize("file, flags, want", [
+    ({}, ["--replications", "77", "--n", "123"], {"replications": 77, "n_grid": [123]}),
+    ({}, ["--delta", "0.02", "--seed", "3"], {"delta": 0.02, "alpha": None, "master_seed": 3}),
+    ({"alpha": None, "delta": 0.01}, ["--alpha", "0.1"], {"alpha": 0.1, "delta": None}),
+], ids=["replications-n", "delta-seed", "alpha"])
+def test_overrides_win_over_file_values(file, flags, want, tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", replications=40, **file)
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path), *flags]) == 0
+    config = json.loads((tmp_path / "coverage.json").read_text())["config"]
+    assert {key: config[key] for key in want} == want
+    row = (tmp_path / "coverage.csv").read_text().splitlines()[1].split(",")
+    seed_column = GOLDEN_COVERAGE_HEADER.split(",").index("master_seed")
+    assert row[seed_column] == str(config["master_seed"])
 
 
 @pytest.mark.parametrize("flag, value, label", [("--l", "10", "l=10"),

@@ -11,6 +11,7 @@ It must never raise TypeError or ValueError, nor return a NaN or an inf.
 import dataclasses
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,3 +229,29 @@ def test_drawn_argument_is_refused_or_gives_finite_values(data):
     name = data.draw(st.sampled_from(sorted(n for n in ROWS if _slots(n))))
     arg, path = data.draw(st.sampled_from(_slots(name)))
     _check(name, arg, path, data.draw(DRAWN))
+
+
+# Arguments of the wrong shape.  The swaps above keep every shape, so they
+# never saw a non-square P reach numpy, which raised ValueError or AxisError.
+_NOT_SQUARE = {"1x2": [[0.5, 0.5]], "1-d": [0.5, 0.5], "3-d": [[[1.0]]], "empty": []}
+_NOT_FLAT = {"2-d": [[0, 1]], "ragged": [[0], [1, 2]], "empty-2-d": [[]]}
+SHAPE_CASES = [pytest.param(name, arg, path, P, "P must be a square matrix of finite numbers",
+                            id=f"{name}-{shape}")
+               for name, arg, path in [("stationary_distribution", "P", ()),
+                                       ("markov_phi_budget", "P", ()),
+                                       ("markov_long_run_variance", "P", ()),
+                                       ("finite_markov", "transition", ()),
+                                       ("ProcessSpec", "params", ("P",))]
+               for shape, P in _NOT_SQUARE.items()]
+SHAPE_CASES += [pytest.param("simulate_paths", "indices", (), indices,
+                             "replication indices must be a flat sequence of integers",
+                             id=f"simulate_paths-{shape}")
+                for shape, indices in _NOT_FLAT.items()]
+
+
+@pytest.mark.parametrize("name, arg, path, value, message", SHAPE_CASES)
+def test_an_argument_of_the_wrong_shape_is_refused(name, arg, path, value, message):
+    kwargs = dict(ROWS[name])
+    kwargs[arg] = _replaced(kwargs[arg], path, value)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        getattr(ebmix, name)(**kwargs)

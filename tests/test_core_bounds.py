@@ -2,6 +2,7 @@
 errors, and algebraic properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,16 +203,37 @@ def test_summarize_matches_two_pass_and_resists_cancellation():
     assert s.mean == pytest.approx(float(x.mean()), rel=1e-12)
 
 
+# The two readers of a raw sample, which check it alike.
+_READERS = {"summarize": lambda values, b: summarize(values, b=b),
+            "mds_empirical_interval": lambda values, b: mds_empirical_interval(values, b, 0.01)}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
 @pytest.mark.parametrize("values, b, top", [
     ([0.0, 2.0], 1.0, 2.0),
     ([0.5, 0.7, 0.9] * 50, 0.0, 0.9),  # b = 0 once passed without a word
     ([0.0, -1e-300], 0.0, 1e-300),
     ([1.0, -(1.0 + 2e-12)], 1.0, 1.0 + 2e-12),
+    # mds_empirical_interval once gave radius 12.6 at level 0.97 here
+    ([5.0, -5.0, 3.0], 1.0, 5.0),
 ])
-def test_summarize_refuses_data_beyond_b(values, b, top):
+def test_summarize_refuses_data_beyond_b(reader, values, b, top):
     with pytest.raises(DomainError) as info:
-        summarize(np.array(values), b=b)
+        _READERS[reader](np.array(values), b)
     assert str(info.value) == f"data exceed the declared bound: max |x| = {top!r} > b = {b!r}"
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("values, message", [
+    (["a"], "values must hold finite numbers only"),  # once numpy's ValueError
+    ([math.nan], "values must hold finite numbers only"),  # once blamed on breakdown['leading']
+    ([0.5, math.inf], "values must hold finite numbers only"),
+    ([[0.5, 0.25]], "values must be a nonempty 1-d sequence"),
+    ([], "values must be a nonempty 1-d sequence"),
+], ids=["string", "nan", "inf", "2-d", "empty"])
+def test_raw_sample_readers_refuse_what_is_not_a_finite_1d_sample(reader, values, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _READERS[reader](values, 1.0)
 
 
 def test_summarize_accepts_data_at_b():
@@ -226,6 +248,8 @@ def test_sample_summary_validation():
         SampleSummary(n=10, mean=0.0, css=-1.0, b=1.0)
     with pytest.raises(DomainError):
         SampleSummary(n=2, mean=0.5, css=100.0, b=1.0, range=(0.0, 1.0))
+    with pytest.raises(DomainError, match=re.escape("range must satisfy a <= b, got (1.0, 0.0)")):
+        SampleSummary(n=2, mean=0.5, css=0.0, b=1.0, range=(1.0, 0.0))
     for field in ("mean", "css", "b"):  # each once gave a NaN or infinite interval
         for value in (math.nan, math.inf, -math.inf):
             stats = {"n": 10, "mean": 0.5, "css": 1.0, "b": 1.0, field: value}

@@ -37,7 +37,8 @@ from ebmix import (
 from ebmix.blocking import block_partition, row_vhat
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_statistic, resolve_bound,
+    BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_statistic,
+    resolve_bound,
 )
 from ebmix import processes, reporting
 
@@ -63,6 +64,13 @@ def test_alias_resolution():
     assert resolve_bound("phi_thm2") == "phi_mixing"
     assert resolve_bound("tilde_phi_thm3") == "tilde_phi_mixing"
     assert resolve_bound("agnostic_thm4") == "mixing_agnostic"
+    assert resolve_bound("maurer_pontil") == "maurer_pontil_baseline"
+    # every `ebmix bound --method` name is a config name too, freedman included
+    assert resolve_bound("freedman") == "freedman_oracle"
+    for name, row in BOUND_TABLE.items():
+        assert resolve_bound(name) == name
+        for alias in (row.method, row.legacy):
+            assert alias is None or resolve_bound(alias) == name
     with pytest.raises(ConfigError, match="unknown bound"):
         resolve_bound("nope")
 
@@ -109,7 +117,9 @@ def test_config_refuses_an_unknown_key_inside_an_object(field, value, named):
      ("l_policies", [{"kind": "fixed", "value": 5}, {"kind": "linear", "value": 0.3}],
       "field 'l_policies[1].kind': must be 'exponent' or 'fixed', got 'linear'"),
      ("l_policy", {"kind": "exponent", "value": 1.5},
-      "field 'l_policy.value': exponent must lie in (0, 1), got 1.5")],
+      "field 'l_policy.value': exponent must lie in (0, 1), got 1.5"),
+     ("knobs", {"c_mode": "max"},
+      "field 'knobs.c_mode': must be 'remainder' or 'fixed', got 'max'")],
 )
 def test_config_names_the_entry_that_holds_a_bad_value_or_kind(field, value, message):
     # An l_policies entry was once named as l_policy.
@@ -158,7 +168,11 @@ _DEFAULT_L = {"kind": "exponent", "value": 0.4}
      ({"xi": {"scale": None}}, "field 'xi.scale': must be a number, got None"),
      ({"knobs": {"c_value": None}}, "field 'knobs.c_value': must be a number, got None"),
      ({"l_policies": [{"kind": None}]},
-      "field 'l_policies[0].kind': must be 'exponent' or 'fixed', got None")],
+      "field 'l_policies[0].kind': must be 'exponent' or 'fixed', got None"),
+     ({"bounds": []}, "field 'bounds': at least one bound is required"),
+     ({"n_grid": []}, "field 'n_grid': must be nonempty"),
+     ({"process": None}, "field 'process': required"),
+     ({"replications": None}, "field 'replications': required")],
 )
 def test_config_null_and_empty_values_keep_their_meaning(given, expected):
     raw = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
@@ -226,6 +240,14 @@ def test_config_refuses_non_integral_counts_and_booleans(field, value):
     raw = _config().to_dict()
     raw[field] = value
     with pytest.raises(ConfigError, match=f"field '{field}'"):
+        ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("key", ["process", "n_grid", "replications", "master_seed"])
+def test_config_refuses_a_missing_required_key(key):
+    raw = _config().to_dict()
+    del raw[key]
+    with pytest.raises(ConfigError, match=f"^field '{key}': required$"):
         ExperimentConfig.from_dict(raw)
 
 
@@ -454,9 +476,14 @@ def test_agnostic_on_iid_has_zero_error_budget():
 
 def test_precondition_cell_is_flagged_not_fatal():
     cfg = _config(n_grid=(6,), replications=50, alpha=None, delta=0.02)
-    row = run_coverage(cfg).rows[0]
+    report = run_coverage(cfg)
+    row = report.rows[0]
     assert row.empirical_coverage is None
     assert any("precondition" in f for f in row.flags)
+    # the summary line names the flag in place of a coverage
+    assert reporting.summary_lines(report) == [
+        "iid_bernoulli(p=0.5) empirical_bernstein n=6 [precondition: inflation undefined: "
+        "too few effective samples (need n_eff > 2 log(1/delta) = 7.82405, got 6)]"]
 
 
 def test_small_n_and_large_delta_cells_are_flagged_not_fatal():

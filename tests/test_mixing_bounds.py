@@ -114,17 +114,26 @@ def test_phi_interval_strictly_increasing_in_budget():
     assert all(b > a for a, b in zip(radii, radii[1:]))
 
 
-def test_phi_interval_rejects_wrong_regime():
+@pytest.mark.parametrize("interval, regime, message", [
+    (phi_interval, "phi_tilde", "phi_interval needs a 'phi' budget, got 'phi_tilde'"),
+    (tilde_phi_interval, "phi", "tilde_phi_interval needs a 'phi_tilde' budget, got 'phi'"),
+])
+def test_phi_interval_rejects_wrong_regime(interval, regime, message):
     s = _summary_with_vhat(200, 10, 0.2)
-    with pytest.raises(DomainError, match="phi"):
-        phi_interval(s, 1.0, MixingBudget("phi_tilde", 0.5, tv_norm=1.0), 0.05)
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        interval(s, 1.0, MixingBudget(regime, 0.5, tv_norm=1.0), 0.05)
 
 
-def test_mixing_budget_refuses_the_agnostic_regime():
+@pytest.mark.parametrize("fields, message", [
     # No bound reads an "agnostic" budget; mixing_terms once raised TypeError on one.
+    ({"regime": "agnostic"}, "regime must be one of ('phi', 'phi_tilde'), got 'agnostic'"),
+    ({"provenance": "guess"},
+     "provenance must be one of ('exact', 'analytic_bound', 'user_supplied'), got 'guess'"),
+])
+def test_mixing_budget_refuses_an_unknown_regime_or_provenance(fields, message):
     with pytest.raises(DomainError) as info:
-        MixingBudget(regime="agnostic", phi_sum=1.0)
-    assert str(info.value) == "regime must be one of ('phi', 'phi_tilde'), got 'agnostic'"
+        MixingBudget(**{"regime": "phi", "phi_sum": 1.0, **fields})
+    assert str(info.value) == message
 
 
 def test_tilde_phi_interval_hand_value():

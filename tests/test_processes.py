@@ -158,6 +158,14 @@ def test_simulate_paths_refuses_indices_outside_uint64(indices):
         simulate_paths(UNIFORM, 5, 0, indices)
 
 
+@pytest.mark.parametrize("indices", [[[1, 2]], np.array([[1], [2]]), [[1], [2, 3]], [[]]],
+                         ids=["nested-list", "2-d-array", "ragged", "empty-2-d"])
+def test_simulate_paths_refuses_nested_indices(indices):
+    # [[1, 2]] once drew two rows, and a ragged list raised numpy's ValueError.
+    with pytest.raises(DomainError, match="^replication indices must be a flat sequence"):
+        simulate_paths(AR1, 5, 0, indices)
+
+
 @pytest.mark.parametrize("seed", [-3, (-1, 0), (4, -1)])
 def test_simulate_refuses_negative_seed(seed):
     with pytest.raises(DomainError, match="nonnegative integer, got -"):
@@ -228,6 +236,12 @@ def test_stationary_distribution_two_state():
 def test_markov_long_run_variance_closed_form():
     # Cov(h_0, h_k) = 0.25 * 0.8^k, so LRV = 0.25 * (1 + 2 * 0.8 / 0.2) = 2.25
     assert markov_long_run_variance(TWO_STATE, H01) == pytest.approx(2.25, rel=1e-12)
+
+
+def test_markov_long_run_variance_refuses_h_of_another_length():
+    want = r"^h must list one finite number per state, got shape \(3,\)$"
+    with pytest.raises(DomainError, match=want):
+        markov_long_run_variance(TWO_STATE, [0.0, 0.5, 1.0])
 
 
 def test_markov_long_run_variance_iid_rows():
@@ -338,6 +352,8 @@ def test_mixing_budget_for_regimes():
     markov_tilde = mixing_budget_for(finite_markov(TWO_STATE, H01), "phi_tilde", 10)
     assert markov_tilde.phi_sum == pytest.approx(2.0 * (1.0 - 0.8**10), rel=1e-9)
     assert markov_tilde.tv_norm == 1.0
+    with pytest.raises(DomainError, match="^regime must be 'phi' or 'phi_tilde', got 'agnostic'$"):
+        mixing_budget_for(bernoulli_ar1(), "agnostic", 10)
 
 
 _HALF_CHAIN = [[0.5, 0.5], [0.5, 0.5]]
@@ -452,13 +468,17 @@ def test_a_chain_too_slow_for_its_fundamental_matrix_is_refused_with_its_p():
         ground_truth(spec)
 
 
-def test_invalid_specs_rejected():
-    with pytest.raises(DomainError):
-        iid_bernoulli(1.5)
-    with pytest.raises(DomainError):
-        hetero_mds([])
-    with pytest.raises(DomainError):
-        iid_uniform(2.0, 1.0)
+@pytest.mark.parametrize("build, message", [
+    (lambda: iid_bernoulli(1.5), "bernoulli needs p in [0, 1]"),
+    (lambda: hetero_mds([]), "hetero_mds needs a nonempty list"),
+    (lambda: iid_uniform(2.0, 1.0), "uniform needs finite a < b"),
+    (lambda: processes.ProcessSpec("ar2", {}), "unknown process kind 'ar2'"),
+    (lambda: processes.ProcessSpec("iid_bounded", {"dist": "beta"}),
+     "iid_bounded dist must be one of"),
+], ids=["p-above-1", "no-scales", "a-above-b", "unknown-kind", "unknown-dist"])
+def test_invalid_specs_rejected(build, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}"):
+        build()
 
 
 def test_spec_round_trip():
