@@ -26,10 +26,14 @@ from .errors import (
 
 _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 
-# A run holds at most this many simulated values at once (8 MB of float64),
-# split evenly over its threads: a chunk holds at most _CHUNK_VALUES // n_jobs
-# values, or one row if a row is longer.
+# A run holds at most _CHUNK_VALUES simulated values at once (8 MB of
+# float64) when its paths run through a recurrence, which wants 2^19 values
+# in flight, and at most _ELEMENTWISE_CHUNK_VALUES (2 MB, about an L2 cache)
+# when each value is made from its own uniform (processes.is_elementwise).
+# The budget is split evenly over the run's threads: a chunk holds at most
+# budget // n_jobs values, or one row if a row is longer.
 _CHUNK_VALUES = 1 << 20
+_ELEMENTWISE_CHUNK_VALUES = 1 << 18
 # _row_statistic reduces a chunk to css or block variances over blocks of rows
 # whose temporary (centered values or block sums) holds at most this many
 # values, so it stays small whatever the chunk holds.
@@ -530,21 +534,27 @@ def _row_statistic(key, vals, means, exact=False):
     return out
 
 
-def _chunk_edges(replications: int, n: int, n_jobs: int = 1) -> list[tuple[int, int]]:
-    """The fewest chunks of replications of at most ``_CHUNK_VALUES // n_jobs``
-    values, or one row, their sizes differing by at most one.  The ``n_jobs``
-    threads of a run then hold at most _CHUNK_VALUES values together, as a
-    serial run does.  No row statistic depends on the chunk its row is in,
-    so the chunks set speed and memory only."""
-    k = -(-replications // max(1, _CHUNK_VALUES // n_jobs // n))
+def _chunk_edges(replications: int, n: int, n_jobs: int = 1,
+                 elementwise: bool = False) -> list[tuple[int, int]]:
+    """The fewest chunks of replications of at most ``budget // n_jobs``
+    values, or one row, their sizes differing by at most one.  The budget is
+    ``_ELEMENTWISE_CHUNK_VALUES`` for a process whose values are made
+    elementwise (:func:`processes.is_elementwise`), else ``_CHUNK_VALUES``,
+    read at each call.  The ``n_jobs`` threads of a run then hold at most
+    the budget together, as a serial run does.  No row statistic depends on
+    the chunk its row is in, so the chunks set speed and memory only."""
+    budget = _ELEMENTWISE_CHUNK_VALUES if elementwise else _CHUNK_VALUES
+    k = -(-replications // max(1, budget // n_jobs // n))
     return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
 
 
 def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ...]:
     """Evaluate every (n, bound, l_policy) cell of the config, running the
     chunks of replications on up to ``n_jobs`` (>= 1) threads.  The threads
-    share one chunk budget (:func:`_chunk_edges`), so a threaded run holds
-    no more simulated values at once than a serial one.
+    share one chunk budget, sized by the process's path transform
+    (:func:`_chunk_edges`): 2^20 values for a recurrence, 2^18 for an
+    elementwise process.  So a threaded run holds no more simulated values
+    at once than a serial one.
 
     Rows come by n, then l policy, then bound; a bound without blocks gets
     one row per n, under the first policy.  All cells at an n share the
@@ -562,6 +572,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
         raise ConfigError(f"n_jobs (--jobs): must be an integer >= 1, got {n_jobs!r}") from None
     r = config.replications
     mu = processes.ground_truth(config.process).mu
+    elementwise = processes.is_elementwise(config.process)
     results = []
     for n, plans in validate_config(config):
         live = [p.stat for p in plans.values() if p.stat is not None]
@@ -575,7 +586,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             for s, out in stats.items():
                 out[lo:hi] = _row_statistic(s, vals, means, exact)
 
-        chunks = _chunk_edges(r, n, n_jobs) if live else []
+        chunks = _chunk_edges(r, n, n_jobs, elementwise) if live else []
         if n_jobs > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=n_jobs) as pool:
                 list(pool.map(work, chunks))

@@ -445,6 +445,7 @@ def ground_truth(spec: ProcessSpec) -> GroundTruth:
 def mixing_budget_for(spec: ProcessSpec, regime: str, n: int) -> MixingBudget | None:
     """Best available budget of the requested regime, or None when the
     process offers no valid bound for it."""
+    n = _check_count(n)
     if regime not in ("phi", "phi_tilde"):
         raise DomainError(f"regime must be 'phi' or 'phi_tilde', got {regime!r}")
     truth = ground_truth(spec)
@@ -514,8 +515,13 @@ def entropy_words(seed) -> np.ndarray:
 def _index_array(indices) -> np.ndarray:
     """Replication indices as a 1-d int64 or uint64 array, refusing nested
     indices, negatives and values at or above 2^64."""
-    if not isinstance(indices, (range, np.ndarray)):
-        indices = list(indices)
+    if isinstance(indices, range) and indices.step == 1 and 0 <= indices.start and indices.stop < 2**63:
+        indices = np.arange(indices.start, indices.stop)  # int64, with no int object per index
+    elif not isinstance(indices, (range, np.ndarray)):
+        try:
+            indices = list(indices)
+        except TypeError:  # an int or None
+            raise DomainError("replication indices must be a flat sequence of integers") from None
     try:
         idx = np.asarray(indices)
     except ValueError:  # a ragged nesting
@@ -602,6 +608,16 @@ def _generator(generator: np.random.Generator, key, state: dict) -> np.random.Ge
     state["state"]["key"] = key
     generator.bit_generator.state = state
     return generator
+
+
+def is_elementwise(spec: ProcessSpec) -> bool:
+    """Whether :func:`_paths_from_uniforms` maps each uniform of ``spec`` to its
+    value alone (iid and ``hetero_mds``), not through :func:`_recur` (finite
+    chains and ``bernoulli_ar1``).  A recurrence is fast only with many
+    states in flight, ``_RECUR_STATES`` per step over segments of at least
+    128 steps, 2^19 values; an elementwise map runs as fast in small chunks,
+    so the harness gives it a smaller chunk budget."""
+    return spec.kind in ("iid_bounded", "hetero_mds")
 
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:

@@ -37,8 +37,8 @@ from ebmix import (
 from ebmix.blocking import block_partition, row_vhat
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _chunk_edges, _median, _row_statistic,
-    resolve_bound,
+    BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _ELEMENTWISE_CHUNK_VALUES, _chunk_edges,
+    _median, _row_statistic, resolve_bound,
 )
 from ebmix import processes, reporting
 
@@ -705,16 +705,36 @@ def test_chunk_edges_are_balanced_and_cover_exactly():
     ]
     # Two threads share the budget: 52 rows fit half of it, seventeen chunks of 50.
     assert _chunk_edges(850, 10_000, 2) == [(50 * i, 50 * i + 50) for i in range(17)]
-    for n_jobs in (1, 2, 3, 8):
-        for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
-                     (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
-            edges = _chunk_edges(r, n, n_jobs)
-            cap = max(1, _CHUNK_VALUES // n_jobs // n)
-            sizes = [hi - lo for lo, hi in edges]
-            assert edges[0][0] == 0 and edges[-1][1] == r
-            assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
-            assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
-            assert len(edges) == -(-r // cap)
+    for elementwise, budget in ((False, _CHUNK_VALUES), (True, _ELEMENTWISE_CHUNK_VALUES)):
+        for n_jobs in (1, 2, 3, 8):
+            for r, n in ((850, 10_000), (1, 10), (7, 1), (10, 1 << 22), (40_000, 200),
+                         (5, 1 << 24), (1001, 3 << 13), (999_983, 17)):
+                edges = _chunk_edges(r, n, n_jobs, elementwise)
+                cap = max(1, budget // n_jobs // n)
+                sizes = [hi - lo for lo, hi in edges]
+                assert edges[0][0] == 0 and edges[-1][1] == r
+                assert all(a[1] == b[0] for a, b in zip(edges, edges[1:]))
+                assert max(sizes) - min(sizes) <= 1 and 1 <= min(sizes) and max(sizes) <= cap
+                assert len(edges) == -(-r // cap)
+
+
+@pytest.mark.parametrize("spec, r, n, chunks", [
+    # iid_short_paths: 1310 rows fit 2^18 values, 655 on each of two threads.
+    (iid_bernoulli(0.3), 40_000, 200, (31, 62)),
+    (hetero_mds([0.5, 1.0, 0.25]), 40_000, 200, (31, 62)),
+    # ar1_long_paths and the slow chain keep their 2^20-value chunks.
+    (bernoulli_ar1(), 16, 200_000, (4, 8)),
+    (finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+                   [0.0, 0.5, 1.0]), 850, 10_000, (9, 17)),
+], ids=["iid_bernoulli", "hetero_mds", "bernoulli_ar1", "finite_markov"])
+def test_chunk_budget_follows_the_path_transform(spec, r, n, chunks):
+    elementwise = processes.is_elementwise(spec)
+    assert elementwise == (spec.kind in ("iid_bounded", "hetero_mds"))
+    budget = _ELEMENTWISE_CHUNK_VALUES if elementwise else _CHUNK_VALUES
+    for n_jobs, count in zip((1, 2), chunks):
+        edges = _chunk_edges(r, n, n_jobs, elementwise)
+        assert len(edges) == count
+        assert max(hi - lo for lo, hi in edges) * n <= max(n, budget // n_jobs)
 
 
 def _digests(report):
@@ -796,21 +816,27 @@ def test_blocked_row_vhat_equals_the_whole_chunk_row_vhat_bit_for_bit(monkeypatc
         assert alone.view(np.uint64)[0] == expected[i], i
 
 
-def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch):
+@pytest.mark.parametrize("spec, bounds", [
+    (iid_bernoulli(0.3), ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline",
+                          "tilde_phi_mixing")),
+    (iid_uniform(0.0, 1.0), ("empirical_bernstein", "eb_ignore_linear",
+                             "maurer_pontil_baseline", "tilde_phi_mixing")),
+    (hetero_mds([0.5, 1.0, 0.25]), ("mds_empirical", "empirical_bernstein",
+                                    "tilde_phi_mixing")),
+], ids=["iid_bernoulli", "iid_uniform", "hetero_mds"])
+def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch, spec, bounds):
     # 7 rows of 2e4 values come in chunks of one row (2**12), of two or three
     # rows (2**16) and of all seven (2**20), whose css blocks are 3, 3 and a
     # lone row; on 2 or 3 threads the 2**16 budget is split into one-row
-    # chunks.  tilde_phi with l = 2 reduces 10^4 block sums per row.
+    # chunks.  tilde_phi with l = 2 reduces 10^4 block sums per row.  These
+    # processes are elementwise, so their chunks follow that budget.
     from ebmix import harness
 
-    cfg = _config(process=iid_bernoulli(0.3),
-                  bounds=("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline",
-                          "tilde_phi_mixing"),
-                  n_grid=(20_000,), replications=7, master_seed=5,
-                  l_policy=LPolicy("fixed", 2))
+    cfg = _config(process=spec, bounds=bounds, n_grid=(20_000,), replications=7,
+                  master_seed=5, l_policy=LPolicy("fixed", 2))
     digests = set()
     for values in (1 << 12, 1 << 16, 1 << 20):
-        monkeypatch.setattr(harness, "_CHUNK_VALUES", values)
+        monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES", values)
         for jobs in (1, 2, 3):
             digests.add(_digests(run_coverage(cfg, n_jobs=jobs)))
     assert len(digests) == 1
@@ -884,11 +910,13 @@ def test_block_variances_take_einsum_sums_only_for_exact_processes(monkeypatch, 
         return row_vhat(vals, m, fl, exact)
 
     monkeypatch.setattr(harness, "row_vhat", recording_vhat)
-    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    elementwise = processes.is_elementwise(spec)
+    monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES" if elementwise else "_CHUNK_VALUES",
+                        20 * 200)
     cfg = _config(process=spec, bounds=("tilde_phi_mixing", "mixing_agnostic"), n_grid=(200,),
                   replications=50, l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 15)))
     assert all(row.covered is not None for row in run_coverage(cfg).rows)
-    assert seen == [exact] * 2 * len(_chunk_edges(50, 200))
+    assert seen == [exact] * 2 * len(_chunk_edges(50, 200, elementwise=elementwise))
 
 
 def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
@@ -907,7 +935,7 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(harness, "row_sumsq", counted_css)
     monkeypatch.setattr(harness, "row_vhat", counted_vhat)
-    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES", 20 * 200)
     css_bounds = ("empirical_bernstein", "eb_ignore_linear", "maurer_pontil_baseline")
     policies = (LPolicy("exponent", 0.4), LPolicy("exponent", 0.5))  # l = 8 and l = 14
     cfg = _config(
@@ -917,7 +945,7 @@ def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
         replications=50,
         l_policies=policies,
     )
-    chunks = len(_chunk_edges(50, 200))
+    chunks = len(_chunk_edges(50, 200, elementwise=True))
     assert chunks == 3
     rows = harness.run_cells(cfg)
     assert calls == {"css": chunks, "vhat": 2 * chunks}
@@ -952,10 +980,10 @@ def test_each_plan_is_evaluated_once_per_n_not_per_chunk(monkeypatch):
         return evaluate(plan, stat)
 
     monkeypatch.setattr(harness._CellPlan, "evaluate", counted)
-    monkeypatch.setattr(harness, "_CHUNK_VALUES", 20 * 200)
+    monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES", 20 * 200)
     cfg = _config(process=iid_bernoulli(0.3), bounds=_IID_BOUNDS, n_grid=(200, 100),
                   replications=50)
-    assert len(_chunk_edges(50, 200)) == 3
+    assert len(_chunk_edges(50, 200, elementwise=True)) == 3
     rows = harness.run_cells(cfg)
     assert all(row.covered is not None for row in rows)
     assert sorted(calls) == sorted((row.n, row.bound) for row in rows)
@@ -963,21 +991,21 @@ def test_each_plan_is_evaluated_once_per_n_not_per_chunk(monkeypatch):
 
 def test_iid_short_paths_run_holds_one_chunk_and_one_float_per_replication_per_statistic():
     # The iid_short_paths config: 8 * 10^6 values, 64 MB as one array, in
-    # chunks of 5000 rows.  Its 7 bounds read 3 distinct row statistics: the
-    # mean, the css and one block variance.  Radii are made one plan at a
-    # time, at the end.
+    # 31 chunks of at most 1291 rows, 2 MB each: an elementwise process
+    # needs no more in flight.  Its 7 bounds read 3 distinct row statistics:
+    # the mean, the css and one block variance.  Radii are made one plan at
+    # a time, at the end.
     n, r = 200, 40_000
     cfg = _config(process=iid_bernoulli(0.3), bounds=_IID_BOUNDS, n_grid=(n,), replications=r,
                   master_seed=0)
     run_coverage(dataclasses.replace(cfg, replications=10))  # one-time imports, outside the trace
-    chunk_bytes = 8 * n * max(hi - lo for lo, hi in _chunk_edges(r, n))
     tracemalloc.start()
     try:
         run_coverage(cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= chunk_bytes + 3 * 8 * r + 1.5 * 2**20
+    assert peak <= 8 * 2**18 + 3 * 8 * r + 1.5 * 2**20
 
 
 SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]

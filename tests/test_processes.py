@@ -152,7 +152,8 @@ def test_chunked_simulate_paths_equal_one_call():
     assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
 
-@pytest.mark.parametrize("indices", [[-1], [3, -2], [2**64], [0, 2**64 + 7]])
+@pytest.mark.parametrize("indices", [[-1], [3, -2], [2**64], [0, 2**64 + 7], range(-2, 3),
+                                     range(2**64 - 1, 2**64 + 1)])
 def test_simulate_paths_refuses_indices_outside_uint64(indices):
     with pytest.raises(DomainError, match="replication index"):
         simulate_paths(UNIFORM, 5, 0, indices)
@@ -164,6 +165,28 @@ def test_simulate_paths_refuses_nested_indices(indices):
     # [[1, 2]] once drew two rows, and a ragged list raised numpy's ValueError.
     with pytest.raises(DomainError, match="^replication indices must be a flat sequence"):
         simulate_paths(AR1, 5, 0, indices)
+
+
+@pytest.mark.parametrize("indices", [5, None], ids=["int", "none"])
+def test_simulate_paths_refuses_indices_that_are_no_sequence(indices):
+    with pytest.raises(DomainError, match="^replication indices must be a flat sequence"):
+        simulate_paths(AR1, 5, 0, indices)
+
+
+@pytest.mark.parametrize("indices", [
+    range(0), range(7), range(3, 3), range(5, 40), range(2, 11, 3), range(9, 0, -2),
+    range(2**63 - 5, 2**63 - 1), range(2**63 - 2, 2**63 + 2), range(2**64 - 2, 2**64),
+    range(2**32 - 2, 2**32 + 2),
+], ids=repr)
+def test_index_array_of_a_range_equals_that_of_its_list(indices):
+    # A range of step 1 inside int64 takes np.arange; any other range, and
+    # one past int64, takes the list's path.  Values and dtype agree.
+    from ebmix.processes import _index_array
+
+    got, want = _index_array(indices), _index_array(list(indices))
+    assert got.tolist() == want.tolist() == list(indices)
+    if len(indices):
+        assert got.dtype == want.dtype
 
 
 @pytest.mark.parametrize("seed", [-3, (-1, 0), (4, -1)])
@@ -354,6 +377,12 @@ def test_mixing_budget_for_regimes():
     assert markov_tilde.tv_norm == 1.0
     with pytest.raises(DomainError, match="^regime must be 'phi' or 'phi_tilde', got 'agnostic'$"):
         mixing_budget_for(bernoulli_ar1(), "agnostic", 10)
+    # n is checked first, on every path, before the regime and the kind.
+    for spec, regime, n in ((iid_bernoulli(0.3), "phi", -5), (iid_bernoulli(0.3), "x", -5),
+                            (hetero_mds([1.0]), "phi", 0), (bernoulli_ar1(), "phi", -5),
+                            (finite_markov(TWO_STATE, H01), "phi_tilde", 0)):
+        with pytest.raises(DomainError, match="^n must be a positive integer"):
+            mixing_budget_for(spec, regime, n)
 
 
 _HALF_CHAIN = [[0.5, 0.5], [0.5, 0.5]]
