@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 property/acceptance failure, 2 precondition or
-validation error, 3 refusal to overwrite an output file.
+validation error, 3 refusal to overwrite an output file, 141 stdout closed
+by its reader (the status a shell reports for a writer ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -24,6 +26,11 @@ from .errors import (
 )
 
 OUT_DIR_ENV = "EBMIX_OUT_DIR"
+
+# Lines per block that a data file is read in, and that `ebmix simulate`
+# writes in: enough to amortize the per-block work, few enough that the
+# text of one block is far smaller than the values it holds.
+_BLOCK_LINES = 4096
 
 # Each `ebmix bound --method` and the bound-table row it reads.
 _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
@@ -41,39 +48,49 @@ _EXPERIMENTS = {
 
 
 def read_values(path: str) -> np.ndarray:
-    """Newline-separated finite decimal reals; blank lines and '#' comments ignored."""
+    """Finite decimal reals, one per line; blank lines and '#' comments ignored.
+
+    A line is what text mode yields: it ends at '\\n', '\\r\\n' or '\\r'.  The
+    file is read in blocks of ``_BLOCK_LINES`` lines and never seeks, so a
+    pipe works and only one block of text is held at a time."""
+    blocks, start = [], 1
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            while block := list(itertools.islice(f, _BLOCK_LINES)):
+                blocks.append(_parse_block(path, block, start))
+                start += len(block)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
-    lines = text.splitlines()
-    # One pass when every line after the leading blank and '#' lines (such
-    # as the '# truth:' line of `ebmix simulate`) is a number.  float()
-    # raises on a blank line and on a comment, so any file it accepts here
-    # the line loop accepts too, with the same bits; any other file takes
-    # the loop, which numbers the lines of the whole file.
-    head = 0
-    while head < len(lines) and (not lines[head].strip() or lines[head].lstrip().startswith("#")):
-        head += 1
-    try:
-        data = lines[head:] if head else lines
-        array = np.fromiter(map(float, data), dtype=float, count=len(data))
-    except ValueError:
-        array = _parse_lines(path, lines)
+    array = np.concatenate(blocks) if blocks else np.empty(0)
     if array.size == 0:
         raise InputError(f"{path}: no numeric data found")
-    if not np.isfinite(array).all():
-        # Checked once on the array to keep the parse lean; the line loop
-        # runs only on this error path, to name the line.
-        _parse_lines(path, lines)
     return array
 
 
-def _parse_lines(path: str, lines: list[str]) -> np.ndarray:
+def _parse_block(path: str, block: list[str], start: int) -> np.ndarray:
+    """One block in one pass when every line after its leading blank and '#'
+    lines (such as the '# truth:' line of `ebmix simulate`) is a finite
+    number.  float() raises on a blank line and on a comment, so any block
+    it accepts here the line loop accepts too, with the same bits; any other
+    block takes the loop, which numbers its lines from ``start``."""
+    head = 0
+    while head < len(block) and (not block[head].strip() or block[head].lstrip().startswith("#")):
+        head += 1
+    data = block[head:] if head else block
+    try:
+        array = np.fromiter(map(float, data), dtype=float, count=len(data))
+    except ValueError:
+        return _parse_lines(path, block, start)
+    # Finiteness is checked once on the array to keep the pass lean; the
+    # line loop runs on a non-finite block only to name the line.
+    return array if np.isfinite(array).all() else _parse_lines(path, block, start)
+
+
+def _parse_lines(path: str, lines: list[str], start: int = 1) -> np.ndarray:
     """The line loop: skips blank and '#' lines and names a line that is not
-    a finite number."""
+    a finite number, counting the first of ``lines`` as line ``start``."""
     values = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -244,14 +261,17 @@ def cmd_simulate(args) -> int:
         params = _json_object(args.params, "--params") if args.params else {}
         spec = processes.ProcessSpec(kind=args.kind, params=params)
     values, truth = processes.simulate(spec, args.n, args.seed)
-    lines = "\n".join(repr(float(v)) for v in values) + "\n"
+    # One line per value, rendered a block at a time so that the text of
+    # the whole path is never held at once.
+    blocks = ("".join(repr(v) + "\n" for v in values[i:i + _BLOCK_LINES].tolist())
+              for i in range(0, values.size, _BLOCK_LINES))
     truth_payload = {"process": spec.label(), **dataclasses.asdict(truth)}
     if args.out:
-        reporting.atomic_write_text(args.out, lines, force=args.force)
+        reporting.atomic_write(args.out, blocks, force=args.force)
         print(json.dumps(truth_payload, indent=2))
     else:
         print(f"# truth: {json.dumps(truth_payload)}")
-        sys.stdout.write(lines)
+        sys.stdout.writelines(blocks)
     return 0
 
 
@@ -381,7 +401,16 @@ def main(argv=None) -> int:
     name = args.subcommand
     command = _run_experiment if name in _EXPERIMENTS else globals()["cmd_" + name]
     try:
-        return command(args)
+        status = command(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `ebmix simulate ... | head -1`.
+        # Stdout now points at devnull so that the interpreter's final flush
+        # stays quiet, and the status is the one a shell reports for a
+        # writer that SIGPIPE ended.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OutputExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

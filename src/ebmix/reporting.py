@@ -92,10 +92,16 @@ def summary_lines(report: CoverageReport) -> list[str]:
 
 
 def atomic_write_text(path, text: str, force: bool = False) -> None:
-    """Write via a temp file + rename; refuse to overwrite unless force.  A
-    directory, or a write that fails, raises InputError ("cannot write
-    <path>: <reason>", naming a parent that is not a directory), and a
-    failed write leaves no temp file behind."""
+    """``atomic_write`` of one string."""
+    atomic_write(path, (text,), force=force)
+
+
+def atomic_write(path, pieces, force: bool = False) -> None:
+    """Write the text ``pieces`` in turn via a temp file + rename; refuse to
+    overwrite unless force.  A directory, or a write that fails, raises
+    InputError ("cannot write <path>: <reason>", naming a parent that is not
+    a directory).  The temp file is removed whatever ends the write early:
+    a failed write, an exception from ``pieces``, or an interrupt."""
     path = Path(path)
     if path.is_dir():
         raise InputError(f"cannot write {path}: it is a directory")
@@ -104,11 +110,14 @@ def atomic_write_text(path, text: str, force: bool = False) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(pieces)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):  # unlink never removes a directory
             tmp.unlink()
+        if not isinstance(exc, OSError):
+            raise
         reason = next((f"{parent} is not a directory" for parent in path.parents
                        if parent.exists() and not parent.is_dir()), exc.strerror or exc)
         raise InputError(f"cannot write {path}: {reason}") from exc

@@ -7,6 +7,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,94 @@ def test_read_values_refuses_a_file_that_is_not_utf8(tmp_path, capsys):
         read_values(str(data))
     assert main(["bound", "--method", "eb", "--alpha", "0.05", "--b", "1",
                  "--data", str(data)]) == 2
+
+
+def _lines_file(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+def test_read_values_holds_the_values_not_the_text(tmp_path):
+    # The file is read a block of lines at a time: the peak is the block
+    # arrays and their concatenation, not ~90 B of text and line strings per
+    # value.
+    n = 200_000
+    values = np.random.default_rng(5).normal(size=n)
+    data = _lines_file(tmp_path / "big.txt", [repr(v) for v in values.tolist()])
+    read_values(str(data))  # one-time imports, outside the trace
+    tracemalloc.start()
+    try:
+        got = read_values(str(data))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+    assert peak <= 3 * 8 * n + 2**20
+
+
+@pytest.mark.parametrize(
+    "lineno, token, message",
+    [(4_500, "abc", "not a number: 'abc'"), (9_000, " nan", "value is not finite: 'nan'")],
+    ids=["word", "nan"],
+)
+def test_read_values_names_the_line_in_a_later_block(tmp_path, lineno, token, message):
+    lines = ["0.5"] * 10_000
+    lines[lineno - 1] = token
+    data = _lines_file(tmp_path / "bad.txt", lines)
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: line {lineno}: {message}"
+
+
+def test_read_values_reads_a_pipe_with_a_mid_file_comment(tmp_path):
+    # Nothing seeks, so `--data /dev/stdin` works; the comment sends one
+    # block through the line loop.
+    lines = [repr(v) for v in np.random.default_rng(6).normal(size=10_000).tolist()]
+    lines[6_000:6_000] = ["# mid", ""]
+    data = _lines_file(tmp_path / "data.txt", lines)
+    payload = data.read_bytes()
+    r, w = os.pipe()
+
+    def feed():
+        with open(w, "wb") as sink:
+            sink.write(payload)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        piped = read_values(f"/dev/fd/{r}")
+    finally:
+        writer.join(timeout=60)
+        os.close(r)
+    assert not writer.is_alive()
+    assert piped.view(np.uint64).tolist() == read_values(str(data)).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("raw", [b"0.5\r0.25\r1_0\r", b"0.5\r# mid\r\r0.25\r1_0"],
+                         ids=["one-pass", "line-loop"])
+def test_read_values_ends_a_line_at_a_lone_cr(tmp_path, raw):
+    data = tmp_path / "data.txt"
+    data.write_bytes(raw)
+    assert read_values(str(data)).tolist() == [0.5, 0.25, 10.0]
+
+
+@pytest.mark.parametrize("sep", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028"],
+                         ids=["form-feed", "vtab", "file-sep", "nel", "line-sep"])
+def test_read_values_does_not_end_a_line_at_other_breaks(tmp_path, sep):
+    # str.splitlines would split here; text mode does not, so the line is
+    # refused rather than read as two values.
+    data = tmp_path / "data.txt"
+    data.write_text(f"0.5{sep}0.25\n", encoding="utf-8")
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: line 1: not a number: {'0.5' + sep + '0.25'!r}"
+
+
+def test_read_values_refuses_a_non_utf8_byte_after_the_first_block(tmp_path):
+    data = tmp_path / "latin1.txt"
+    data.write_bytes(b"0.5\n" * 10_000 + b"\xff0.25\n")
+    with pytest.raises(InputError, match="^cannot read data file .*utf-8"):
+        read_values(str(data))
 
 
 def test_bound_on_nan_data_exits_2(tmp_path, capsys):
@@ -760,6 +850,67 @@ def test_atomic_write_text_that_fails_raises_and_removes_its_temp_file(tmp_path,
     (tmp_path / "report.csv.tmp").rmdir()
     reporting.atomic_write_text(target, "a,b\n")
     assert target.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("n", [1, 4_096, 4_097, 2 * 4_096 + 3])
+def test_simulate_writes_the_repr_of_each_value(tmp_path, capsys, n):
+    # The bytes of the whole-string writer that the blocks replaced.
+    spec = {"kind": "iid_bounded", "params": {"dist": "uniform", "a": -1.0, "b": 2.0}}
+    values, _ = simulate(ProcessSpec.from_dict(spec), n, 9)
+    want = ("\n".join(repr(float(v)) for v in values) + "\n").encode()
+    argv = ["simulate", "--spec", json.dumps(spec), "--n", str(n), "--seed", "9"]
+    out = tmp_path / "path.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == want
+    capsys.readouterr()
+    assert main(argv) == 0
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert head.startswith("# truth: ") and body.encode() == want
+
+
+def test_simulate_out_holds_the_values_not_the_text(tmp_path, capsys):
+    n = 200_000
+    argv = ["simulate", "--kind", "bernoulli_ar1", "--n", str(n), "--seed", "0",
+            "--out", str(tmp_path / "path.txt"), "--force"]
+    assert main(argv) == 0  # one-time imports, outside the trace
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n + 2**20
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_atomic_write_removes_its_temp_file_when_the_pieces_raise(tmp_path, error):
+    from ebmix import reporting
+
+    def pieces():
+        yield "0.5\n" * 10_000
+        raise error("stop")
+
+    with pytest.raises(error):
+        reporting.atomic_write(tmp_path / "out.txt", pieces())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_into_a_closed_pipe_exits_141_quietly():
+    # 141 is what a shell reports for a writer that SIGPIPE ended; the
+    # interpreter's final flush must not print a traceback either.
+    path = [str(Path(harness.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ebmix.cli", "simulate", "--kind", "bernoulli_ar1", "--n",
+         "200000", "--seed", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"# truth: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 _TYPO_CONFIG = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
