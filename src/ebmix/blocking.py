@@ -138,8 +138,8 @@ def block_identity_residual(values, m: int, l: int, mu: float) -> float:
         raise DomainError(f"values must have length m*l = {m * l}, got {x.size}")
     blocks = x.reshape(m, l)
     wbar = float(np.sum(x)) / (m * l)
-    lhs_blocks = blocks.sum(axis=1) - l * wbar
-    lhs = float(np.sum(lhs_blocks * lhs_blocks)) + m * l * l * (wbar - mu) ** 2
-    rhs_blocks = blocks.sum(axis=1) - l * mu
-    rhs = float(np.sum(rhs_blocks * rhs_blocks))
+    lhs_sums = blocks.sum(axis=1) - l * wbar
+    lhs = float(np.sum(lhs_sums * lhs_sums)) + m * l * l * (wbar - mu) ** 2
+    rhs_sums = blocks.sum(axis=1) - l * mu
+    rhs = float(np.sum(rhs_sums * rhs_sums))
     return lhs - rhs

@@ -34,10 +34,6 @@ _BLOCK_BOUNDS = ("phi_mixing", "tilde_phi_mixing", "mixing_agnostic")
 # budget // n_jobs values, or one row if a row is longer.
 _CHUNK_VALUES = 1 << 20
 _ELEMENTWISE_CHUNK_VALUES = 1 << 18
-# _row_statistic reduces a chunk to css or block variances over blocks of rows
-# whose temporary (centered values or block sums) holds at most this many
-# values, so it stays small whatever the chunk holds.
-_CSS_VALUES = 1 << 16
 
 
 def resolve_bound(name: str) -> str:
@@ -516,16 +512,17 @@ def _row_statistic(key, vals, means, exact=False):
     ``vals``, whose row means are ``means``.  The css (the sum of squares
     about the row mean) and the block variances are reduced over blocks of
     rows whose temporary, the centered rows or their block sums, holds at
-    most ``_CSS_VALUES`` values (or one row's); no row's statistic depends
-    on its block.  ``exact`` is :func:`processes.sums_are_exact` for the rows'
-    process and length: block variances then take :func:`row_vhat`'s einsum
-    block sums, with the same bits as the pairwise ones."""
+    most ``processes._BLOCK`` values (or one row's), so it stays small
+    whatever the chunk holds; no row's statistic depends on its block.
+    ``exact`` is :func:`processes.sums_are_exact` for the rows' process and
+    length: block variances then take :func:`row_vhat`'s einsum block sums,
+    with the same bits as the pairwise ones."""
     if key == "mean":
         return means
     if key == "qv":
         return row_sumsq(vals)
     rows, n = vals.shape
-    step = max(1, _CSS_VALUES // (n if key == "css" else key[1]))
+    step = max(1, processes._BLOCK // (n if key == "css" else key[1]))
     out = np.empty(rows)
     for lo in range(0, rows, step):
         block = vals[lo:lo + step]

@@ -12,10 +12,11 @@ against numpy's own.  Negative seeds and indices are refused with DomainError.
 The AR(1) and finite-Markov paths equal the sequential recurrence
 ``x[t] = step(x[t-1], u[t])`` bit for bit, although ``_recur`` advances all
 time segments of all paths together, a contiguous tile of ``_TILE`` time
-indices at a time (see its docstring).  Each segment starts from a guess
-driven through a 64-step warm-up; wrong starts are repaired in rounds, each
-re-run stopping where it meets the stored states.  The segment count is the
-one with the fewest sequential steps from half a cap up to it.  A step
+indices at a time (see its docstring); the segments are reshape views of
+the path.  Each segment starts from a guess driven through a 64-step
+warm-up; wrong starts are repaired in rounds, each re-run stopping where it
+meets the stored states.  The segment count is the one with the fewest
+sequential steps from half a cap up to it.  A step
 writes in place: ``step(state, inputs, out)`` puts the next state into
 ``out``, not into a new array; the AR(1) step is ``(x + b) * 0.5`` in two
 calls, the table step an add and a ``take``.  Each recurrence reads one
@@ -26,7 +27,10 @@ A chain whose (state, bucket) table has at most ``_TABLE_SIZE`` entries,
 with at most 256 buckets, steps by one lookup in that table; a larger chain
 reads the uniform and counts, column by column, the cumulative transition
 probabilities of the current state that lie at or below it.  Both
-recurrences write their path into the uniform buffer.
+recurrences write their path into the uniform buffer.  The elementwise
+passes around a chain's recurrence, its buckets and its h lookup, walk flat
+blocks of at most ``_BLOCK`` values of their C-contiguous buffers; a buffer
+that is not contiguous raises rather than be copied.
 
 ``sums_are_exact`` tells, from the spec alone, whether every partial sum of
 a path is an exact float (0/1, +-1 and other values on one dyadic grid), so
@@ -71,8 +75,9 @@ _TILE = 16
 # A finite chain steps by table lookup when its (state, bucket) table has at
 # most this many entries.
 _TABLE_SIZE = 1 << 16
-# Element-wise passes over a (paths, n) array take blocks of this many
-# elements at most, so their temporaries stay small.
+# Element-wise passes over a (paths, n) array take flat blocks of this many
+# elements at most, so their temporaries stay small.  The harness sizes its
+# row blocks by it too.
 _BLOCK = 1 << 16
 
 # numpy.random.SeedSequence's pool size and hash constants
@@ -622,7 +627,9 @@ def is_elementwise(spec: ProcessSpec) -> bool:
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms of shape (paths, n) to process values, one row per path.
-    The values of every kind overwrite ``u`` and are returned in it."""
+    The values of every kind overwrite ``u`` and are returned in it.  A
+    finite chain buckets ``u`` and looks its states' h up over flat blocks
+    of ``u``, so its ``u`` must be C-contiguous."""
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
         if p["dist"] == "bernoulli":
@@ -645,8 +652,12 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         states = _recur(chain.step, (first * chain.width).astype(chain.dtype), inputs)
         # State s is held as s * width, so h is looked up through a repeat.
         h = np.repeat(np.asarray(p["h"], dtype=float), chain.width)
-        for block in _blocks(u.shape):
-            np.take(h, states[block], out=u[block], mode="clip")
+        flat_states, flat_u = states.reshape(-1, copy=False), u.reshape(-1, copy=False)
+        # take reads its indices through an 8-byte intp copy, so a block of
+        # _BLOCK // 8 states keeps that copy at _BLOCK bytes.
+        for lo in range(0, u.size, _BLOCK // 8):
+            block = np.s_[lo : lo + _BLOCK // 8]
+            np.take(h, flat_states[block], out=flat_u[block], mode="clip")
         return u
     # bernoulli_ar1: the recurrence reads only the noise bits, so it can
     # write the path over the uniforms.
@@ -679,17 +690,6 @@ def _unique(a) -> np.ndarray:
     return v[keep]
 
 
-def _blocks(shape):
-    """Index tuples that cut an array of ``shape`` (rows, n) into blocks of at
-    most _BLOCK elements, whole rows where they fit."""
-    rows, n = shape
-    width = min(n, _BLOCK)
-    height = max(1, _BLOCK // width)
-    for r in range(0, rows, height):
-        for c in range(0, n, width):
-            yield np.s_[r : r + height, c : c + width]
-
-
 def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
     """The step from state s * width and bucket k, with width = cuts.size + 1,
     to the next state times width, by one lookup.
@@ -716,12 +716,16 @@ def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
 
 
 def _buckets(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The number of ``cuts`` (fewer than 256) at or below each uniform, as uint8."""
+    """The number of ``cuts`` (fewer than 256) at or below each uniform, as
+    uint8, counted over flat blocks of _BLOCK uniforms.  ``u`` must be
+    C-contiguous: its flat view raises rather than copy."""
+    flat = u.reshape(-1, copy=False)
     out = np.zeros(u.shape, dtype=np.uint8)
-    scratch = np.empty(_BLOCK, dtype=bool)
-    for block in _blocks(u.shape):
-        ub, ob = u[block], out[block]
-        hit = scratch[: ub.size].reshape(ub.shape)
+    flat_out = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK), dtype=bool)
+    for lo in range(0, flat.size, _BLOCK):
+        ub, ob = flat[lo : lo + _BLOCK], flat_out[lo : lo + _BLOCK]
+        hit = scratch[: ub.size]
         # A bool is one byte of 0 or 1, so the hits add as uint8, with no cast.
         hits = hit.view(np.uint8)
         for cut in cuts:
@@ -756,14 +760,6 @@ def _segment_count(rows: int, n: int) -> int:
     return int(counts[np.argmin(n // counts + n % counts)])
 
 
-def _segment_view(a: np.ndarray, segments: int, length: int) -> np.ndarray:
-    """``a[:, :segments * length]`` seen as (rows, segments, length), sharing memory."""
-    row, col = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, (a.shape[0], segments, length), (row, length * col, col)
-    )
-
-
 def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The array the loop ``out[:, 0] = first; step(out[:, t-1], u[:, t], out[:, t])``
     produces, bit for bit, for per-time inputs ``u`` of shape (paths, n),
@@ -785,7 +781,9 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     checked against one step from the previous segment's end, and the wrong
     ones are repaired in rounds (``_repair``).  The last n - S*L indices are
     finished as one more tiled run with one segment per path.  ``step`` must
-    map states that compare equal to identical results.
+    map states that compare equal to identical results.  The (paths, S, L)
+    segments of ``u`` and ``out`` are reshape views of their first S*L
+    columns: splitting the time axis never needs a copy.
     """
     rows, n = u.shape
     if out is None:
@@ -793,8 +791,9 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     out[:, 0] = first
     segments = _segment_count(rows, n)
     length = n // segments
-    xs = _segment_view(out, segments, length)
-    us = _segment_view(u, segments, length)
+    done = segments * length
+    xs = out[:, :done].reshape(rows, segments, length)
+    us = u[:, :done].reshape(rows, segments, length)
     # The warm-up, the segments and the tail cut their tiles from one buffer
     # (two when the inputs need their own dtype).
     x_flat = np.empty((_TILE + 1) * rows * segments, dtype=out.dtype)
@@ -810,7 +809,6 @@ def _recur(step, first: np.ndarray, u: np.ndarray, out: np.ndarray | None = None
     if segments > 1:
         ends = step(xs[:, :-1, -1], us[:, 1:, 0], np.empty((rows, segments - 1), out.dtype))
         _repair(step, xs, us, ends != xs[:, 1:, 0])
-    done = segments * length
     tail = np.s_[:, None, done:]
     _steps(step, out[:, done - 1 : done], u[tail], out[tail], x_flat, u_flat)
     return out

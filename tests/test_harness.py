@@ -37,9 +37,10 @@ from ebmix import (
 from ebmix.blocking import block_partition, row_vhat
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
-    BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _CSS_VALUES, _ELEMENTWISE_CHUNK_VALUES, _chunk_edges,
+    BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _ELEMENTWISE_CHUNK_VALUES, _chunk_edges,
     _median, _row_statistic, resolve_bound,
 )
+from ebmix.processes import _BLOCK as _CSS_VALUES
 from ebmix import processes, reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
@@ -1035,6 +1036,18 @@ def _scale_fault(reason):
 
 
 _SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
+_KNOB_FAULT = _scale_fault("the knobs t_n and s_n carry no data unit")
+# The pairs added after the first nine carry their own ids, so that the
+# first nine keep theirs.
+_MORE_SCALED_PAIRS = [
+    pytest.param(lambda s: hetero_mds([s / 2, s]), "freedman_oracle",
+                 id="hetero_mds-freedman_oracle"),
+    *(pytest.param(process, bound, marks=fault, id=f"{name}-{bound}")
+      for name, process in (("iid_uniform", lambda s: iid_uniform(-s, 2 * s)),
+                            ("hetero_mds", lambda s: hetero_mds([s / 2, s])))
+      for bound, fault in (("phi_mixing", _SLACK_FAULT), ("tilde_phi_mixing", _SLACK_FAULT),
+                           ("mixing_agnostic", _KNOB_FAULT))),
+]
 
 
 @pytest.mark.parametrize("process, bound", [
@@ -1048,10 +1061,11 @@ _SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "tilde_phi_mixing",
                  marks=_SLACK_FAULT),
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "mixing_agnostic",
-                 marks=_scale_fault("the knobs t_n and s_n carry no data unit")),
+                 marks=_KNOB_FAULT),
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "dedecker_baseline",
                  marks=_scale_fault("the radius sqrt(2 tv phi_sum log(2/eps) / n) scales "
                                     "like sqrt(s)")),
+    *_MORE_SCALED_PAIRS,
 ])
 def test_radius_scales_with_the_data_bit_for_bit(process, bound):
     # Scaling the data, and with them every scale input, by s = 2**k is

@@ -835,6 +835,33 @@ def test_unique_equals_numpy_unique(a):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shape", [(3, 70_001), (1, 5), (0, 5)], ids=str)
+def test_buckets_and_the_chain_lookup_walk_flat_blocks_of_the_uniforms(monkeypatch, shape):
+    # 3 x 70 001 values are no multiple of _BLOCK, and each row is longer.
+    chain = processes._chain(SLOW_3)
+    rng = np.random.default_rng(shape)
+    u = rng.random(shape)
+    hits = rng.integers(0, max(u.size, 1), u.size // 3)
+    u.flat[hits] = rng.choice(chain.cuts, hits.size)  # uniforms exactly on a cut
+    want = np.searchsorted(chain.cuts, u, side="right").astype(np.uint8)
+    got = processes._buckets(chain.cuts, u)
+    assert got.dtype == np.uint8 and got.shape == shape
+    assert np.array_equal(got, want)
+    # The h lookup maps every state the recurrence returns, across block edges.
+    states = []
+    real = processes._recur
+    monkeypatch.setattr(processes, "_recur", lambda *args: states.append(real(*args)) or states[-1])
+    values = processes._paths_from_uniforms(MARKOV_3, u.copy())
+    h = np.repeat(MARKOV_3.params["h"], chain.width)
+    assert np.array_equal(values, h[states[0]])
+    # A flat view of a non-contiguous array would be a copy: it raises.
+    cut = np.random.default_rng(0).random((3, 7))[:, :5]
+    for transform in (lambda: processes._buckets(chain.cuts, cut),
+                      lambda: processes._paths_from_uniforms(MARKOV_3, cut)):
+        with pytest.raises(ValueError, match="copy"):
+            transform()
+
+
 @pytest.mark.parametrize(
     "P, step",
     [
