@@ -627,9 +627,8 @@ def is_elementwise(spec: ProcessSpec) -> bool:
 
 def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
     """Map uniforms of shape (paths, n) to process values, one row per path.
-    The values of every kind overwrite ``u`` and are returned in it.  A
-    finite chain buckets ``u`` and looks its states' h up over flat blocks
-    of ``u``, so its ``u`` must be C-contiguous."""
+    The values of every kind overwrite ``u`` and are returned in it; a
+    finite chain walks flat blocks of ``u``, which must be C-contiguous."""
     kind, p = spec.kind, spec.params
     if kind == "iid_bounded":
         if p["dist"] == "bernoulli":
@@ -652,7 +651,7 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         states = _recur(chain.step, (first * chain.width).astype(chain.dtype), inputs)
         # State s is held as s * width, so h is looked up through a repeat.
         h = np.repeat(np.asarray(p["h"], dtype=float), chain.width)
-        flat_states, flat_u = states.reshape(-1, copy=False), u.reshape(-1, copy=False)
+        flat_states, flat_u = states.ravel(), _flat(u)
         # take reads its indices through an 8-byte intp copy, so a block of
         # _BLOCK // 8 states keeps that copy at _BLOCK bytes.
         for lo in range(0, u.size, _BLOCK // 8):
@@ -690,6 +689,13 @@ def _unique(a) -> np.ndarray:
     return v[keep]
 
 
+def _flat(a: np.ndarray) -> np.ndarray:
+    """``a.ravel()``, a view of a C-contiguous ``a``; any other ``a`` raises."""
+    if not a.flags.c_contiguous:
+        raise ValueError("a flat view of a non-contiguous array would be a copy")
+    return a.ravel()
+
+
 def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
     """The step from state s * width and bucket k, with width = cuts.size + 1,
     to the next state times width, by one lookup.
@@ -717,21 +723,19 @@ def _table_step(cum_rows: np.ndarray, cuts: np.ndarray):
 
 def _buckets(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The number of ``cuts`` (fewer than 256) at or below each uniform, as
-    uint8, counted over flat blocks of _BLOCK uniforms.  ``u`` must be
-    C-contiguous: its flat view raises rather than copy."""
-    flat = u.reshape(-1, copy=False)
-    out = np.zeros(u.shape, dtype=np.uint8)
-    flat_out = out.reshape(-1)
+    uint8, counted over flat blocks of _BLOCK uniforms of a C-contiguous ``u``."""
+    flat = _flat(u)
+    out = np.zeros(flat.size, dtype=np.uint8)
     scratch = np.empty(min(flat.size, _BLOCK), dtype=bool)
     for lo in range(0, flat.size, _BLOCK):
-        ub, ob = flat[lo : lo + _BLOCK], flat_out[lo : lo + _BLOCK]
+        ub, ob = flat[lo : lo + _BLOCK], out[lo : lo + _BLOCK]
         hit = scratch[: ub.size]
         # A bool is one byte of 0 or 1, so the hits add as uint8, with no cast.
         hits = hit.view(np.uint8)
         for cut in cuts:
             np.greater_equal(ub, cut, out=hit)
             ob += hits
-    return out
+    return out.reshape(u.shape)
 
 
 def _column_step(cum_rows: np.ndarray):

@@ -1037,17 +1037,6 @@ def _scale_fault(reason):
 
 _SLACK_FAULT = _scale_fault("the slack sqrt(2 L xi_n) / n carries no data unit")
 _KNOB_FAULT = _scale_fault("the knobs t_n and s_n carry no data unit")
-# The pairs added after the first nine carry their own ids, so that the
-# first nine keep theirs.
-_MORE_SCALED_PAIRS = [
-    pytest.param(lambda s: hetero_mds([s / 2, s]), "freedman_oracle",
-                 id="hetero_mds-freedman_oracle"),
-    *(pytest.param(process, bound, marks=fault, id=f"{name}-{bound}")
-      for name, process in (("iid_uniform", lambda s: iid_uniform(-s, 2 * s)),
-                            ("hetero_mds", lambda s: hetero_mds([s / 2, s])))
-      for bound, fault in (("phi_mixing", _SLACK_FAULT), ("tilde_phi_mixing", _SLACK_FAULT),
-                           ("mixing_agnostic", _KNOB_FAULT))),
-]
 
 
 @pytest.mark.parametrize("process, bound", [
@@ -1065,7 +1054,21 @@ _MORE_SCALED_PAIRS = [
     pytest.param(lambda s: finite_markov(SLOW_3, [0.0, s / 2, s]), "dedecker_baseline",
                  marks=_scale_fault("the radius sqrt(2 tv phi_sum log(2/eps) / n) scales "
                                     "like sqrt(s)")),
-    *_MORE_SCALED_PAIRS,
+    # Named, since pytest would number a repeated "<lambda>-bound" id and so
+    # rename the cases above.
+    pytest.param(lambda s: hetero_mds([s / 2, s]), "freedman_oracle", id="mds-freedman_oracle"),
+    pytest.param(lambda s: iid_uniform(-s, 2 * s), "phi_mixing", marks=_SLACK_FAULT,
+                 id="iid-phi_mixing"),
+    pytest.param(lambda s: iid_uniform(-s, 2 * s), "tilde_phi_mixing", marks=_SLACK_FAULT,
+                 id="iid-tilde_phi_mixing"),
+    pytest.param(lambda s: iid_uniform(-s, 2 * s), "mixing_agnostic", marks=_KNOB_FAULT,
+                 id="iid-mixing_agnostic"),
+    pytest.param(lambda s: hetero_mds([s / 2, s]), "phi_mixing", marks=_SLACK_FAULT,
+                 id="mds-phi_mixing"),
+    pytest.param(lambda s: hetero_mds([s / 2, s]), "tilde_phi_mixing", marks=_SLACK_FAULT,
+                 id="mds-tilde_phi_mixing"),
+    pytest.param(lambda s: hetero_mds([s / 2, s]), "mixing_agnostic", marks=_KNOB_FAULT,
+                 id="mds-mixing_agnostic"),
 ])
 def test_radius_scales_with_the_data_bit_for_bit(process, bound):
     # Scaling the data, and with them every scale input, by s = 2**k is
