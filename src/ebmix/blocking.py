@@ -18,14 +18,25 @@ from .errors import DomainError, _check_array, _check_count, _check_finite, _che
 @dataclass(frozen=True)
 class BlockPartition:
     """Partition of {0..n-1} into m contiguous blocks of length floor(l)
-    plus a (possibly empty) remainder."""
+    plus a (possibly empty) remainder.
+
+    Only ``n``, ``l``, ``floor_l`` and ``m`` are stored; ``blocks``,
+    ``remainder``, ``values_used`` and ``remainder_size`` are derived from
+    them on each access, so no partition holds one tuple per block."""
 
     n: int
     l: float
     floor_l: int
     m: int
-    blocks: tuple[tuple[int, int], ...]
-    remainder: tuple[int, int]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        fl = self.floor_l
+        return tuple((j * fl, (j + 1) * fl) for j in range(self.m))
+
+    @property
+    def remainder(self) -> tuple[int, int]:
+        return (self.values_used, self.n)
 
     @property
     def values_used(self) -> int:
@@ -33,7 +44,7 @@ class BlockPartition:
 
     @property
     def remainder_size(self) -> int:
-        return self.remainder[1] - self.remainder[0]
+        return self.n - self.values_used
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,8 @@ class BlockSummary:
     ``h_bar`` is the mean over the first ``m * floor_l`` values; ``v_hat`` is
     ``(1/n) * sum_j (block_sum_j - floor_l * h_bar)^2`` with denominator n
     even when the remainder is non-empty.  ``mean`` is the mean of all n
-    values (the interval center downstream).
+    values (the interval center downstream).  ``values_used`` is derived
+    from ``partition``.
     """
 
     partition: BlockPartition
@@ -51,7 +63,10 @@ class BlockSummary:
     h_bar: float
     v_hat: float
     mean: float
-    values_used: int
+
+    @property
+    def values_used(self) -> int:
+        return self.partition.values_used
 
 
 def block_partition(n: int, l: float) -> BlockPartition:
@@ -60,11 +75,7 @@ def block_partition(n: int, l: float) -> BlockPartition:
     floor_l = math.floor(_check_nonneg(l, "l"))
     if floor_l < 1 or floor_l > n:
         raise DomainError(f"need 1 <= floor(l) <= n, got floor({l!r}) = {floor_l} with n = {n}")
-    m = n // floor_l
-    blocks = tuple((j * floor_l, (j + 1) * floor_l) for j in range(m))
-    return BlockPartition(
-        n=n, l=float(l), floor_l=floor_l, m=m, blocks=blocks, remainder=(m * floor_l, n)
-    )
+    return BlockPartition(n=n, l=float(l), floor_l=floor_l, m=n // floor_l)
 
 
 def block_summary(values, partition: BlockPartition) -> BlockSummary:
@@ -85,11 +96,10 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
     v_hat = 0.0 if m == 1 else float(row_vhat(x[None, :], m, fl)[0])
     return BlockSummary(
         partition=partition,
-        block_sums=tuple(float(s) for s in block_sums),
+        block_sums=tuple(block_sums.tolist()),
         h_bar=float(block_sums.sum()) / used,
         v_hat=v_hat,
         mean=float(np.sum(x)) / n,
-        values_used=used,
     )
 
 

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Exit codes: 0 success, 1 property/acceptance failure, 2 precondition or
-validation error, 3 refusal to overwrite an output file, 141 stdout closed
-by its reader (the status a shell reports for a writer ended by SIGPIPE).
+validation error or too little memory, 3 refusal to overwrite an output
+file, 141 stdout closed by its reader (the status a shell reports for a
+writer ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ _EXPERIMENTS = {
 def read_values(path: str) -> np.ndarray:
     """Finite decimal reals, one per line; blank lines and '#' comments ignored.
 
+    A value line is ASCII and holds no '_': float() would also read
+    '1_000', Arabic-Indic digits and full-width digits, which are refused
+    here with the line named.  A comment may hold any UTF-8 text.
+
     A line is what text mode yields: it ends at '\\n', '\\r\\n' or '\\r'.  The
     file is read in blocks of ``_BLOCK_LINES`` lines and never seeks, so a
     pipe works and only one block of text is held at a time."""
@@ -70,13 +75,17 @@ def read_values(path: str) -> np.ndarray:
 def _parse_block(path: str, block: list[str], start: int) -> np.ndarray:
     """One block in one pass when every line after its leading blank and '#'
     lines (such as the '# truth:' line of `ebmix simulate`) is a finite
-    number.  float() raises on a blank line and on a comment, so any block
-    it accepts here the line loop accepts too, with the same bits; any other
-    block takes the loop, which numbers its lines from ``start``."""
+    number and their joined text is ASCII with no '_'.  float() raises on a
+    blank line and on a comment, so any block it accepts here the line loop
+    accepts too, with the same bits; any other block takes the loop, which
+    numbers its lines from ``start``."""
     head = 0
     while head < len(block) and (not block[head].strip() or block[head].lstrip().startswith("#")):
         head += 1
     data = block[head:] if head else block
+    text = "".join(data)
+    if not text.isascii() or "_" in text:
+        return _parse_lines(path, block, start)
     try:
         array = np.fromiter(map(float, data), dtype=float, count=len(data))
     except ValueError:
@@ -95,6 +104,8 @@ def _parse_lines(path: str, lines: list[str], start: int = 1) -> np.ndarray:
         if not line or line.startswith("#"):
             continue
         try:
+            if not line.isascii() or "_" in line:
+                raise ValueError
             value = float(line)
         except ValueError:
             raise InputError(f"{path}: line {lineno}: not a number: {line!r}") from None
@@ -380,12 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing outputs")
         p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--n", type=int, help="override: single n")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--alpha", type=float)
+        level = p.add_mutually_exclusive_group()
+        level.add_argument("--delta", type=float)
+        level.add_argument("--alpha", type=float)
         p.add_argument("--replications", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--l", type=float, help="override: fixed block length")
-        p.add_argument("--l-exponent", type=float, dest="l_exponent")
+        block_length = p.add_mutually_exclusive_group()
+        block_length.add_argument("--l", type=float, help="override: fixed block length")
+        block_length.add_argument("--l-exponent", type=float, dest="l_exponent")
 
     p_check = sub.add_parser("selfcheck", help="run the randomized property oracles")
     p_check.add_argument("--seed", type=int, default=0)
@@ -416,6 +429,9 @@ def main(argv=None) -> int:
         return 3
     except (PreconditionError, DomainError, ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a path or report too large for this machine
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

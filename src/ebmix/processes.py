@@ -914,7 +914,10 @@ def simulate_paths(spec: ProcessSpec, n: int, master_seed: int, indices) -> np.n
 def _uniforms(keys: np.ndarray, n: int) -> np.ndarray:
     """One row of n uniforms per Philox key, shape (len(keys), n).  The
     generator and its state dict are built per call, so threads share none."""
-    u = np.empty((keys.shape[0], n), dtype=float)
+    rows = keys.shape[0]
+    if rows * n > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{rows} x {n} values exceed the largest array of float64 numpy can hold")
+    u = np.empty((rows, n), dtype=float)
     generator = np.random.Generator(np.random.Philox(key=[0, 0]))
     # A zero counter and an empty buffer, for _generator to put each key in.
     # The state setter reads counter, key and buffer element by element,

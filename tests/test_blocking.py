@@ -1,6 +1,8 @@
 """Blocking: partition exactness, block variance, and the exact identity."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebmix import (
+    BlockPartition,
+    BlockSummary,
     DomainError,
     block_identity_residual,
     block_partition,
@@ -135,6 +139,51 @@ def test_partition_tiles_exactly(n, frac):
         cursor = stop
     assert p.remainder == (cursor, n)
     assert p.m * p.floor_l + p.remainder_size == n
+
+
+@given(
+    n=st.integers(min_value=1, max_value=5000),
+    frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=200)
+def test_partition_derives_blocks_and_remainder_from_its_numbers(n, frac):
+    l = min(1.0 + frac * n, float(n) + 0.999)
+    p = block_partition(n, l)
+    fl = math.floor(l)
+    m = n // fl
+    assert (p.n, p.l, p.floor_l, p.m) == (n, l, fl, m)
+    assert p.blocks == tuple((j * fl, (j + 1) * fl) for j in range(m))
+    assert p.remainder == (m * fl, n)
+    assert p.remainder_size == n - m * fl
+    assert p.values_used == m * fl
+
+
+def test_partition_stores_four_numbers_and_builds_no_tuple_per_block():
+    # A partition once held one (start, stop) tuple per block: tens of MB
+    # for 2e5 blocks of length 1.
+    assert [f.name for f in dataclasses.fields(BlockPartition)] == ["n", "l", "floor_l", "m"]
+    assert BlockPartition(n=10, l=3.0, floor_l=3, m=3).remainder_size == 1
+    block_partition(10, 1)  # one-time work outside the trace
+    tracemalloc.start()
+    try:
+        p = block_partition(2 * 10**5, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.m == 2 * 10**5 and p.remainder_size == 0
+    assert peak < 64 * 1024
+
+
+def test_block_summary_keeps_python_float_block_sums_and_derives_values_used():
+    assert [f.name for f in dataclasses.fields(BlockSummary)] == [
+        "partition", "block_sums", "h_bar", "v_hat", "mean"]
+    values = np.random.default_rng(12).normal(size=1003)
+    s = block_summary(values, block_partition(1003, 10))
+    assert type(s.block_sums) is tuple
+    assert all(type(v) is float for v in s.block_sums)
+    want = values[:1000].reshape(100, 10).sum(axis=1)
+    assert np.array(s.block_sums).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert s.values_used == 1000
 
 
 @given(

@@ -164,7 +164,7 @@ def test_read_values_rejects_non_finite_values(tmp_path, token):
 def test_read_values_one_pass_and_line_loop_give_the_same_bits(tmp_path):
     rng = np.random.default_rng(3)
     tokens = [repr(float(v)) for v in rng.normal(size=200)]
-    tokens += ["-0.0", "5e-324", "1e308", " 0.1 ", "\t2.5", "1_0", "7"]
+    tokens += ["-0.0", "5e-324", "1e308", " 0.1 ", "\t2.5", "10", "7"]
     plain = tmp_path / "plain.txt"
     plain.write_text("\n".join(tokens) + "\n", encoding="utf-8")
     headed = tmp_path / "headed.txt"
@@ -188,10 +188,10 @@ def test_read_values_parses_a_comment_free_file_in_one_pass(tmp_path, monkeypatc
 
 @pytest.mark.parametrize(
     "text",
-    ["0.5\r\n\t0.25 \r\n  1_0\r\n", "# head\r\n0.5\r\n\r\n\t0.25 \r\n  1_0\r\n"],
+    ["0.5\r\n\t0.25 \r\n  10\r\n", "# head\r\n0.5\r\n\r\n\t0.25 \r\n  10\r\n"],
     ids=["one-pass", "line-loop"],
 )
-def test_read_values_accepts_crlf_tabs_spaces_and_underscores(tmp_path, text):
+def test_read_values_accepts_crlf_tabs_and_spaces(tmp_path, text):
     data = tmp_path / "data.txt"
     data.write_bytes(text.encode("utf-8"))
     assert read_values(str(data)).tolist() == [0.5, 0.25, 10.0]
@@ -320,6 +320,40 @@ def test_read_values_names_the_line_in_a_later_block(tmp_path, lineno, token, me
     assert str(info.value) == f"{data}: line {lineno}: {message}"
 
 
+@pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "\uff11"],
+                         ids=["underscore", "arabic-indic", "full-width"])
+@pytest.mark.parametrize("lineno, comment_at", [(2, None), (4_500, None), (4_500, 4_200)],
+                         ids=["first-block", "later-block", "block-with-a-comment"])
+def test_read_values_refuses_underscores_and_non_ascii_digits(
+    tmp_path, capsys, token, lineno, comment_at
+):
+    # float() reads '1_000' as 1000.0, Arabic-Indic '12' as 12.0 and a
+    # full-width '1' as 1.0; none is a decimal real in the file grammar.
+    lines = ["0.5"] * 10_000
+    lines[lineno - 1] = token
+    if comment_at is not None:
+        lines[comment_at - 1] = "# mid"
+    data = _lines_file(tmp_path / "bad.txt", lines)
+    with pytest.raises(InputError) as info:
+        read_values(str(data))
+    assert str(info.value) == f"{data}: line {lineno}: not a number: {token!r}"
+    assert main(["bound", "--method", "eb", "--alpha", "0.05", "--b", "1",
+                 "--data", str(data)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+
+
+def test_read_values_accepts_utf8_comments_with_the_same_values(tmp_path):
+    lines = [repr(v) for v in np.random.default_rng(7).normal(size=9_000).tolist()]
+    plain = _lines_file(tmp_path / "plain.txt", lines)
+    lines[5_000:5_000] = ["  # \u00b5 = \u00bd, \u0661\u0662 \uff11 1_000 \u2713"]
+    commented = _lines_file(tmp_path / "commented.txt",
+                            ["# truth: na\u00efve \u2014 \u00e9t\u00e9"] + lines)
+    bits = [read_values(str(f)).view(np.uint64).tolist() for f in (plain, commented)]
+    assert bits[0] == bits[1]
+
+
 def test_read_values_reads_a_pipe_with_a_mid_file_comment(tmp_path):
     # Nothing seeks, so `--data /dev/stdin` works; the comment sends one
     # block through the line loop.
@@ -344,7 +378,7 @@ def test_read_values_reads_a_pipe_with_a_mid_file_comment(tmp_path):
     assert piped.view(np.uint64).tolist() == read_values(str(data)).view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("raw", [b"0.5\r0.25\r1_0\r", b"0.5\r# mid\r\r0.25\r1_0"],
+@pytest.mark.parametrize("raw", [b"0.5\r0.25\r10\r", b"0.5\r# mid\r\r0.25\r10"],
                          ids=["one-pass", "line-loop"])
 def test_read_values_ends_a_line_at_a_lone_cr(tmp_path, raw):
     data = tmp_path / "data.txt"
@@ -913,6 +947,19 @@ def test_simulate_into_a_closed_pipe_exits_141_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize("n, message", [
+    ("100000000000000", "error: out of memory: Unable to allocate 728. TiB for an array with "
+                        "shape (1, 100000000000000) and data type float64\n"),
+    ("10000000000000000000", "error: 1 x 10000000000000000000 values exceed the largest array "
+                             "of float64 numpy can hold\n"),
+], ids=["728-TiB", "beyond-intp"])
+def test_simulate_of_a_path_too_large_to_allocate_exits_2(n, message, capsys):
+    # Each size fails at once: the first when numpy asks for the memory, the
+    # second before it asks.  Both once ended in a traceback with exit 1.
+    assert main(["simulate", "--kind", "bernoulli_ar1", "--n", n, "--seed", "0"]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 _TYPO_CONFIG = {"process": {"kind": "bernoulli_ar1", "params": {}}, "bounds": ["tilde_phi"],
                 "n_grid": [500], "replications": 20, "master_seed": 0, "delta": 0.01,
                 "l_policy": {"kind": "exponent", "valeu": 0.3}}
@@ -1023,6 +1070,23 @@ def test_flat_block_length_replaces_the_file_policies(flag, value, label, tmp_pa
     capsys.readouterr()
     assert main(["sensitivity", "--config", str(cfg), "--out-dir", str(tmp_path), flag, value]) == 2
     assert "needs at least two policies" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["coverage", "sensitivity"])
+@pytest.mark.parametrize("pair", [("--delta", "0.02", "--alpha", "0.05"),
+                                  ("--l", "5", "--l-exponent", "0.3")],
+                         ids=["delta-alpha", "l-l-exponent"])
+def test_experiment_refuses_both_flags_of_an_exclusive_pair(subcommand, pair, tmp_path, capsys):
+    # One flag of each pair once silently won over the other.
+    cfg = _write_config(tmp_path / "cfg.json", replications=20)
+    out_dir = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([subcommand, "--config", str(cfg), "--out-dir", str(out_dir), *pair])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {pair[2]}: not allowed with argument {pair[0]}" in captured.err
+    assert not out_dir.exists()
 
 
 def test_config_schema_error_exit_2(tmp_path, capsys):
