@@ -49,17 +49,16 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class BlockSummary:
-    """Block sums, block-grand mean and block empirical long-run variance.
+    """Block-grand mean and block empirical long-run variance.
 
     ``h_bar`` is the mean over the first ``m * floor_l`` values; ``v_hat`` is
     ``(1/n) * sum_j (block_sum_j - floor_l * h_bar)^2`` with denominator n
     even when the remainder is non-empty.  ``mean`` is the mean of all n
     values (the interval center downstream).  ``values_used`` is derived
-    from ``partition``.
+    from ``partition``; the block sums are not kept.
     """
 
     partition: BlockPartition
-    block_sums: tuple[float, ...]
     h_bar: float
     v_hat: float
     mean: float
@@ -74,33 +73,27 @@ def block_partition(n: int, l: float) -> BlockPartition:
     n = _check_count(n)
     floor_l = math.floor(_check_nonneg(l, "l"))
     if floor_l < 1 or floor_l > n:
-        raise DomainError(f"need 1 <= floor(l) <= n, got floor({l!r}) = {floor_l} with n = {n}")
+        raise DomainError(f"need 1 <= floor(l) <= n = {n}, got l = {l!r}")
     return BlockPartition(n=n, l=float(l), floor_l=floor_l, m=n // floor_l)
 
 
 def block_summary(values, partition: BlockPartition) -> BlockSummary:
-    """Compute block sums, h_bar and v_hat for one sample.
+    """Compute h_bar and v_hat for one sample from one pass of block sums.
 
     Summation order inside each block is the storage order, so results are
-    deterministic and independent of how blocks are scheduled.  ``v_hat`` is
-    :func:`row_vhat` of the lone row: the bits the harness gets for the same
-    path in any chunk.
+    deterministic and independent of how blocks are scheduled.  The block
+    sums are :func:`row_vhat`'s pairwise ones for the lone row, so ``v_hat``
+    has the bits the harness gets for the same path in any chunk.
     """
     x = _check_array(values, "values")
     if x.ndim != 1 or x.size != partition.n:
         raise DomainError(f"values must have length n = {partition.n}, got {x.size}")
     m, fl, n = partition.m, partition.floor_l, partition.n
-    used = m * fl
-    block_sums = x[:used].reshape(m, fl).sum(axis=1)
+    sums = x[None, : m * fl].reshape(1, m, fl).sum(axis=2)
+    h_bar = float(sums.sum()) / (m * fl)
     # the single block sum equals floor_l * h_bar identically
-    v_hat = 0.0 if m == 1 else float(row_vhat(x[None, :], m, fl)[0])
-    return BlockSummary(
-        partition=partition,
-        block_sums=tuple(block_sums.tolist()),
-        h_bar=float(block_sums.sum()) / used,
-        v_hat=v_hat,
-        mean=float(np.sum(x)) / n,
-    )
+    v_hat = 0.0 if m == 1 else float(_centered_vhat(sums, fl, n)[0])
+    return BlockSummary(partition=partition, h_bar=h_bar, v_hat=v_hat, mean=float(np.sum(x)) / n)
 
 
 def row_vhat(vals, m: int, fl: int, exact: bool = False) -> np.ndarray:
@@ -114,11 +107,14 @@ def row_vhat(vals, m: int, fl: int, exact: bool = False) -> np.ndarray:
     than numpy's pairwise ``sum``, which makes one inner-loop call per short
     block; otherwise the pairwise order is kept, whose bits the pinned
     reports hold."""
-    rows, n = vals.shape
-    blocks = vals[:, : m * fl].reshape(rows, m, fl)
-    block_sums = np.einsum("rmf->rm", blocks) if exact else blocks.sum(axis=2)
-    h_bar = block_sums.sum(axis=1) / (m * fl)
-    block_sums -= fl * h_bar[:, None]  # centered in place: one (rows, m) temporary
+    blocks = vals[:, : m * fl].reshape(vals.shape[0], m, fl)
+    return _centered_vhat(np.einsum("rmf->rm", blocks) if exact else blocks.sum(axis=2),
+                          fl, vals.shape[1])
+
+
+def _centered_vhat(block_sums, fl: int, n: int) -> np.ndarray:
+    """:func:`row_vhat` from the block sums, which it centers in place."""
+    block_sums -= fl * (block_sums.sum(axis=1) / (block_sums.shape[1] * fl))[:, None]
     return row_sumsq(block_sums) / n
 
 

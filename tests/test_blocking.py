@@ -43,6 +43,10 @@ def test_partition_domain_errors():
         block_partition(10, 0.5)  # floor(l) = 0
     with pytest.raises(DomainError):
         block_partition(10, 11)  # floor(l) > n
+    # floor(1e308) as an exact integer once put a 309-digit number in the message
+    with pytest.raises(DomainError) as caught:
+        block_partition(100, 1e308)
+    assert str(caught.value) == "need 1 <= floor(l) <= n = 100, got l = 1e+308"
     for l in (math.nan, math.inf, -math.inf):  # math.floor raised ValueError/OverflowError
         with pytest.raises(DomainError, match="l must be a finite number"):
             block_partition(10, l)
@@ -58,10 +62,8 @@ def test_block_summary_constant_data():
 def test_block_summary_hand_value():
     p = block_partition(4, 2)
     s = block_summary(np.array([0.0, 0.0, 1.0, 1.0]), p)
-    assert s.h_bar == pytest.approx(0.5)
-    assert s.block_sums == (0.0, 2.0)
-    assert s.v_hat == pytest.approx(0.5, rel=1e-9)
-    assert s.mean == pytest.approx(0.5)
+    # block sums (0, 2) about floor_l * h_bar = 1: v_hat = (1 + 1) / 4, all exact
+    assert (s.h_bar, s.v_hat, s.mean) == (0.5, 0.5, 0.5)
 
 
 def test_block_summary_single_block_degenerates():
@@ -174,16 +176,32 @@ def test_partition_stores_four_numbers_and_builds_no_tuple_per_block():
     assert peak < 64 * 1024
 
 
-def test_block_summary_keeps_python_float_block_sums_and_derives_values_used():
+def test_block_summary_holds_numbers_only_and_derives_values_used():
     assert [f.name for f in dataclasses.fields(BlockSummary)] == [
-        "partition", "block_sums", "h_bar", "v_hat", "mean"]
+        "partition", "h_bar", "v_hat", "mean"]
     values = np.random.default_rng(12).normal(size=1003)
     s = block_summary(values, block_partition(1003, 10))
-    assert type(s.block_sums) is tuple
-    assert all(type(v) is float for v in s.block_sums)
-    want = values[:1000].reshape(100, 10).sum(axis=1)
-    assert np.array(s.block_sums).view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert all(type(v) is float for v in (s.h_bar, s.v_hat, s.mean))
+    pairwise_sums = values[:1000].reshape(100, 10).sum(axis=1)
+    assert s.h_bar == float(pairwise_sums.sum()) / 1000
+    assert s.v_hat == float(row_vhat(values[None, :], 100, 10)[0])
     assert s.values_used == 1000
+
+
+def test_block_summary_at_block_length_one_holds_one_array_of_block_sums():
+    # Two passes of block sums and their tuple of Python floats peaked at 6x
+    # the values; one pass of float64 sums, centered in place, is 1x.
+    x = np.random.default_rng(13).random(2 * 10**5)
+    p = block_partition(x.size, 1)
+    block_summary(x[:10], block_partition(10, 1))  # one-time work outside the trace
+    tracemalloc.start()
+    try:
+        s = block_summary(x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert s.v_hat == float(row_vhat(x[None, :], x.size, 1)[0])
+    assert peak < 1.25 * x.nbytes
 
 
 @given(

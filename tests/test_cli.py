@@ -594,6 +594,16 @@ def test_bound_names_the_flag_that_is_not_finite(case, flag, message, uniform_da
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("case", ["phi", "tilde_phi", "agnostic"])
+def test_bound_names_a_block_length_past_n_in_one_short_line(case, uniform_data, capsys):
+    # floor(l) was printed as an exact integer: --l 1e308 put a 309-digit
+    # number on stderr.
+    assert main(_bound_argv(case, uniform_data, "--l", "1e308")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 1 <= floor(l) <= n = 400, got l = 1e+308\n"
+
+
 @pytest.mark.parametrize("case", sorted(_FINITE_BOUND_ARGV) + ["agnostic-unbudgeted"])
 def test_bound_flags_a_level_that_is_not_positive(case, uniform_data, capsys):
     # --alpha 0.6 is delta 0.4 (0.6 for freedman): every level is -0.2 or

@@ -394,8 +394,8 @@ def test_pinned_coverage_csv_digest(name, process, bounds, n, replications):
 # bound listed after a block bound pins the row order: by l policy, then
 # by bound.
 PINNED_FLAGGED_SHA256 = (
-    "71f47596f6040730e25f4805298db98969c5e3d10cde3958a61d06b9c41d7ef4",  # CSV
-    "4d859b9dfcf02968e127a3378ca16563b2ddaee7135faceb25932b3d46cc8798",  # JSON
+    "638e0cab4a25f00ef26b7af657fdf2be39b7c360e87ce20e3a2475641dd96392",  # CSV
+    "6cfd200cc402e0c7e76c690be4ff1f83de4525691fa56c280b1ffa98b303ee53",  # JSON
 )
 
 
@@ -503,6 +503,16 @@ def test_small_n_and_large_delta_cells_are_flagged_not_fatal():
     ).rows[0]
     assert row.empirical_coverage is None
     assert row.flags == ("precondition: total miss probability 3*delta >= 1",)
+
+
+def test_a_block_length_past_n_is_flagged_in_one_short_line():
+    # floor(l) was printed as an exact integer: 1e308 made a 381-character
+    # flag that held a 309-digit number.
+    report = run_coverage(_config(bounds=("tilde_phi_mixing",), n_grid=(100,), replications=20,
+                                  l_policy=LPolicy("fixed", 1e308)))
+    flag = "precondition: need 1 <= floor(l) <= n = 100, got l = 1e+308"
+    assert report.rows[0].flags == (flag,)
+    assert reporting.coverage_csv(report).splitlines()[1].endswith(f',"{flag}"')
 
 
 def test_sweep_requires_increasing_grid():
@@ -843,8 +853,9 @@ def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch, spec, bou
     assert len(digests) == 1
 
 
-def test_library_block_variance_equals_the_harness_bit_for_bit():
-    # 2e4 blocks of 10: past einsum's 8192-value buffer, where a lone row
+@pytest.mark.parametrize("l", [1, 2, 10])
+def test_library_block_variance_equals_the_harness_bit_for_bit(l):
+    # 2e4 or more blocks: past einsum's 8192-value buffer, where a lone row
     # takes another kernel unless it goes through blocking.row_sumsq.
     import ebmix
     from ebmix import harness, processes
@@ -852,8 +863,8 @@ def test_library_block_variance_equals_the_harness_bit_for_bit():
     n, seed, r = 200_000, 4, 3
     spec = bernoulli_ar1()
     cfg = _config(process=spec, bounds=("tilde_phi_mixing",), n_grid=(n,), replications=r,
-                  master_seed=seed, l_policy=LPolicy("fixed", 10), delta=0.01, alpha=None)
-    partition = ebmix.block_partition(n, 10)
+                  master_seed=seed, l_policy=LPolicy("fixed", l), delta=0.01, alpha=None)
+    partition = ebmix.block_partition(n, l)
     library = np.array([ebmix.block_summary(ebmix.simulate(spec, n, (seed, i))[0], partition).v_hat
                         for i in range(r)])
     vals = processes.simulate_paths(spec, n, seed, range(r))
