@@ -534,12 +534,12 @@ def _row_statistic(key, vals, means, exact=False):
 def _chunk_edges(replications: int, n: int, n_jobs: int = 1,
                  elementwise: bool = False) -> list[tuple[int, int]]:
     """The fewest chunks of replications of at most ``budget // n_jobs``
-    values, or one row, their sizes differing by at most one.  The budget is
-    ``_ELEMENTWISE_CHUNK_VALUES`` for a process whose values are made
-    elementwise (:func:`processes.is_elementwise`), else ``_CHUNK_VALUES``,
-    read at each call.  The ``n_jobs`` threads of a run then hold at most
-    the budget together, as a serial run does.  No row statistic depends on
-    the chunk its row is in, so the chunks set speed and memory only."""
+    values, or one row of ``n`` (a config's largest n), their sizes
+    differing by at most one.  The budget is ``_ELEMENTWISE_CHUNK_VALUES``
+    for an elementwise process (:func:`processes.is_elementwise`), else
+    ``_CHUNK_VALUES``, read at each call.  The ``n_jobs`` threads of a run
+    then hold at most the budget together, as a serial run does.  No row
+    statistic depends on its chunk, so the chunks set speed and memory only."""
     budget = _ELEMENTWISE_CHUNK_VALUES if elementwise else _CHUNK_VALUES
     k = -(-replications // max(1, budget // n_jobs // n))
     return [(i * replications // k, (i + 1) * replications // k) for i in range(k)]
@@ -548,18 +548,18 @@ def _chunk_edges(replications: int, n: int, n_jobs: int = 1,
 def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ...]:
     """Evaluate every (n, bound, l_policy) cell of the config, running the
     chunks of replications on up to ``n_jobs`` (>= 1) threads.  The threads
-    share one chunk budget, sized by the process's path transform
-    (:func:`_chunk_edges`): 2^20 values for a recurrence, 2^18 for an
-    elementwise process.  So a threaded run holds no more simulated values
-    at once than a serial one.
+    share one chunk budget, sized by the process's path transform and the
+    config's largest n (:func:`_chunk_edges`), so a threaded run holds no
+    more simulated values at once than a serial one.
 
     Rows come by n, then l policy, then bound; a bound without blocks gets
-    one row per n, under the first policy.  All cells at an n share the
-    simulated paths, so comparison tables are paired by construction.  A
-    cell whose preconditions fail gets a ``precondition:`` flag, no coverage.
+    one row per n, under the first policy.  A cell whose preconditions fail
+    gets a ``precondition:`` flag, no coverage.  Each chunk is drawn once, at
+    the largest n with a live plan, and each n reads its own paths, bit for
+    bit, as the prefix ``paths[:, :n]``: every comparison is paired.
 
-    Each chunk is reduced once to every distinct row statistic its plans
-    read (:func:`_row_statistic`), and a run keeps one float per
+    Each chunk is reduced once per n to every distinct row statistic its
+    plans read (:func:`_row_statistic`), and a run keeps one float per
     replication for each, the row means among them.  Once the chunks are
     done, :func:`_finish_cell` maps each plan's statistic to its radii.
     """
@@ -569,30 +569,30 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
         raise ConfigError(f"n_jobs (--jobs): must be an integer >= 1, got {n_jobs!r}") from None
     r = config.replications
     mu = processes.ground_truth(config.process).mu
-    elementwise = processes.is_elementwise(config.process)
-    results = []
-    for n, plans in validate_config(config):
-        live = [p.stat for p in plans.values() if p.stat is not None]
-        stats = {s: np.empty(r) for s in dict.fromkeys(["mean"] + live)}
-        exact = processes.sums_are_exact(config.process, n)
+    cells = validate_config(config)
+    stats = {}  # the row statistics of each n with a live plan
+    for n, plans in cells:
+        if live := [p.stat for p in plans.values() if p.stat is not None]:
+            stats[n] = {s: np.empty(r) for s in dict.fromkeys(["mean"] + live)}
+    exact = {n: processes.sums_are_exact(config.process, n) for n in stats}
+    top = max(stats, default=0)
 
-        def work(chunk):
-            lo, hi = chunk
-            vals = processes.simulate_paths(config.process, n, config.master_seed, range(lo, hi))
+    def work(chunk):
+        lo, hi = chunk
+        paths = processes.simulate_paths(config.process, top, config.master_seed, range(lo, hi))
+        for n, row_stats in stats.items():
+            vals = paths[:, :n]
             means = vals.mean(axis=1)
-            for s, out in stats.items():
-                out[lo:hi] = _row_statistic(s, vals, means, exact)
+            for s, out in row_stats.items():
+                out[lo:hi] = _row_statistic(s, vals, means, exact[n])
 
-        chunks = _chunk_edges(r, n, n_jobs, elementwise) if live else []
-        if n_jobs > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                list(pool.map(work, chunks))
-        else:
-            for chunk in chunks:
-                work(chunk)
-
-        results.extend(_finish_cell(plan, stats, mu) for plan in plans.values())
-    return tuple(results)
+    chunks = _chunk_edges(r, top, n_jobs, processes.is_elementwise(config.process)) if top else []
+    if n_jobs > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+            list(pool.map(work, chunks))
+    else:
+        list(map(work, chunks))
+    return tuple(_finish_cell(plan, stats.get(n), mu) for n, plans in cells for plan in plans.values())
 
 
 def _median(x) -> float:

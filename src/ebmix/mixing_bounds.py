@@ -27,8 +27,8 @@ class MixingBudget:
 
     ``phi_sum`` is the sum of the first n mixing coefficients (of the stated
     regime).  ``tv_norm`` is the total-variation norm of the test function;
-    required for the phi_tilde regime.  ``provenance`` records whether the
-    budget is exact, an analytic bound, or user supplied.
+    a phi_tilde budget without one is refused.  ``provenance`` records
+    whether the budget is exact, an analytic bound, or user supplied.
     """
 
     regime: str
@@ -42,6 +42,8 @@ class MixingBudget:
         _check_nonneg(self.phi_sum, "phi_sum")
         if self.tv_norm is not None:
             _check_nonneg(self.tv_norm, "tv_norm")
+        elif self.regime == "phi_tilde":
+            raise DomainError("a 'phi_tilde' budget requires tv_norm")
         if self.provenance not in PROVENANCES:
             raise DomainError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
 
@@ -178,8 +180,6 @@ def tilde_phi_interval(
     """
     if budget.regime != "phi_tilde":
         raise DomainError(f"tilde_phi_interval needs a 'phi_tilde' budget, got {budget.regime!r}")
-    if budget.tv_norm is None:
-        raise DomainError("tilde_phi_interval requires budget.tv_norm")
     terms = mixing_terms(summary.partition, range_width, budget, delta, xi_n)
     return _blocked_interval(summary, delta, terms, 1.0 - 3.0 * delta)
 
@@ -268,14 +268,18 @@ def _tail(count: float, z: float) -> float:
 def agnostic_errors(
     partition: BlockPartition, knobs: AgnosticKnobs, budget: MixingBudget | None
 ) -> ErrorBudget | None:
-    """The error budget of :func:`agnostic_interval` for a 'phi_tilde' budget
-    with its ``tv_norm``: none without a budget, zero for a zero ``phi_sum``,
-    else :func:`agnostic_error_budget` of ``tv_norm * phi_sum``."""
+    """The error budget of :func:`agnostic_interval` for a 'phi_tilde' budget:
+    none without a budget, zero when ``tv_norm * phi_sum`` is zero (a
+    constant test function or independent data), else
+    :func:`agnostic_error_budget` of that product."""
     if budget is None:
         return None
-    if budget.phi_sum == 0.0:
+    if budget.regime != "phi_tilde":
+        raise DomainError(f"agnostic_errors needs a 'phi_tilde' budget, got {budget.regime!r}")
+    tv_phi = budget.tv_norm * budget.phi_sum
+    if tv_phi == 0.0:
         return ErrorBudget(0.0, 0.0, 0.0)
-    return agnostic_error_budget(partition.n, partition, knobs, budget.tv_norm * budget.phi_sum)
+    return agnostic_error_budget(partition.n, partition, knobs, tv_phi)
 
 
 def _check_dedecker_budget(tv_norm: float, phi_tilde_sum: float) -> None:

@@ -647,6 +647,22 @@ def test_bound_agnostic_zero_budget_agrees_with_harness(tmp_path, capsys):
     assert _bound_json(capsys.readouterr().out)["flags"] == ["errors_unquantified"]
 
 
+def test_bound_agnostic_takes_a_zero_tv_norm_as_a_zero_error_budget(tmp_path, capsys):
+    # A constant path with --tv-norm 0 once exited 2, naming tv_phi_product,
+    # which is not a flag; every error term reads only tv_norm * phi_sum.
+    data = tmp_path / "const.txt"
+    data.write_text("0.5\n" * 400, encoding="utf-8")
+    argv = ["bound", "--method", "agnostic", "--delta", "0.01", "--data", str(data),
+            "--l", "10", "--range-width", "1"]
+    assert main(argv + ["--phi-sum", "1", "--tv-norm", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    out = _bound_json(captured.out)
+    assert out["level"] == 1.0 - 3.0 * 0.01 and "flags" not in out
+    assert main(argv + ["--phi-sum", "0", "--tv-norm", "1"]) == 0
+    assert _bound_json(capsys.readouterr().out) == out
+
+
 # Each `ebmix bound` method, the harness bound it computes, and a process
 # that bound suits.  The chain has a nonzero phi budget.
 _SLOW_CHAIN = finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],

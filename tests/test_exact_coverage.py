@@ -84,6 +84,24 @@ def test_exact_coverage_is_at_least_the_stated_level(p, n, alpha):
         assert coverage >= level, (bound, coverage, level)
 
 
+# 199 values of p, 0.005 apart.  The smallest margin of coverage over level
+# on this scan is freedman_oracle's, about +0.086 at alpha = 0.05, n = 1000
+# and p near 0.44 (coverage 0.986 at level 0.9).
+P_SCAN = np.linspace(0.005, 0.995, 199)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3])
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_exact_coverage_is_at_least_the_stated_level_at_every_p_of_a_scan(n, alpha):
+    short = []
+    for p in P_SCAN:
+        config = _config(iid_bernoulli(float(p)), BERNOULLI_BOUNDS, n, alpha)
+        for bound, (level, coverage, _, _, _) in _exact_cells(config, float(p)).items():
+            if coverage < level:
+                short.append((bound, float(p), coverage, level))
+    assert not short
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.3])
 @pytest.mark.parametrize("n", [20, 100, 1000])
 def test_mds_empirical_exact_coverage_on_rademacher_is_at_least_its_level(n, alpha):

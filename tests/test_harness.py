@@ -44,6 +44,7 @@ from ebmix.processes import _BLOCK as _CSS_VALUES
 from ebmix import processes, reporting
 
 TWO_STATE = [[0.9, 0.1], [0.1, 0.9]]
+SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
 
 
 def _config(**overrides):
@@ -475,6 +476,21 @@ def test_agnostic_on_iid_has_zero_error_budget():
     assert "errors_unquantified" not in row.flags
 
 
+def test_block_bounds_agree_on_a_constant_valued_chain():
+    # h is constant, so tv_norm = 0 while Phi~ > 0.  mixing_agnostic was
+    # once flagged "precondition: tv_phi_product must be > 0" here, while
+    # tilde_phi_mixing reported coverage.
+    spec = finite_markov([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5])
+    budget = processes.mixing_budget_for(spec, "phi_tilde", 400)
+    assert budget.tv_norm == 0.0 and budget.phi_sum > 0.0
+    cfg = _config(process=spec, bounds=("tilde_phi_mixing", "mixing_agnostic"), n_grid=(400,),
+                  replications=30, delta=0.01, alpha=None)
+    tilde, agnostic = run_coverage(cfg).rows
+    for row in (tilde, agnostic):
+        assert row.flags == () and row.covered == 30 and row.mean_vhat == 0.0, row.bound
+    assert agnostic.error_total == 0.0 and agnostic.level == tilde.level == 1.0 - 3.0 * 0.01
+
+
 def test_precondition_cell_is_flagged_not_fatal():
     cfg = _config(n_grid=(6,), replications=50, alpha=None, delta=0.02)
     report = run_coverage(cfg)
@@ -853,6 +869,87 @@ def test_report_bytes_do_not_depend_on_chunk_size_or_jobs(monkeypatch, spec, bou
     assert len(digests) == 1
 
 
+def _column_step_chain():
+    # 17 states and 272 distinct cumulative cuts: the chain takes the column step.
+    P = np.random.default_rng(8).uniform(0.5, 1.0, (17, 17))
+    return finite_markov(P / P.sum(axis=1, keepdims=True), np.arange(17) / 16)
+
+
+_BLOCKS = ("tilde_phi_mixing", "mixing_agnostic")
+_GRID_KINDS = {
+    "iid_bernoulli": (iid_bernoulli(0.3), ("freedman_oracle", "empirical_bernstein",
+                                           "maurer_pontil_baseline") + _BLOCKS),
+    "iid_uniform": (iid_uniform(-0.5, 2.0), ("empirical_bernstein", "eb_ignore_linear")
+                    + _BLOCKS),
+    "hetero_mds": (hetero_mds([0.5, 1.0, 0.25]), ("mds_empirical", "empirical_bernstein")
+                   + _BLOCKS),
+    "bernoulli_ar1": (bernoulli_ar1(), ("dedecker_baseline",) + _BLOCKS),
+    "dyadic_chain": (finite_markov(SLOW_3, [0.0, 0.5, 1.0]), ("phi_mixing",) + _BLOCKS),
+    "column_step_chain": (_column_step_chain(), ("phi_mixing",) + _BLOCKS),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GRID_KINDS))
+def test_a_multi_n_report_has_the_rows_of_the_one_n_reports(monkeypatch, kind):
+    # A multi-n run draws each replication once, at its largest n, and reads
+    # every n from the prefix.  With 2^16-value budgets the n = 70 000 paths
+    # come one row to a chunk, while each one-n run below it takes all five
+    # rows in one chunk, so an n that read another replication's path, or
+    # another path's values, would change its mean radius or block variance.
+    # n = 2 and 7 flag the block bounds (too few blocks).
+    from ebmix import harness
+
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 1 << 16)
+    monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES", 1 << 16)
+    spec, bounds = _GRID_KINDS[kind]
+    grid = (300, 2, 70_000, 7)
+    cfg = _config(process=spec, bounds=bounds, n_grid=grid, replications=5, master_seed=9,
+                  l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 3)))
+    for jobs in (1, 2):
+        report = run_coverage(cfg, n_jobs=jobs)
+        singles = [run_coverage(dataclasses.replace(cfg, n_grid=(n,)), n_jobs=jobs) for n in grid]
+        csv_rows = [reporting.coverage_csv(one).splitlines()[1:] for one in singles]
+        assert reporting.coverage_csv(report).splitlines()[1:] == sum(csv_rows, [])
+        json_rows = [json.loads(reporting.report_json(one))["rows"] for one in singles]
+        assert json.loads(reporting.report_json(report))["rows"] == sum(json_rows, [])
+        assert any(row.covered is None for row in report.rows)
+        assert sum(row.mean_vhat is not None for row in report.rows) >= 4
+
+
+@pytest.mark.parametrize("spec, grid, top", [
+    (iid_bernoulli(0.3), (300, 20, 1000), 1000),
+    (finite_markov(SLOW_3, [0.0, 0.5, 1.0]), (1000, 20, 300), 1000),
+    # l = 20 leaves one block at n = 20 and 30, too few: nothing is drawn.
+    (iid_bernoulli(0.3), (20, 30), None),
+], ids=["iid_bernoulli", "dyadic_chain", "all_flagged"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_chunk_is_drawn_once_at_the_largest_live_n(monkeypatch, spec, grid, top, jobs):
+    from ebmix import harness
+
+    monkeypatch.setattr(harness, "_CHUNK_VALUES", 1 << 14)
+    monkeypatch.setattr(harness, "_ELEMENTWISE_CHUNK_VALUES", 1 << 14)
+    calls = []
+    draw = processes.simulate_paths
+
+    def counted(process, n, master_seed, indices):
+        calls.append((n, len(indices)))
+        return draw(process, n, master_seed, indices)
+
+    monkeypatch.setattr(processes, "simulate_paths", counted)
+    r = 90
+    cfg = _config(process=spec, bounds=("tilde_phi_mixing",), n_grid=grid, replications=r,
+                  l_policy=LPolicy("fixed", 20))
+    rows = harness.run_cells(cfg, n_jobs=jobs)
+    assert [row.covered is not None for row in rows] == [n >= 300 for n in grid]
+    if top is None:
+        assert calls == []
+        return
+    chunks = _chunk_edges(r, top, jobs, processes.is_elementwise(spec))
+    assert len(chunks) > 1
+    assert sorted(calls) == sorted((top, hi - lo) for lo, hi in chunks)
+    assert sum(n * rows for n, rows in calls) == r * top
+
+
 @pytest.mark.parametrize("l", [1, 2, 10])
 def test_library_block_variance_equals_the_harness_bit_for_bit(l):
     # 2e4 or more blocks: past einsum's 8192-value buffer, where a lone row
@@ -1018,9 +1115,6 @@ def test_iid_short_paths_run_holds_one_chunk_and_one_float_per_replication_per_s
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**18 + 3 * 8 * r + 1.5 * 2**20
-
-
-SLOW_3 = [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
 
 
 def _traced_peak(cfg, n_jobs):

@@ -26,7 +26,7 @@ from ebmix import (
     recompose,
     tilde_phi_interval,
 )
-from ebmix.mixing_bounds import agnostic_errors
+from ebmix.mixing_bounds import agnostic_errors, mixing_terms
 
 RTOL = 1e-9
 
@@ -294,6 +294,37 @@ def test_agnostic_errors_is_the_one_budget_rule():
     assert agnostic_errors(part, knobs, zero) == ErrorBudget(0.0, 0.0, 0.0)
     some = MixingBudget(regime="phi_tilde", phi_sum=0.75, tv_norm=2.0)
     assert agnostic_errors(part, knobs, some) == agnostic_error_budget(105, part, knobs, 1.5)
+
+
+def test_a_phi_tilde_budget_without_tv_norm_is_refused_where_it_is_made():
+    # Such a budget once reached mixing_terms and agnostic_errors, which
+    # raised TypeError on None * phi_sum.
+    part, knobs = block_partition(100, 10), AgnosticKnobs(0.0, 0.5, 0.5)
+    with pytest.raises(DomainError, match="tv_norm"):
+        MixingBudget("phi_tilde", 1.0)
+    with pytest.raises(DomainError, match="tv_norm"):
+        mixing_terms(part, 1.0, MixingBudget("phi_tilde", 1.0), 0.05)
+    with pytest.raises(DomainError, match="tv_norm"):
+        agnostic_errors(part, knobs, MixingBudget("phi_tilde", 1.0))
+    assert MixingBudget("phi", 1.0).tv_norm is None
+
+
+def test_agnostic_errors_refuses_a_phi_budget():
+    part, knobs = block_partition(100, 10), AgnosticKnobs(0.0, 0.5, 0.5)
+    for budget in (MixingBudget("phi", 1.0), MixingBudget("phi", 1.0, tv_norm=1.0)):
+        with pytest.raises(DomainError, match="'phi_tilde' budget, got 'phi'"):
+            agnostic_errors(part, knobs, budget)
+
+
+def test_agnostic_errors_is_zero_when_the_tv_phi_product_is_zero():
+    # A constant test function (tv_norm 0) gives no deviation to pay for,
+    # whatever phi_sum; agnostic_error_budget itself still refuses 0.
+    part, knobs = block_partition(105, 10), AgnosticKnobs(0.1, 0.5, 0.5)
+    for tv_norm, phi_sum in ((0.0, 1.0), (0.0, 0.0), (2.0, 0.0)):
+        budget = MixingBudget("phi_tilde", phi_sum, tv_norm=tv_norm)
+        assert agnostic_errors(part, knobs, budget) == ErrorBudget(0.0, 0.0, 0.0)
+    with pytest.raises(DomainError, match="tv_phi_product"):
+        agnostic_error_budget(105, part, knobs, 0.0)
 
 
 def test_error_budget_monotone_in_knobs():

@@ -152,6 +152,32 @@ def test_chunked_simulate_paths_equal_one_call():
     assert np.array_equal(whole.view(np.uint64), parts.view(np.uint64))
 
 
+def _column_step_chain():
+    # 17 states and 272 distinct cumulative cuts: more buckets than a byte
+    # holds, so the chain takes the column step, not the table step.
+    P = np.random.default_rng(8).uniform(0.5, 1.0, (17, 17))
+    return finite_markov(P / P.sum(axis=1, keepdims=True), np.arange(17) / 16)
+
+
+PREFIX_SPECS = ALL_SPECS + [
+    finite_markov([[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]], [0.0, 0.5, 1.0]),
+    finite_markov([[0.7, 0.3], [0.4, 0.6]], [0.1, 0.7]),  # h not dyadic
+    _column_step_chain(),
+]
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 2), (7, 300), (300, 200_000), (4_097, 70_000)])
+@pytest.mark.parametrize("spec", PREFIX_SPECS, ids=lambda s: s.label()[:40])
+def test_a_shorter_path_is_the_prefix_of_a_longer_one(spec, n1, n2):
+    # The harness draws each replication once, at a config's largest n, and
+    # reads every other n from the prefix.  n = 300 and 2e5 are cut into
+    # different numbers of recurrence segments.
+    indices = [0, 3, 2**40 + 1]
+    short = simulate_paths(spec, n1, 11, indices)
+    long = simulate_paths(spec, n2, 11, indices)
+    assert np.array_equal(short.view(np.uint64), long[:, :n1].view(np.uint64))
+
+
 @pytest.mark.parametrize("indices", [[-1], [3, -2], [2**64], [0, 2**64 + 7], range(-2, 3),
                                      range(2**64 - 1, 2**64 + 1)])
 def test_simulate_paths_refuses_indices_outside_uint64(indices):
