@@ -283,17 +283,22 @@ def agnostic_errors(
 
 
 def _check_dedecker_budget(tv_norm: float, phi_tilde_sum: float) -> None:
-    if _check_finite(tv_norm, "tv_norm") <= 0 or _check_finite(phi_tilde_sum, "phi_tilde_sum") <= 0:
-        raise DomainError("tv_norm and phi_tilde_sum must be > 0")
+    """A zero tv_norm is a constant test function, whose average is its mean;
+    phi_tilde_sum must be positive, as the bound has no independent-data term."""
+    if _check_finite(tv_norm, "tv_norm") < 0 or _check_finite(phi_tilde_sum, "phi_tilde_sum") <= 0:
+        raise DomainError("tv_norm must be >= 0 and phi_tilde_sum > 0")
 
 
 def dedecker_prieur_tail(m: int, t: float, tv_norm: float, phi_tilde_sum: float) -> float:
     """Exponential tail of the average of m terms of a weakly dependent
-    sequence: min(1, 2 exp(-m t^2 / (2 tv_norm phi_tilde_sum)))."""
+    sequence: min(1, 2 exp(-m t^2 / (2 tv_norm phi_tilde_sum))), and 0 at
+    tv_norm = 0."""
     m = _check_count(m, "m")
     if _check_finite(t, "t") <= 0:
         raise DomainError(f"t must be > 0, got {t!r}")
     _check_dedecker_budget(tv_norm, phi_tilde_sum)
+    if tv_norm == 0:
+        return 0.0
     return _tail(2.0, -(m * t * t) / (2.0 * tv_norm * phi_tilde_sum))
 
 

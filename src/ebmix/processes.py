@@ -518,48 +518,37 @@ def entropy_words(seed) -> np.ndarray:
 
 
 def _index_array(indices) -> np.ndarray:
-    """Replication indices as a 1-d int64 or uint64 array, refusing nested
-    indices, negatives and values at or above 2^64."""
+    """Replication indices as int64, or uint64 when one is 2^63 or more,
+    refusing all but a flat sequence of integers, negatives and 2^64 or more.
+    A step-1 range inside int64 and a 1-d integer array of any width make no
+    int per index; any other input is walked once with ``operator.index``."""
     if isinstance(indices, range) and indices.step == 1 and 0 <= indices.start and indices.stop < 2**63:
-        indices = np.arange(indices.start, indices.stop)  # int64, with no int object per index
-    elif not isinstance(indices, (range, np.ndarray)):
+        return np.arange(indices.start, indices.stop)
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+        idx, low, high = indices, indices.min(initial=0), indices.max(initial=0)
+    else:
         try:
-            indices = list(indices)
-        except TypeError:  # an int or None
+            idx = [operator.index(i) for i in indices]
+        except TypeError:  # an int or None, a nested or a non-integer index
             raise DomainError("replication indices must be a flat sequence of integers") from None
-    try:
-        idx = np.asarray(indices)
-    except ValueError:  # a ragged nesting
-        idx = None
-    if idx is None or idx.ndim != 1:
-        raise DomainError("replication indices must be a flat sequence of integers")
-    if idx.size and idx.dtype.kind not in "iu":
-        # Ints beyond int64 come back as float or object: check them exactly.
-        try:
-            idx = np.array([operator.index(i) for i in indices], dtype=object)
-        except TypeError:
-            raise DomainError("replication indices must be integers") from None
-    if idx.size and idx.min() < 0:
-        raise DomainError(f"replication index must be nonnegative, got {idx.min()}")
-    if idx.size and idx.max() >= 2**64:
-        raise DomainError(f"replication index must be below 2^64, got {idx.max()}")
-    return idx if idx.dtype.kind in "iu" else idx.astype(np.uint64)
+        low, high = min(idx, default=0), max(idx, default=0)
+    if low < 0:
+        raise DomainError(f"replication index must be nonnegative, got {low}")
+    if high >= 2**64:
+        raise DomainError(f"replication index must be below 2^64, got {high}")
+    return np.asarray(idx, dtype=np.uint64 if high >= 2**63 else np.int64)
 
 
-def _entropy_rows(master_seed: int, indices) -> tuple[np.ndarray, np.ndarray | None]:
-    """``entropy_words((master_seed, i))`` for every index i, as zero-padded
-    uint32 rows, and each row's word count (None when all rows are full): the
-    seed's words, then i as one word below 2^32 or two words at or above it."""
+def _entropy_rows(master_seed: int, indices) -> tuple[np.ndarray, np.ndarray]:
+    """``entropy_words((master_seed, i))`` for every index i as a uint32 row,
+    the seed's words and then i's low and high word, and each row's word
+    count for ``_philox_keys``: one word of i below 2^32, two at or above it."""
     head = entropy_words(master_seed)
     idx = _index_array(indices)
-    high = idx >> 32
-    wide = bool(high.any())
-    entropy = np.zeros((idx.size, head.size + 1 + wide), dtype=np.uint32)
+    entropy = np.empty((idx.size, head.size + 2), dtype=np.uint32)
     entropy[:, : head.size] = head
     entropy[:, head.size] = idx & _MASK32
-    if not wide:
-        return entropy, None
-    entropy[:, -1] = high
+    entropy[:, -1] = high = idx >> 32
     return entropy, head.size + 1 + (high > 0)
 
 

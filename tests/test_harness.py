@@ -491,6 +491,19 @@ def test_block_bounds_agree_on_a_constant_valued_chain():
     assert agnostic.error_total == 0.0 and agnostic.level == tilde.level == 1.0 - 3.0 * 0.01
 
 
+def test_dedecker_baseline_on_a_constant_valued_chain_has_radius_zero():
+    # tv_norm = 0 while Phi~ > 0: dedecker_baseline was once flagged
+    # "precondition: tv_norm and phi_tilde_sum must be > 0" here, while the
+    # block bounds reported coverage 1.0.
+    spec = finite_markov([[0.9, 0.1], [0.2, 0.8]], [0.5, 0.5])
+    cfg = _config(process=spec, bounds=("phi_mixing", "tilde_phi_mixing", "mixing_agnostic",
+                                        "dedecker_baseline"), n_grid=(200,), replications=50)
+    rows = run_coverage(cfg).rows
+    for row in rows:
+        assert row.flags == () and row.empirical_coverage == 1.0, row.bound
+    assert rows[-1].bound == "dedecker_baseline" and rows[-1].mean_radius == 0.0
+
+
 def test_precondition_cell_is_flagged_not_fatal():
     cfg = _config(n_grid=(6,), replications=50, alpha=None, delta=0.02)
     report = run_coverage(cfg)

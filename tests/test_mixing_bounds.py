@@ -352,13 +352,21 @@ def test_dedecker_radius_inverts_tail():
 
 def test_dedecker_refuses_arguments_that_are_not_positive_numbers():
     # A NaN tv_norm, sum or t once passed the "> 0" checks and gave NaN.
-    for bad in (math.nan, 0.0, -1.0):
+    for bad in (math.nan, -1.0):
         with pytest.raises(DomainError):
             dedecker_prieur_radius(400, bad, 0.8, 0.05)
         with pytest.raises(DomainError):
+            dedecker_prieur_tail(400, 0.5, bad, 0.8)
+    for bad in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError):
             dedecker_prieur_radius(400, 1.5, bad, 0.05)
         with pytest.raises(DomainError):
+            dedecker_prieur_tail(400, 0.5, 1.5, bad)
+        with pytest.raises(DomainError):
             dedecker_prieur_tail(400, bad, 1.5, 0.8)
+    # tv_norm = 0 is a constant test function: its average is its mean.
+    assert dedecker_prieur_radius(400, 0.0, 0.8, 0.05) == 0.0
+    assert dedecker_prieur_tail(400, 0.5, 0.0, 0.8) == 0.0
     for count in (math.nan, math.inf, 2.5, 0):
         with pytest.raises(DomainError):
             dedecker_prieur_tail(count, 0.5, 1.5, 0.8)

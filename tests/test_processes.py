@@ -120,18 +120,27 @@ INDEX_LISTS = [
     [0, 2**32 - 1, 2**32, 2**64 - 1],
     [17, 3, 2**40 + 1, 0, 9],  # unsorted, non-contiguous, mixed word counts
     range(3, 9),
+    np.array([0, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64),
+    np.array([17, 3, 2**40 + 1, 0, 9], dtype=np.int64),
+    np.array([17, 3, 0, 2**31 - 1], dtype=np.int32),
+    np.array([17, 3, 0, 255], dtype=np.uint8),
 ]
 UNIFORM = iid_uniform(0.0, 1.0)  # the path is the uniforms themselves
 
 
 @pytest.mark.parametrize("master_seed", SEEDS)
-@pytest.mark.parametrize("indices", INDEX_LISTS, ids=["edges", "unsorted", "range"])
+@pytest.mark.parametrize("indices", INDEX_LISTS,
+                         ids=["edges", "unsorted", "range", "uint64", "int64", "int32", "uint8"])
 def test_philox_keys_and_uniforms_match_numpy_seed_sequence(master_seed, indices):
+    # An index array of any width draws what the list of its values draws,
+    # and every form becomes int64 unless an index needs uint64.
+    listed = indices.tolist() if isinstance(indices, np.ndarray) else list(indices)
+    assert processes._index_array(indices).dtype == (np.uint64 if max(listed) >= 2**63 else np.int64)
     keys = processes._philox_keys(*processes._entropy_rows(master_seed, indices))
-    expected = _numpy_keys([(master_seed, i) for i in indices])
+    expected = _numpy_keys([(master_seed, i) for i in listed])
     assert keys.dtype == np.uint64 and np.array_equal(keys, expected)
     paths = simulate_paths(UNIFORM, 40, master_seed, indices)
-    assert np.array_equal(paths.view(np.uint64), _numpy_uniforms(master_seed, indices, 40).view(np.uint64))
+    assert np.array_equal(paths.view(np.uint64), _numpy_uniforms(master_seed, listed, 40).view(np.uint64))
 
 
 @pytest.mark.parametrize("seed", SEEDS + [(2**70, 5), (7, 2**64 - 1)])
@@ -143,7 +152,7 @@ def test_simulate_seed_matches_numpy_seed_sequence(seed):
 
 
 def test_chunked_simulate_paths_equal_one_call():
-    # The first chunk has only one-word indices, so its rows are a word shorter.
+    # The first chunk has only one-word indices, so its rows hash a word fewer.
     whole = simulate_paths(UNIFORM, 30, 2**70, [5, 0, 2**32, 12, 2**40 + 1])
     parts = np.vstack([
         simulate_paths(UNIFORM, 30, 2**70, [5, 0]),
@@ -179,7 +188,8 @@ def test_a_shorter_path_is_the_prefix_of_a_longer_one(spec, n1, n2):
 
 
 @pytest.mark.parametrize("indices", [[-1], [3, -2], [2**64], [0, 2**64 + 7], range(-2, 3),
-                                     range(2**64 - 1, 2**64 + 1)])
+                                     range(2**64 - 1, 2**64 + 1), np.array([3, -2]),
+                                     np.array([-1], dtype=np.int8)])
 def test_simulate_paths_refuses_indices_outside_uint64(indices):
     with pytest.raises(DomainError, match="replication index"):
         simulate_paths(UNIFORM, 5, 0, indices)
@@ -196,6 +206,14 @@ def test_simulate_paths_refuses_nested_indices(indices):
 @pytest.mark.parametrize("indices", [5, None], ids=["int", "none"])
 def test_simulate_paths_refuses_indices_that_are_no_sequence(indices):
     with pytest.raises(DomainError, match="^replication indices must be a flat sequence"):
+        simulate_paths(AR1, 5, 0, indices)
+
+
+@pytest.mark.parametrize("indices", [[1.5], [0, 1.0], ["1"], np.array([1.0, 2.0]),
+                                     np.array([True, False])],
+                         ids=["float", "whole-float", "str", "float-array", "bool-array"])
+def test_simulate_paths_refuses_indices_that_are_not_integers(indices):
+    with pytest.raises(DomainError, match="^replication indices must be a flat sequence of integers$"):
         simulate_paths(AR1, 5, 0, indices)
 
 
