@@ -53,9 +53,10 @@ class BlockSummary:
 
     ``h_bar`` is the mean over the first ``m * floor_l`` values; ``v_hat`` is
     ``(1/n) * sum_j (block_sum_j - floor_l * h_bar)^2`` with denominator n
-    even when the remainder is non-empty.  ``mean`` is the mean of all n
-    values (the interval center downstream).  ``values_used`` is derived
-    from ``partition``; the block sums are not kept.
+    even when the remainder is non-empty; at one block (m = 1) it is that
+    rule's value, a rounding residue, not a forced 0.0.  ``mean`` is the
+    mean of all n values (the interval center downstream).  ``values_used``
+    is derived from ``partition``; the block sums are not kept.
     """
 
     partition: BlockPartition
@@ -82,8 +83,9 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
 
     Summation order inside each block is the storage order, so results are
     deterministic and independent of how blocks are scheduled.  The block
-    sums are :func:`row_vhat`'s pairwise ones for the lone row, so ``v_hat``
-    has the bits the harness gets for the same path in any chunk.
+    sums are :func:`row_vhat`'s pairwise ones for the lone row, centered by
+    the same rule at every m, one block included, so ``v_hat`` has the bits
+    the harness gets for the same path in any chunk.
     """
     x = _check_array(values, "values")
     if x.ndim != 1 or x.size != partition.n:
@@ -91,8 +93,7 @@ def block_summary(values, partition: BlockPartition) -> BlockSummary:
     m, fl, n = partition.m, partition.floor_l, partition.n
     sums = x[None, : m * fl].reshape(1, m, fl).sum(axis=2)
     h_bar = float(sums.sum()) / (m * fl)
-    # the single block sum equals floor_l * h_bar identically
-    v_hat = 0.0 if m == 1 else float(_centered_vhat(sums, fl, n)[0])
+    v_hat = float(_centered_vhat(sums, fl, n)[0])
     return BlockSummary(partition=partition, h_bar=h_bar, v_hat=v_hat, mean=float(np.sum(x)) / n)
 
 
@@ -133,19 +134,18 @@ def block_identity_residual(values, m: int, l: int, mu: float) -> float:
         sum_j (sum_{i in B_j} (z_i - wbar))^2 + m l^2 (wbar - mu)^2
             = sum_j (sum_{i in B_j} (z_i - mu))^2
 
-    where ``wbar`` is the grand mean over all m*l values.  The identity is
-    pure algebra, so the residual must vanish up to floating error for every
-    mu; it is used as a self-check oracle for the blocking code.
+    where ``wbar`` is the grand mean over all m*l values.  The first sum is
+    ``m * l * row_vhat``, so this self-check oracle reads the library's v_hat.
+    The identity is pure algebra, so the residual must vanish up to floating
+    error for every mu.
     """
     m, l = _check_count(m, "m"), _check_count(l, "l")
     mu = _check_finite(mu, "mu")
     x = _check_array(values, "values")
     if x.ndim != 1 or x.size != m * l:
         raise DomainError(f"values must have length m*l = {m * l}, got {x.size}")
-    blocks = x.reshape(m, l)
     wbar = float(np.sum(x)) / (m * l)
-    lhs_sums = blocks.sum(axis=1) - l * wbar
-    lhs = float(np.sum(lhs_sums * lhs_sums)) + m * l * l * (wbar - mu) ** 2
-    rhs_sums = blocks.sum(axis=1) - l * mu
+    lhs = m * l * float(row_vhat(x[None, :], m, l)[0]) + m * l * l * (wbar - mu) ** 2
+    rhs_sums = x.reshape(m, l).sum(axis=1) - l * mu
     rhs = float(np.sum(rhs_sums * rhs_sums))
     return lhs - rhs

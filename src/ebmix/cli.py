@@ -335,7 +335,7 @@ def _run_experiment(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    results = selfcheck.run_all(seed=args.seed, cases=args.cases, inject_fault=args.inject_fault)
+    results = selfcheck.run_all(seed=args.seed, cases=args.cases)
     failed = False
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -403,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("selfcheck", help="run the randomized property oracles")
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--cases", type=int, default=1000)
-    p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 

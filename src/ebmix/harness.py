@@ -258,6 +258,10 @@ class ExperimentConfig:
                 _check_prob(value, name)
             except DomainError:
                 raise ConfigError(f"field '{name}': must lie in (0, 1), got {value!r}") from None
+        # alpha_eff = 1.5 delta enters log(1/alpha), so it must stay below 1.
+        if self.delta is not None and 1.5 * self.delta >= 1.0:
+            raise ConfigError(f"field 'delta': 1.5 * delta (the alpha it implies) must be "
+                              f"below 1, got {self.delta!r}")
 
     @property
     def delta_eff(self) -> float:

@@ -321,8 +321,11 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
     which every phi(k) is the same float; from there the repeated term is
     added without further products, so the cost depends on where the powers
     repeat rather than on n.  The sum equals the scalar running sum of the
-    first n terms either way.  It is computed once per (P, n) and then served
-    from a cache; a P that is not ergodic raises on every call.
+    first n terms either way.  A P whose rows are all equal draws each state
+    independently of the last: every row is pi, so every phi(k) is 0 and the
+    sum is exactly 0.0, not the rounding residue of the least-squares pi.
+    It is computed once per (P, n) and then served from a cache; a P that is
+    not ergodic raises on every call.
     """
     P = _chain(P).P
     total = _phi_sum(P.tobytes(), P.shape, _check_count(n))
@@ -332,8 +335,11 @@ def markov_phi_budget(P, n: int) -> MixingBudget:
 @functools.lru_cache(maxsize=64)
 def _phi_sum(p_bytes: bytes, shape: tuple, n: int) -> float:
     """``markov_phi_budget``'s sum for the float64 matrix with these bytes and
-    shape.  Exceptions are not cached."""
+    shape: exactly 0.0 when every row equals the first.  Exceptions are not
+    cached."""
     P, pi, *_ = _chain_set_up(p_bytes, shape)
+    if (P == P[0]).all():  # every row is the stationary law: each phi(k) is 0
+        return 0.0
     total = 0.0
     power = np.eye(P.shape[0])
     powers = np.empty((min(n, _PHI_BLOCK),) + P.shape)

@@ -28,9 +28,11 @@ class CheckResult:
     detail: str
 
 
-def check_block_identity(cases: int = 1000, seed: int = 0, inject_fault: bool = False) -> CheckResult:
+def check_block_identity(cases: int = 1000, seed: int = 0) -> CheckResult:
     """Recentering identity residual stays below 1e-9 relative on random
-    (m, l, values, mu) instances with m, l <= 20."""
+    (m, l, values, mu) instances with m, l <= 20.  The residual's left side
+    is the library's own block variance (:func:`ebmix.blocking.row_vhat`),
+    so a mis-scaled or mis-centered v_hat fails this check."""
     rng = _rng(seed, 101)
     worst = 0.0
     for _ in range(cases):
@@ -40,8 +42,6 @@ def check_block_identity(cases: int = 1000, seed: int = 0, inject_fault: bool = 
         values = rng.uniform(-scale, scale, size=m * l)
         mu = rng.uniform(-2 * scale, 2 * scale)
         residual = block_identity_residual(values, m, l, mu)
-        if inject_fault:  # negative control for CI: force a visible residual
-            residual += 1e-3 * scale * scale + 1e-6
         # relative to the magnitude of the recomposed right-hand side
         rhs = float(np.sum((values.reshape(m, l).sum(axis=1) - l * mu) ** 2))
         worst = max(worst, abs(residual) / max(rhs, 1e-300))
@@ -145,10 +145,10 @@ def check_zero_budget_reduction(cases: int = 200, seed: int = 0) -> CheckResult:
     return CheckResult("zero_budget_reduction", True, cases, "phi and phi_tilde radii identical")
 
 
-def run_all(seed: int = 0, cases: int = 1000, inject_fault: bool = False) -> list[CheckResult]:
+def run_all(seed: int = 0, cases: int = 1000) -> list[CheckResult]:
     cases = _check_count(cases, "cases")
     return [
-        check_block_identity(cases=cases, seed=seed, inject_fault=inject_fault),
+        check_block_identity(cases=cases, seed=seed),
         check_partition_exactness(cases=cases, seed=seed),
         check_radius_monotonicity(cases=cases, seed=seed),
         check_scale_equivariance(cases=cases, seed=seed),

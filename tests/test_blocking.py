@@ -17,6 +17,7 @@ from ebmix import (
     block_partition,
     block_summary,
 )
+from ebmix import blocking, selfcheck
 from ebmix.blocking import row_sumsq, row_vhat
 
 
@@ -113,6 +114,24 @@ def test_identity_residual_thousand_random_cases():
         rhs = float(np.sum((values.reshape(m, l).sum(axis=1) - l * mu) ** 2))
         res = block_identity_residual(values, m, l, mu)
         assert abs(res) <= 1e-9 * max(rhs, 1.0)
+
+
+_VHAT_MUTANTS = {
+    # every v_hat 0.1 % too large
+    "row_vhat": lambda rule: lambda *args, **kw: 1.001 * rule(*args, **kw),
+    # the sample-variance denominator n - 1 in place of n
+    "_centered_vhat": lambda rule: lambda sums, fl, n: rule(sums, fl, n) * n / max(n - 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VHAT_MUTANTS))
+def test_check_block_identity_fails_on_a_mutated_block_variance(name, monkeypatch):
+    # The identity's left side reads the library's v_hat, so a wrong v_hat
+    # leaves a residual; a private copy of the centering once let both pass.
+    assert selfcheck.check_block_identity(cases=200, seed=0).passed
+    monkeypatch.setattr(blocking, name, _VHAT_MUTANTS[name](getattr(blocking, name)))
+    result = selfcheck.check_block_identity(cases=200, seed=0)
+    assert not result.passed, result.detail
 
 
 def test_vhat_translation_invariance_and_scaling():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebmix import cli, core_bounds, harness
+from ebmix import blocking, cli, core_bounds, harness
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
@@ -1115,6 +1115,25 @@ def test_experiment_refuses_both_flags_of_an_exclusive_pair(subcommand, pair, tm
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("delta", ["0.6666666666666666", "0.7", "0.66"])
+def test_coverage_refuses_a_delta_whose_alpha_reaches_one(delta, tmp_path, capsys):
+    # 1.5 * delta is the alpha the sharpness limit takes log(1/alpha) of: a
+    # ZeroDivisionError at the first delta and a math domain error at the
+    # second once escaped as a traceback with exit 1.
+    cfg = _write_config(tmp_path / "cfg.json", replications=20)
+    out_dir = tmp_path / "out"
+    code = main(["coverage", "--config", str(cfg), "--delta", delta, "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    if 1.5 * float(delta) < 1.0:
+        assert code == 0 and (out_dir / "coverage.csv").exists()
+        return
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: field 'delta': 1.5 * delta (the alpha it implies) must be "
+                            f"below 1, got {float(delta)!r}\n")
+    assert not out_dir.exists()
+
+
 def test_config_schema_error_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path / "cfg.json", bogus=1)
     assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -1299,15 +1318,25 @@ def test_coverage_and_sensitivity_runs_do_not_import_numpy_ma(tmp_path):
         assert not {m for m in imported if m.split(".")[:2] == ["numpy", "ma"]}, command
 
 
-def test_selfcheck_deterministic_and_fault_injection(capsys):
+def test_selfcheck_deterministic_and_fault_injection(capsys, monkeypatch):
     assert main(["selfcheck", "--cases", "120", "--seed", "5"]) == 0
     out1 = capsys.readouterr().out
     assert main(["selfcheck", "--cases", "120", "--seed", "5"]) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2
     assert out1.count("PASS") == 5
-    assert main(["selfcheck", "--cases", "40", "--inject-fault"]) == 1
+    # The negative control is a fault in the library's v_hat itself.
+    rule = blocking.row_vhat
+    monkeypatch.setattr(blocking, "row_vhat", lambda *args, **kw: 1.001 * rule(*args, **kw))
+    assert main(["selfcheck", "--cases", "40"]) == 1
     assert "FAIL block_identity_residual" in capsys.readouterr().out
+
+
+def test_selfcheck_has_no_inject_fault_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["selfcheck", "--cases", "40", "--inject-fault"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

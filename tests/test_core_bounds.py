@@ -302,6 +302,13 @@ def test_interval_result_recomposition_enforced():
         IntervalResult(center=0.0, radius=1.0, level=0.9, breakdown={"leading": 0.3})
 
 
+def test_interval_result_ends_and_recomposed_radius():
+    r = IntervalResult(center=0.5, radius=0.25, level=0.9,
+                       breakdown={"inflation": 2.0, "leading": 0.1, "remainder": 0.05})
+    assert (r.lo, r.hi) == (0.25, 0.75)
+    assert r.recomposed() == 0.25
+
+
 # -- properties -------------------------------------------------------------
 
 positive = st.floats(min_value=1e-9, max_value=1e6, allow_nan=False)

@@ -9,7 +9,8 @@ import pytest
 
 from ebmix.blocking import block_partition
 from ebmix.core_bounds import SampleSummary, burn_in_threshold, ignorance_penalty
-from ebmix.errors import DomainError, _check_count, _check_finite, _check_nonneg, _check_prob
+from ebmix.errors import (DomainError, _check_array, _check_count, _check_finite, _check_nonneg,
+                          _check_prob)
 from ebmix.mixing_bounds import (
     AgnosticKnobs, agnostic_error_budget, block_inflation, dedecker_prieur_radius,
     dedecker_prieur_tail,
@@ -61,6 +62,12 @@ def test_nonneg_refuses_negatives_and_finite_passes_them():
         _check_nonneg(-1e-300, "x")
     assert _check_finite(-3, "x") == -3.0 and type(_check_finite(-3, "x")) is float
     assert _check_nonneg(0, "x") == 0.0 and _check_prob(0.25, "p") == 0.25
+
+
+@pytest.mark.parametrize("values", [[[1.0], [1.0, 2.0]], [1.0, [2.0]]], ids=repr)
+def test_array_refuses_a_ragged_list(values):
+    with pytest.raises(DomainError, match="^values must hold finite numbers only$"):
+        _check_array(values, "values")
 
 
 def _agnostic_budget(tv_phi_product):

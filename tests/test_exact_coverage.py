@@ -18,8 +18,8 @@ import math
 import numpy as np
 import pytest
 
-from ebmix import (ExperimentConfig, finite_markov, iid_bernoulli, iid_rademacher, run_coverage,
-                   stationary_distribution)
+from ebmix import (ConfigError, ExperimentConfig, finite_markov, iid_bernoulli, iid_rademacher,
+                   run_coverage, stationary_distribution)
 from ebmix.harness import validate_config
 
 BERNOULLI_BOUNDS = ("empirical_bernstein", "maurer_pontil_baseline", "freedman_oracle",
@@ -208,7 +208,8 @@ def test_dedecker_exact_coverage_near_independence_is_at_least_its_level(flip, n
 # per case, [0.36, 0.57] (n = 100) and [0.355, 0.57] (n = 1000) at
 # alpha = 0.05, [0.47, 0.52] and [0.47, 0.525] at alpha = 0.3, each held in
 # its bracket.  The smallest margin of coverage over level outside the run
-# is about +0.002 at alpha = 0.05 and +0.056 at alpha = 0.3.
+# is about +0.002 at alpha = 0.05 and +0.056 at alpha = 0.3.  Flip 0.5, whose
+# rows are equal, is independent data with an exact 0 budget: it is refused.
 DEDECKER_SHORT = {0.05: (0.35, 0.575), 0.3: (0.465, 0.53)}
 
 
@@ -220,6 +221,10 @@ def test_dedecker_exact_coverage_is_at_least_its_level_at_every_flip_outside_ind
     for flip in P_SCAN.tolist():
         P = [[1.0 - flip, flip], [flip, 1.0 - flip]]
         config = _config(finite_markov(P, [0.0, 1.0]), ("dedecker_baseline",), n, alpha)
+        if flip == 0.5:
+            with pytest.raises(ConfigError, match="a strictly positive phi_tilde budget"):
+                _chain_cells(P, config)
+            continue
         [(level, coverage, _, _, _)] = _chain_cells(P, config).values()
         if coverage < level and not lo <= flip <= hi:
             short.append((flip, coverage, level))

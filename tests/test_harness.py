@@ -534,6 +534,59 @@ def test_small_n_and_large_delta_cells_are_flagged_not_fatal():
     assert row.flags == ("precondition: total miss probability 3*delta >= 1",)
 
 
+@pytest.mark.parametrize("policy", [LPolicy("fixed", 7.0), XiPolicy(2.0, -0.5),
+                                    KnobPolicy(t_scale=0.5, c_mode="fixed", c_value=0.1)],
+                         ids=lambda p: type(p).__name__)
+def test_a_policy_round_trips_through_its_dict(policy):
+    d = policy.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert type(policy).from_dict(d) == policy
+
+
+def test_xi_policy_label():
+    assert XiPolicy(2.0, -0.5).label() == "2*n^-0.5"
+    assert XiPolicy().label() == "1*n^-1"
+
+
+@pytest.mark.parametrize("delta", [0.6666666666666666, 0.7])
+def test_a_delta_whose_alpha_reaches_one_is_refused_naming_delta(delta):
+    # alpha_eff = 1.5 * delta goes into log(1/alpha): at 1.0 (the float
+    # product at the first delta) the sharpness limit divided by zero, and
+    # past it took the log of a negative number.
+    assert 1.5 * delta >= 1.0
+    with pytest.raises(ConfigError, match=r"^field 'delta': 1\.5 \* delta"):
+        _config(delta=delta, alpha=None)
+    with pytest.raises(ConfigError, match="^field 'delta'"):
+        ExperimentConfig.from_dict({**_config().to_dict(), "alpha": None, "delta": delta})
+
+
+@pytest.mark.parametrize("delta", [0.65, 0.66])
+def test_a_delta_whose_alpha_stays_below_one_runs(delta):
+    row = run_coverage(_config(delta=delta, alpha=None, replications=20)).rows[0]
+    assert row.alpha == 1.5 * delta < 1.0
+    assert row.empirical_coverage is not None
+
+
+INDEPENDENT_CHAIN = finite_markov([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0])
+
+
+def test_dedecker_baseline_refuses_a_chain_with_identical_rows():
+    # Its phi_tilde budget is an exact 0, as on iid data; a 1.39e-16 residue
+    # once passed the check and gave coverage 0.08 at level 0.9.
+    with pytest.raises(ConfigError, match="requires: a strictly positive phi_tilde budget"):
+        run_coverage(_config(process=INDEPENDENT_CHAIN, bounds=("dedecker_baseline",),
+                             n_grid=(100,), replications=200))
+
+
+def test_tilde_phi_and_agnostic_report_a_chain_with_identical_rows_unflagged():
+    rows = run_coverage(_config(process=INDEPENDENT_CHAIN, n_grid=(100,), replications=200,
+                                bounds=("tilde_phi_mixing", "mixing_agnostic"))).rows
+    assert [row.bound for row in rows] == ["tilde_phi_mixing", "mixing_agnostic"]
+    for row in rows:
+        assert row.flags == ()
+        assert row.empirical_coverage >= row.level
+
+
 def test_a_block_length_past_n_is_flagged_in_one_short_line():
     # floor(l) was printed as an exact integer: 1e308 made a 381-character
     # flag that held a 309-digit number.
@@ -963,17 +1016,24 @@ def test_each_chunk_is_drawn_once_at_the_largest_live_n(monkeypatch, spec, grid,
     assert sum(n * rows for n, rows in calls) == r * top
 
 
-@pytest.mark.parametrize("l", [1, 2, 10])
-def test_library_block_variance_equals_the_harness_bit_for_bit(l):
+@pytest.mark.parametrize(
+    "spec, n, l, seed, delta",
+    [(bernoulli_ar1(), 200_000, l, 4, 0.01) for l in (1, 2, 10)]
+    + [(iid_uniform(0.0, 1.0), 37, 37, 2, 0.65)],
+    ids=["1", "2", "10", "one-block"],
+)
+def test_library_block_variance_equals_the_harness_bit_for_bit(spec, n, l, seed, delta):
     # 2e4 or more blocks: past einsum's 8192-value buffer, where a lone row
-    # takes another kernel unless it goes through blocking.row_sumsq.
+    # takes another kernel unless it goes through blocking.row_sumsq.  At one
+    # block (l = n, which needs delta > e^(-1/2)) the centered block sum is a
+    # rounding residue, 3.4e-31 on the second path here; block_summary once
+    # forced it to 0.0.
     import ebmix
     from ebmix import harness, processes
 
-    n, seed, r = 200_000, 4, 3
-    spec = bernoulli_ar1()
+    r = 3
     cfg = _config(process=spec, bounds=("tilde_phi_mixing",), n_grid=(n,), replications=r,
-                  master_seed=seed, l_policy=LPolicy("fixed", l), delta=0.01, alpha=None)
+                  master_seed=seed, l_policy=LPolicy("fixed", l), delta=delta, alpha=None)
     partition = ebmix.block_partition(n, l)
     library = np.array([ebmix.block_summary(ebmix.simulate(spec, n, (seed, i))[0], partition).v_hat
                         for i in range(r)])

@@ -21,7 +21,9 @@ from ebmix import (
     block_summary,
     dedecker_prieur_radius,
     dedecker_prieur_tail,
+    finite_markov,
     inflation_factor,
+    mixing_budget_for,
     phi_interval,
     recompose,
     tilde_phi_interval,
@@ -325,6 +327,15 @@ def test_agnostic_errors_is_zero_when_the_tv_phi_product_is_zero():
         assert agnostic_errors(part, knobs, budget) == ErrorBudget(0.0, 0.0, 0.0)
     with pytest.raises(DomainError, match="tv_phi_product"):
         agnostic_error_budget(105, part, knobs, 0.0)
+
+
+def test_agnostic_errors_of_a_chain_with_identical_rows_is_zero():
+    # Its phi_tilde budget is an exact 0, so agnostic_errors takes the
+    # zero-product branch rather than agnostic_error_budget of a residue.
+    budget = mixing_budget_for(finite_markov([[0.5, 0.5], [0.5, 0.5]], [0.0, 1.0]),
+                               "phi_tilde", 100)
+    part, knobs = block_partition(100, 7), AgnosticKnobs(0.1, 0.5, 0.5)
+    assert agnostic_errors(part, knobs, budget) == ErrorBudget(0.0, 0.0, 0.0)
 
 
 def test_error_budget_monotone_in_knobs():

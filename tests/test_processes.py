@@ -369,6 +369,15 @@ def test_markov_phi_budget_zero_for_iid_rows():
     assert markov_phi_budget(np.asarray([pi, pi]), 50).phi_sum == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("row", [[0.5, 0.5], [0.25, 0.75], [0.2, 0.3, 0.5]])
+def test_a_chain_with_identical_rows_has_a_budget_of_exactly_zero(row):
+    # Each row is the stationary law, so every phi(k) is 0.  The [0.5, 0.5]
+    # chain once summed 1.39e-16, the rounding residue of its least-squares pi.
+    spec = finite_markov([row] * len(row), list(range(len(row))))
+    for regime in ("phi", "phi_tilde"):
+        assert mixing_budget_for(spec, regime, 100).phi_sum == 0.0
+
+
 def test_markov_phi_budget_nondecreasing_in_n():
     sums = [markov_phi_budget(np.asarray(TWO_STATE), n).phi_sum for n in (1, 2, 5, 20)]
     assert all(b >= a for a, b in zip(sums, sums[1:]))
