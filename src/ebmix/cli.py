@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import itertools
+import io
 import json
 import math
 import os
@@ -28,13 +28,27 @@ from .errors import (
 
 OUT_DIR_ENV = "EBMIX_OUT_DIR"
 
-# Lines per block that a data file is read in, and that `ebmix simulate`
-# writes in: enough to amortize the per-block work, few enough that the
-# text of one block is far smaller than the values it holds.
+# Lines per block that `ebmix simulate` writes in, and bytes per block that
+# a data file is read in: enough to amortize the per-block work, few enough
+# that the text of one block is far smaller than the values it holds.
 _BLOCK_LINES = 4096
+_BLOCK_BYTES = 1 << 16
 
 # Each `ebmix bound --method` and the bound-table row it reads.
 _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
+
+# The `ebmix bound` flags each method reads besides --method, --delta,
+# --alpha and --format, which all read; any other flag given is refused.
+_READS = {
+    "freedman": {"n", "sigma2", "b", "data"},
+    "mds_empirical": {"b", "data"},
+    "eb": {"b", "data", "n", "mean", "css"},
+    "eb_ignore_linear": {"b", "data", "n", "mean", "css", "xi"},
+    "phi": {"data", "l", "range_width", "phi_sum", "xi"},
+    "tilde_phi": {"data", "l", "range_width", "phi_sum", "tv_norm", "xi"},
+    "agnostic": {"data", "l", "range_width", "phi_sum", "tv_norm", "t", "s", "c"},
+}
+_READ_BY_ALL = {"subcommand", "method", "delta", "alpha", "format"}
 
 # Each experiment subcommand: its help text, and the names of its runner in
 # `harness` and its CSV renderer in `reporting`, looked up at each call so
@@ -56,14 +70,24 @@ def read_values(path: str) -> np.ndarray:
     here with the line named.  A comment may hold any UTF-8 text.
 
     A line is what text mode yields: it ends at '\\n', '\\r\\n' or '\\r'.  The
-    file is read in blocks of ``_BLOCK_LINES`` lines and never seeks, so a
-    pipe works and only one block of text is held at a time."""
-    blocks, start = [], 1
+    file is read ``_BLOCK_BYTES`` bytes at a time, each block cut after its
+    last line end and the partial line carried into the next read; it never
+    seeks, so a pipe works and only one block of bytes is held at a time."""
+    blocks, start, carry = [], 1, b""
     try:
-        with open(path, encoding="utf-8") as f:
-            while block := list(itertools.islice(f, _BLOCK_LINES)):
-                blocks.append(_parse_block(path, block, start))
-                start += len(block)
+        with open(path, "rb") as f:
+            # A line longer than a block is read in doubling chunks, so
+            # carrying it costs time linear in its length.
+            while chunk := f.read(max(_BLOCK_BYTES, len(carry))):
+                block = carry + chunk
+                # After the last '\n'; with none, after the last '\r' that is
+                # not the last byte, so that no '\r\n' is split.
+                cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+                carry = block[cut:]
+                if cut:
+                    start = _parse_block(path, block[:cut], start, blocks)
+            if carry:
+                _parse_block(path, carry, start, blocks)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read data file {path}: {exc}") from exc
     array = np.concatenate(blocks) if blocks else np.empty(0)
@@ -72,27 +96,47 @@ def read_values(path: str) -> np.ndarray:
     return array
 
 
-def _parse_block(path: str, block: list[str], start: int) -> np.ndarray:
-    """One block in one pass when every line after its leading blank and '#'
-    lines (such as the '# truth:' line of `ebmix simulate`) is a finite
-    number and their joined text is ASCII with no '_'.  float() raises on a
+def _parse_block(path: str, block: bytes, start: int, out: list) -> int:
+    """Append the values of ``block``, whose first line is line ``start``,
+    to ``out`` and return the number of the line after it.
+
+    One ``splitlines``, which ends a line where text mode does, and one
+    ``float()`` per line (which strips its line end) when every line after the block's leading blank
+    and '#' lines (such as the '# truth:' line of `ebmix simulate`) is a
+    finite number and that body is ASCII with no '_'.  float() raises on a
     blank line and on a comment, so any block it accepts here the line loop
-    accepts too, with the same bits; any other block takes the loop, which
-    numbers its lines from ``start``."""
+    accepts too, with the same bits.  The leading lines must still be
+    UTF-8.  Any other block is decoded with universal newlines and goes
+    through the line loop."""
+    lines = block.splitlines(keepends=True)
     head = 0
-    while head < len(block) and (not block[head].strip() or block[head].lstrip().startswith("#")):
+    while head < len(lines) and (not lines[head].strip() or lines[head].lstrip().startswith(b"#")):
         head += 1
-    data = block[head:] if head else block
-    text = "".join(data)
-    if not text.isascii() or "_" in text:
-        return _parse_lines(path, block, start)
+    body, text = lines, block
+    if head:  # a comment may hold any UTF-8 text, and only that
+        offset = sum(map(len, lines[:head]))
+        block[:offset].decode("utf-8")
+        body, text = lines[head:], block[offset:]
+    if not text.isascii() or b"_" in text:
+        return _parse_text(path, block, start, out)
     try:
-        array = np.fromiter(map(float, data), dtype=float, count=len(data))
+        array = np.fromiter(map(float, body), dtype=float, count=len(body))
     except ValueError:
-        return _parse_lines(path, block, start)
+        return _parse_text(path, block, start, out)
     # Finiteness is checked once on the array to keep the pass lean; the
     # line loop runs on a non-finite block only to name the line.
-    return array if np.isfinite(array).all() else _parse_lines(path, block, start)
+    if not np.isfinite(array).all():
+        return _parse_text(path, block, start, out)
+    out.append(array)
+    return start + len(lines)
+
+
+def _parse_text(path: str, block: bytes, start: int, out: list) -> int:
+    """:func:`_parse_block` through the line loop, on the lines text mode
+    gives: ``block`` decoded as UTF-8 with universal newlines."""
+    lines = list(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8"))
+    out.append(_parse_lines(path, lines, start))
+    return start + len(lines)
 
 
 def _parse_lines(path: str, lines: list[str], start: int = 1) -> np.ndarray:
@@ -146,10 +190,20 @@ def _require(args, names, why: str = "") -> None:
         raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing) + why)
 
 
+def _refuse_unread(args) -> None:
+    """Refuse any flag given that --method does not read (see ``_READS``)."""
+    unread = [name.replace("_", "-") for name, value in vars(args).items()
+              if value is not None and name not in _READ_BY_ALL | _READS[args.method]]
+    if unread:
+        raise DomainError(f"method {args.method!r} does not read --" + ", --".join(unread))
+
+
 def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
-    """The data file's values.  Data whose ``measure`` exceeds ``limit`` in
-    absolute value make the interval void, so that is an input error, not a
-    warning; ``message`` words it from the measured ``value`` and ``limit``."""
+    """The data file's values, read after any flag the method does not read
+    is refused.  Data whose ``measure`` exceeds ``limit`` in absolute value
+    make the interval void, so that is an input error, not a warning;
+    ``message`` words it from the measured ``value`` and ``limit``."""
+    _refuse_unread(args)
     values = read_values(args.data)
     value = float(measure(values))
     if abs(value) > limit * (1 + 1e-12):
@@ -250,6 +304,8 @@ def cmd_bound(args) -> int:
             knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
             errors = mixing_bounds.agnostic_errors(summary.partition, knobs, budget)
             res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
+    if args.data is None:  # with --data, _values_within refused them before reading
+        _refuse_unread(args)
     _print_interval(res, args.format)
     return 0
 

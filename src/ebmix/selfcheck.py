@@ -54,21 +54,27 @@ def check_block_identity(cases: int = 1000, seed: int = 0) -> CheckResult:
 
 
 def check_partition_exactness(cases: int = 1000, seed: int = 0) -> CheckResult:
-    """Blocks plus remainder tile {0..n-1} disjointly for random (n, l)."""
+    """:func:`block_summary` on random (n, l) and values: its ``h_bar`` is
+    the mean over ``p.blocks`` and its ``mean`` the mean over those blocks
+    and ``p.remainder``, each to 1e-12 relative to the mean absolute value,
+    so a summary that drops, repeats or misplaces a value fails."""
     rng = _rng(seed, 202)
     for _ in range(cases):
         n = int(rng.integers(1, 10_001))
         l = float(rng.uniform(1.0, n + 0.999))
+        values = rng.normal(float(rng.uniform(-5, 5)), float(rng.uniform(0.1, 2)), size=n)
         p = block_partition(n, l)
-        spans = list(p.blocks) + [p.remainder]
-        cursor = 0
-        for start, stop in spans:
-            if start != cursor or stop < start:
-                return CheckResult("partition_exactness", False, cases, f"gap at n={n}, l={l}")
-            cursor = stop
-        if cursor != n or any(stop - start != p.floor_l for start, stop in p.blocks):
-            return CheckResult("partition_exactness", False, cases, f"bad cover at n={n}, l={l}")
-    return CheckResult("partition_exactness", True, cases, "blocks+remainder tile {0..n-1} exactly")
+        summary = block_summary(values, p)
+        used = np.concatenate([values[start:stop] for start, stop in p.blocks])
+        every = np.concatenate([used, values[slice(*p.remainder)]])
+        for got, part, name in ((summary.h_bar, used, "h_bar"), (summary.mean, every, "mean")):
+            want = float(part.sum()) / part.size
+            scale = float(np.abs(part).sum()) / part.size
+            if not abs(got - want) <= 1e-12 * scale:
+                return CheckResult("partition_exactness", False, cases,
+                                   f"{name} {got!r} != {want!r} at n={n}, l={l}")
+    return CheckResult("partition_exactness", True, cases,
+                       "h_bar and mean match sums over blocks+remainder")
 
 
 def check_radius_monotonicity(cases: int = 1000, seed: int = 0) -> CheckResult:

@@ -1,6 +1,7 @@
 """CLI contract: JSON output shape, exit-code discipline, atomic output
 files, frozen CSV headers, and environment-variable defaults."""
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebmix import blocking, cli, core_bounds, harness
+from ebmix import blocking, cli, core_bounds, harness, selfcheck
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
@@ -503,7 +504,7 @@ def test_bound_block_methods_refuse_data_wider_than_range_width(tmp_path, capsys
     data = tmp_path / "wide.txt"
     data.write_text("0.5\n" * 500 + "5.0\n", encoding="utf-8")
     argv = ["bound", "--method", method, "--delta", "0.01", "--l", "20", "--phi-sum", "1",
-            "--tv-norm", "1", "--data", str(data)]
+            *(["--tv-norm", "1"] if method != "phi" else []), "--data", str(data)]
     assert main(argv + ["--range-width", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "values span 4.5 (max - min)" in captured.err
@@ -743,6 +744,41 @@ def test_bound_refuses_summary_flags_beside_data(method, uniform_data, capsys):
         f"error: method {method!r} takes n, mean and css from --data; drop --n, --mean, --css\n")
     assert main(argv + ["--css", "1"]) == 2
     assert capsys.readouterr().err.endswith("drop --css\n")
+
+
+@pytest.mark.parametrize(
+    "case, flag",
+    [("freedman", ["--xi", "0.5"]), ("mds_empirical", ["--l", "3"]),
+     ("eb", ["--sigma2", "9"]), ("eb-summary", ["--t", "4"]),
+     ("eb_ignore_linear", ["--range-width", "3"]), ("phi", ["--tv-norm", "5"]),
+     ("tilde_phi", ["--c", "5"]), ("agnostic", ["--xi", "0.5"])],
+)
+def test_bound_refuses_a_flag_its_method_does_not_read(case, flag, uniform_data, capsys):
+    # Each of these once exited 0 with the radius it gave without the flag.
+    method = case.removesuffix("-summary")
+    assert main(_bound_argv(case, uniform_data) + flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: method {method!r} does not read {flag[0]}\n"
+
+
+def test_bound_refuses_unread_flags_before_reading_the_file(tmp_path, capsys):
+    argv = ["bound", "--method", "eb", "--b", "1", "--alpha", "0.05",
+            "--data", str(tmp_path / "missing.txt"), "--l", "3", "--sigma2", "9", "--t", "4"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: method 'eb' does not read --sigma2, --l, --t\n"
+
+
+@pytest.mark.parametrize("case", sorted(set(_FINITE_BOUND_ARGV) - {"eb-summary", "freedman"}))
+def test_bound_prints_the_same_bytes_for_lf_crlf_and_cr_files(case, uniform_data, tmp_path, capsys):
+    raw = uniform_data.read_bytes()
+    outs = []
+    for name, end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        data = tmp_path / f"{name}.txt"
+        data.write_bytes(b"# comment\n".replace(b"\n", end) + raw.replace(b"\n", end))
+        assert main(_bound_argv(case, data)) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_bound_freedman_checks_the_spread_of_its_data_against_b(tmp_path, capsys):
@@ -1330,6 +1366,21 @@ def test_selfcheck_deterministic_and_fault_injection(capsys, monkeypatch):
     monkeypatch.setattr(blocking, "row_vhat", lambda *args, **kw: 1.001 * rule(*args, **kw))
     assert main(["selfcheck", "--cases", "40"]) == 1
     assert "FAIL block_identity_residual" in capsys.readouterr().out
+
+
+def test_selfcheck_partition_oracle_fails_on_a_summary_that_drops_its_last_block(
+    capsys, monkeypatch
+):
+    summary = selfcheck.block_summary
+
+    def drop_last(values, p):
+        return summary(values, dataclasses.replace(p, m=p.m - 1) if p.m > 1 else p)
+
+    monkeypatch.setattr(selfcheck, "block_summary", drop_last)
+    assert main(["selfcheck", "--cases", "40"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL partition_exactness" in out
+    assert "FAIL block_identity_residual" not in out
 
 
 def test_selfcheck_has_no_inject_fault_flag(capsys):
