@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,14 @@ OUT_DIR_ENV = "EBMIX_OUT_DIR"
 # that the text of one block is far smaller than the values it holds.
 _BLOCK_LINES = 4096
 _BLOCK_BYTES = 1 << 16
+
+# A block's leading blank and '#' lines, each with its line end; the bytes a
+# body read in one JSON call may hold; a '\r' that is not part of '\r\n';
+# and an integer '-0' in such a body.
+_HEAD = re.compile(rb"(?:[ \t\x0b\x0c]*(?:#[^\r\n]*)?(?:\r\n|\r|\n))*")
+_NUMERAL_BYTES = b"0123456789.eE+- \t\r\n"
+_LONE_CR = re.compile(rb"\r(?!\n)")
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 # Each `ebmix bound --method` and the bound-table row it reads.
 _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
@@ -100,35 +109,44 @@ def _parse_block(path: str, block: bytes, start: int, out: list) -> int:
     """Append the values of ``block``, whose first line is line ``start``,
     to ``out`` and return the number of the line after it.
 
-    One ``splitlines``, which ends a line where text mode does, and one
-    ``float()`` per line (which strips its line end) when every line after the block's leading blank
-    and '#' lines (such as the '# truth:' line of `ebmix simulate`) is a
-    finite number and that body is ASCII with no '_'.  float() raises on a
-    blank line and on a comment, so any block it accepts here the line loop
-    accepts too, with the same bits.  The leading lines must still be
-    UTF-8.  Any other block is decoded with universal newlines and goes
-    through the line loop."""
-    lines = block.splitlines(keepends=True)
-    head = 0
-    while head < len(lines) and (not lines[head].strip() or lines[head].lstrip().startswith(b"#")):
-        head += 1
-    body, text = lines, block
-    if head:  # a comment may hold any UTF-8 text, and only that
-        offset = sum(map(len, lines[:head]))
-        block[:offset].decode("utf-8")
-        body, text = lines[head:], block[offset:]
-    if not text.isascii() or b"_" in text:
+    After the block's leading blank and '#' lines (such as the '# truth:'
+    line of `ebmix simulate`), which must still be UTF-8, the body is read
+    by one ``orjson.loads`` of a JSON array, each line end turned into a
+    comma.  That path is taken only when the body holds numeral bytes
+    alone and ends its lines with '\\n' or '\\r\\n' only, or with '\\r'
+    only, and then only if orjson accepts it and no value is an integer
+    '-0' (which orjson reads as the int 0, where float() gives -0.0).  A
+    JSON number is a decimal that float() reads too, and orjson rounds it
+    correctly, so the bits are float()'s; it refuses a number that
+    overflows to infinity, which the line loop then names.  A JSON array
+    holds one value between each two commas, so the body gives one value
+    per line: a blank line, a comment or two numbers on one line make it
+    invalid.  Any other block (with '.5', '1.', '+1', a leading zero, a
+    lone '\\r' among '\\n' line ends, ...) is decoded with universal
+    newlines and goes through the line loop."""
+    import orjson  # only `ebmix bound --data` pays for loading it
+
+    offset = _HEAD.match(block).end()
+    body = block[offset:]
+    if not body or body.translate(None, _NUMERAL_BYTES):
         return _parse_text(path, block, start, out)
+    end = b"\n" if b"\n" in body else b"\r"
+    # '\r' is JSON whitespace, so '\r\n' reads as one line end; but among
+    # '\n' line ends, a lone '\r' would end a line that JSON does not see.
+    if end == b"\n" and b"\r" in body and _LONE_CR.search(body):
+        return _parse_text(path, block, start, out)
+    text = body.removesuffix(end).replace(end, b",")
+    block[:offset].decode("utf-8")  # a comment may hold any UTF-8 text, and only that
     try:
-        array = np.fromiter(map(float, body), dtype=float, count=len(body))
-    except ValueError:
+        values = orjson.loads(b"[" + text + b"]")
+    except orjson.JSONDecodeError:
         return _parse_text(path, block, start, out)
-    # Finiteness is checked once on the array to keep the pass lean; the
-    # line loop runs on a non-finite block only to name the line.
-    if not np.isfinite(array).all():
+    array = np.fromiter(values, dtype=float, count=len(values))
+    # '-0' is looked for in the text only when some value is zero.
+    if not array.all() and _INTEGER_MINUS_ZERO.search(body):
         return _parse_text(path, block, start, out)
     out.append(array)
-    return start + len(lines)
+    return start + len(block[:offset].splitlines()) + len(values)
 
 
 def _parse_text(path: str, block: bytes, start: int, out: list) -> int:

@@ -648,10 +648,11 @@ def _paths_from_uniforms(spec: ProcessSpec, u: np.ndarray) -> np.ndarray:
         h = np.repeat(np.asarray(p["h"], dtype=float), chain.width)
         flat_states, flat_u = states.ravel(), _flat(u)
         # take reads its indices through an 8-byte intp copy, so a block of
-        # _BLOCK // 8 states keeps that copy at _BLOCK bytes.
+        # _BLOCK // 8 states keeps that copy at _BLOCK bytes.  The method
+        # skips np.take's Python wrapper, as in _table_step.
         for lo in range(0, u.size, _BLOCK // 8):
             block = np.s_[lo : lo + _BLOCK // 8]
-            np.take(h, flat_states[block], out=flat_u[block], mode="clip")
+            h.take(flat_states[block], out=flat_u[block], mode="clip")
         return u
     # bernoulli_ar1: the recurrence reads only the noise bits, so it can
     # write the path over the uniforms.

@@ -176,15 +176,42 @@ def test_read_values_one_pass_and_line_loop_give_the_same_bits(tmp_path):
     assert bits[0] == bits[1] == bits[2]
 
 
-def test_read_values_parses_a_comment_free_file_in_one_pass(tmp_path, monkeypatch):
-    data = tmp_path / "plain.txt"
-    data.write_text("0.5\n-0.25\n1e-3\n", encoding="utf-8")
+_REPR_FLOATS = [repr(float(v)) for v in np.random.default_rng(5).normal(size=10**4)]
 
-    def no_loop(path, lines):
-        raise AssertionError("the line loop ran on a comment-free file")
+
+@pytest.mark.parametrize(
+    "raw, tokens",
+    [(b"0.5\n-0.25\n1e-3\n", ["0.5", "-0.25", "1e-3"]),
+     ("# truth: {}\n".encode() + "\n".join(_REPR_FLOATS).encode() + b"\n", _REPR_FLOATS),
+     ("# truth: {}\r\n".encode() + "\r\n".join(_REPR_FLOATS).encode() + b"\r\n", _REPR_FLOATS),
+     ("# truth: {}\r".encode() + "\r".join(_REPR_FLOATS).encode() + b"\r", _REPR_FLOATS),
+     (b"10\n1E3\n1e-05\n5e-324\n", ["10", "1E3", "1e-05", "5e-324"])],
+    ids=["short", "lf-behind-truth", "crlf-behind-truth", "cr-behind-truth",
+         "integer-and-exponents"],
+)
+def test_read_values_parses_a_comment_free_file_in_one_pass(tmp_path, monkeypatch, raw, tokens):
+    data = tmp_path / "plain.txt"
+    data.write_bytes(raw)
+
+    def no_loop(*args):
+        raise AssertionError("the line loop ran on a file of JSON numbers")
 
     monkeypatch.setattr(cli, "_parse_lines", no_loop)
-    assert read_values(str(data)).tolist() == [0.5, -0.25, 1e-3]
+    want = [float(t) for t in tokens]
+    got = read_values(str(data)).view(np.uint64).tolist()
+    assert got == np.array(want).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("-0\n", [-0.0]), ("0.5\n-0\n0.25\n", [0.5, -0.0, 0.25]), ("# h\r\n-0\r\n", [-0.0]),
+     ("-0", [-0.0])],
+)
+def test_read_values_reads_an_integer_minus_zero_as_minus_zero(tmp_path, text, want):
+    data = tmp_path / "zero.txt"
+    data.write_bytes(text.encode())
+    got = read_values(str(data)).view(np.uint64).tolist()
+    assert got == np.array(want).view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize(

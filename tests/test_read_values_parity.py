@@ -60,16 +60,19 @@ def _outcome(read, path):
 _PAD = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \t"])
 _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.integers(-10**20, 10**20).map(str),
-    st.sampled_from(["-0.0", "5e-324", "1e308", ".5", "1.", "+2", "1E3"]),
+    st.integers(-10**30, 10**30).map(str),
+    st.sampled_from(["-0", "-0.0", "-0e0", "0", "5e-324", "1e308", ".5", "1.", "+2", "1E3",
+                     "007", "18446744073709551616", "-9223372036854775809"]),
 )
 _VALUE = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
 _QUIET = st.sampled_from(["", "  ", "\t", "# note", "  # \u00b5 = \u00bd \u2713",
                           '# truth: {"long_run_var": 1}', "#"])
 # Lines that are refused, or that take the line loop: '\x1c' is whitespace
-# to str.strip() but not to bytes.strip().
+# to str.strip() but not to bytes.strip(), and JSON reads the tokens from
+# 'true' on, which float() refuses.
 _TRICKY = st.sampled_from(["1_000", "\u0661\u0662", "\uff11", "nan", " inf", "-inf",
-                            "1\x00", "abc", "0.5 # x", "1 2", "\ufeff0.5", "\x1c0.5", "1e500"])
+                            "1\x00", "abc", "0.5 # x", "1 2", "\ufeff0.5", "\x1c0.5", "1e500",
+                            "true", "false", "null", '"0.5"', "[1]", "{}", "1,2"])
 _LINE_END = st.sampled_from([b"\n", b"\r\n", b"\r"])
 _NOT_UTF8 = st.sampled_from([b"\xff0.25", b"# \xff", b"0.5\xc3", b"# \xed\xa0\x80"])
 
@@ -110,6 +113,10 @@ def data_path(tmp_path_factory):
 @example(raw=b"# a\r0.5\n0.25\n")
 @example(raw=b"0.5\r\r\n0.25\r\rabc\r")
 @example(raw=b"# a\r\n# b\r\n# \xc2\xb5\r\n0.5\r\n")
+@example(raw=b"0.5\ntrue\n")
+@example(raw=b'0.25\r\n"0.5"\r\n[1]\r\n')
+@example(raw=b"0.5\n-0\n 1e-0 \n")
+@example(raw=b"# a\r\n\r\n" + b"0.5\r\n" * 20 + b"abc\r\n")  # the head is counted
 def test_binary_reader_matches_the_text_reader(raw, data_path):
     with open(data_path, "wb") as f:
         f.write(raw)
