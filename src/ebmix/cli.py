@@ -46,16 +46,17 @@ _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 # Each `ebmix bound --method` and the bound-table row it reads.
 _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.method is not None}
 
-# The `ebmix bound` flags each method reads besides --method, --delta,
-# --alpha and --format, which all read; any other flag given is refused.
-_READS = {
-    "freedman": {"n", "sigma2", "b", "data"},
-    "mds_empirical": {"b", "data"},
-    "eb": {"b", "data", "n", "mean", "css"},
-    "eb_ignore_linear": {"b", "data", "n", "mean", "css", "xi"},
-    "phi": {"data", "l", "range_width", "phi_sum", "xi"},
-    "tilde_phi": {"data", "l", "range_width", "phi_sum", "tv_norm", "xi"},
-    "agnostic": {"data", "l", "range_width", "phi_sum", "tv_norm", "t", "s", "c"},
+# The `ebmix bound` flags each method requires, in the order a missing one
+# is named, and the other flags it reads, besides --method, --delta, --alpha
+# and --format, which all read; any other flag given is refused.
+_FLAGS = {
+    "freedman": (("n", "sigma2", "b"), ("data",)),
+    "mds_empirical": (("b",), ("data",)),
+    "eb": (("b",), ("data", "n", "mean", "css")),
+    "eb_ignore_linear": (("b",), ("data", "n", "mean", "css", "xi")),
+    "phi": (("data", "l", "range_width"), ("phi_sum", "xi")),
+    "tilde_phi": (("data", "l", "range_width"), ("phi_sum", "tv_norm", "xi")),
+    "agnostic": (("data", "l", "range_width"), ("phi_sum", "tv_norm", "t", "s", "c")),
 }
 _READ_BY_ALL = {"subcommand", "method", "delta", "alpha", "format"}
 
@@ -209,9 +210,10 @@ def _require(args, names, why: str = "") -> None:
 
 
 def _refuse_unread(args) -> None:
-    """Refuse any flag given that --method does not read (see ``_READS``)."""
+    """Refuse any flag given that --method does not read (see ``_FLAGS``)."""
+    read = _READ_BY_ALL.union(*_FLAGS[args.method])
     unread = [name.replace("_", "-") for name, value in vars(args).items()
-              if value is not None and name not in _READ_BY_ALL | _READS[args.method]]
+              if value is not None and name not in read]
     if unread:
         raise DomainError(f"method {args.method!r} does not read --" + ", --".join(unread))
 
@@ -259,13 +261,13 @@ def cmd_bound(args) -> int:
     method, row = args.method, _METHODS[args.method]
     if (args.delta is None) == (args.alpha is None):
         raise DomainError("exactly one of --delta and --alpha is required")
+    _require(args, _FLAGS[method][0])
     delta = args.delta if args.delta is not None else 2.0 * args.alpha / row.misses
 
     def xi(n):
         return args.xi if args.xi is not None else float(row.xi.evaluate(n))
 
     if method == "freedman":
-        _require(args, ["n", "sigma2", "b"])
         center = 0.0
         if args.data is not None:
             # --b bounds |X - mu|, which no mu meets if the spread exceeds 2 --b.
@@ -273,17 +275,16 @@ def cmd_bound(args) -> int:
             if values.size != args.n:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
             center = float(np.mean(values))
-        res = core_bounds.freedman_interval(center, args.n, args.sigma2, args.b, delta)
+        terms = core_bounds.freedman_terms(args.n, args.sigma2, args.b, delta)
+        res = core_bounds._interval(center, 1.0 - row.misses * delta, terms)
         b2 = args.b * args.b
         _summary_within_b(args.sigma2, b2, f"--sigma2 {args.sigma2!r} exceeds --b^2 = {b2!r} "
                           "(--b bounds |X - mu|)")
     elif method == "mds_empirical":  # data are treated as zero-mean increments
-        _require(args, ["b"])
         if args.data is None:
             raise DomainError("method 'mds_empirical' requires --data (raw increments)")
         res = core_bounds.mds_empirical_interval(_values_within_b(args), args.b, delta)
     elif method in ("eb", "eb_ignore_linear"):
-        _require(args, ["b"])
         if args.data is not None:
             summary = core_bounds.summarize(_values_within_b(args), b=args.b)
         else:
@@ -300,7 +301,6 @@ def cmd_bound(args) -> int:
         else:
             res = core_bounds.ignore_linear_interval(summary, delta, xi(summary.n))
     else:  # block-based methods need raw data and a block length
-        _require(args, ["data", "l", "range_width"])
         _check_nonneg(args.range_width, "range_width")  # before the agnostic knobs use it
         values = _values_within(args, args.range_width, np.ptp, _WIDER_THAN_RANGE)
         summary = block_summary(values, block_partition(values.size, args.l))

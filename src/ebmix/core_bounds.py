@@ -194,12 +194,6 @@ def freedman_radius(n: int, sigma2: float, b: float, delta: float) -> float:
     return recompose(freedman_terms(n, sigma2, b, delta))
 
 
-def freedman_interval(center: float, n: int, sigma2: float, b: float, delta: float) -> IntervalResult:
-    """:func:`freedman_radius` around ``center``.  Each side misses with
-    probability at most ``delta``, so the two-sided level is ``1 - 2 delta``."""
-    return _interval(center, 1.0 - 2.0 * delta, freedman_terms(n, sigma2, b, delta))
-
-
 def mds_predictable_radius(pred_qv: float, b: float, t: float) -> float:
     """Self-normalized radius for the *unnormalized* sum M_n in terms of the
     predictable quadratic variation: sqrt(2 <M>_n t) + b t / 3.

@@ -376,7 +376,8 @@ class _CellPlan:
     rule, the budget regime and the default xi.  ``stat`` is each row's
     ``"mean"`` (for a constant radius), its sum of squares ``"qv"``, its sum
     of squares about its mean ``"css"``, or its block variance ``("vhat", m,
-    floor_l)``.  The radius is ``leading``, a map from the statistic to each
+    floor_l, exact)``, with ``exact`` from :func:`processes.sums_are_exact`
+    at this n.  The radius is ``leading``, a map from the statistic to each
     row's leading term (or the term itself, for a constant radius), and
     ``terms``, the other terms as the library's term builders return them.
     An unmet requirement raises ConfigError before any other check of its
@@ -487,7 +488,8 @@ class _CellPlan:
             else:
                 xi_n = float(config.xi_for(bound).evaluate(n))
                 terms = mixing_bounds.mixing_terms(partition, rw, budget, delta, xi_n)
-            stat = ("vhat", partition.m, partition.floor_l)
+            stat = ("vhat", partition.m, partition.floor_l,
+                    processes.sums_are_exact(config.process, n))
             leading = lambda vhat: mixing_bounds.block_leading(vhat, n, log_term)
         self.stat, self.leading, self.terms = stat, leading, terms
         keys = [k for k in terms if k not in ("inflation", "remainder")]
@@ -511,16 +513,15 @@ class _CellPlan:
         return self._inflation * (leading + self._a + self._b) + self._remainder
 
 
-def _row_statistic(key, vals, means, exact=False):
+def _row_statistic(key, vals, means):
     """The row statistic ``key`` (see :class:`_CellPlan`) of each row of
     ``vals``, whose row means are ``means``.  The css (the sum of squares
     about the row mean) and the block variances are reduced over blocks of
     rows whose temporary, the centered rows or their block sums, holds at
     most ``processes._BLOCK`` values (or one row's), so it stays small
-    whatever the chunk holds; no row's statistic depends on its block.
-    ``exact`` is :func:`processes.sums_are_exact` for the rows' process and
-    length: block variances then take :func:`row_vhat`'s einsum block sums,
-    with the same bits as the pairwise ones."""
+    whatever the chunk holds; no row's statistic depends on its block.  A
+    block variance key's ``m``, ``floor_l`` and ``exact`` go to
+    :func:`row_vhat`."""
     if key == "mean":
         return means
     if key == "qv":
@@ -531,7 +532,7 @@ def _row_statistic(key, vals, means, exact=False):
     for lo in range(0, rows, step):
         block = vals[lo:lo + step]
         out[lo:lo + step] = (row_sumsq(block - means[lo:lo + step, None]) if key == "css"
-                             else row_vhat(block, key[1], key[2], exact))
+                             else row_vhat(block, *key[1:]))
     return out
 
 
@@ -578,7 +579,6 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
     for n, plans in cells:
         if live := [p.stat for p in plans.values() if p.stat is not None]:
             stats[n] = {s: np.empty(r) for s in dict.fromkeys(["mean"] + live)}
-    exact = {n: processes.sums_are_exact(config.process, n) for n in stats}
     top = max(stats, default=0)
 
     def work(chunk):
@@ -588,7 +588,7 @@ def run_cells(config: ExperimentConfig, n_jobs: int = 1) -> tuple[CellResult, ..
             vals = paths[:, :n]
             means = vals.mean(axis=1)
             for s, out in row_stats.items():
-                out[lo:hi] = _row_statistic(s, vals, means, exact[n])
+                out[lo:hi] = _row_statistic(s, vals, means)
 
     chunks = _chunk_edges(r, top, n_jobs, processes.is_elementwise(config.process)) if top else []
     if n_jobs > 1 and len(chunks) > 1:

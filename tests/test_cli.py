@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ebmix import blocking, cli, core_bounds, harness, selfcheck
+from ebmix import blocking, cli, core_bounds, harness, mixing_bounds, selfcheck
 from ebmix.cli import main, read_values
 from ebmix.errors import InputError
 from ebmix.harness import ExperimentConfig, run_coverage
@@ -796,6 +796,18 @@ def test_bound_refuses_unread_flags_before_reading_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: method 'eb' does not read --sigma2, --l, --t\n"
 
 
+def test_flag_table_names_the_bound_flags_and_every_bound_flag_is_read():
+    # Every flag the `bound` parser defines, by its attribute name, and `subcommand`.
+    defined = set(vars(cli.build_parser().parse_args(["bound", "--method", "eb"])))
+    assert set(cli._FLAGS) == set(cli._METHODS)
+    read = set()
+    for method, (required, others) in cli._FLAGS.items():
+        assert not set(required) & set(others), method
+        read.update(required, others)
+    assert read <= defined - cli._READ_BY_ALL
+    assert defined == read | cli._READ_BY_ALL
+
+
 @pytest.mark.parametrize("case", sorted(set(_FINITE_BOUND_ARGV) - {"eb-summary", "freedman"}))
 def test_bound_prints_the_same_bytes_for_lf_crlf_and_cr_files(case, uniform_data, tmp_path, capsys):
     raw = uniform_data.read_bytes()
@@ -1034,6 +1046,28 @@ def test_simulate_into_a_closed_pipe_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+def test_main_answers_a_closed_stdout_with_141_and_points_it_at_devnull(monkeypatch):
+    # The same path in this process: stdout's reader has gone, so its first
+    # write raises, and its descriptor (here one end of a pipe) is then
+    # pointed at devnull.
+    read_end, write_end = os.pipe()
+
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    try:
+        assert main(["simulate", "--kind", "bernoulli_ar1", "--n", "5", "--seed", "0"]) == 141
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 @pytest.mark.parametrize("n, message", [
@@ -1408,6 +1442,30 @@ def test_selfcheck_partition_oracle_fails_on_a_summary_that_drops_its_last_block
     out = capsys.readouterr().out
     assert "FAIL partition_exactness" in out
     assert "FAIL block_identity_residual" not in out
+
+
+def test_selfcheck_monotonicity_oracle_fails_on_a_radius_that_falls_with_qv(capsys, monkeypatch):
+    radius = core_bounds.mds_empirical_radius
+    monkeypatch.setattr(core_bounds, "mds_empirical_radius",
+                        lambda qv, b, t: radius(1.0 / (1.0 + qv), b, t))
+    assert main(["selfcheck", "--cases", "40"]) == 1
+    assert "FAIL radius_monotonicity" in capsys.readouterr().out
+
+
+def test_selfcheck_zero_budget_oracle_fails_on_a_tilde_phi_radius_one_ulp_wider(
+    capsys, monkeypatch
+):
+    interval = mixing_bounds.tilde_phi_interval
+
+    def wider(*args, **kwargs):
+        res = interval(*args, **kwargs)
+        return dataclasses.replace(res, radius=math.nextafter(res.radius, math.inf))
+
+    monkeypatch.setattr(mixing_bounds, "tilde_phi_interval", wider)
+    assert main(["selfcheck", "--cases", "40"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL zero_budget_reduction" in out
+    assert "FAIL radius_monotonicity" not in out
 
 
 def test_selfcheck_has_no_inject_fault_flag(capsys):

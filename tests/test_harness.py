@@ -895,17 +895,17 @@ def test_blocked_row_vhat_equals_the_whole_chunk_row_vhat_bit_for_bit(monkeypatc
     vals = np.random.default_rng([rows, n]).random((rows, n))
     vals = (vals < 0.3).astype(float) if exact else vals * 1e3
     partition = block_partition(n, float(n) ** 0.4)
-    key = ("vhat", partition.m, partition.floor_l)
+    key = ("vhat", partition.m, partition.floor_l, exact)
     expected = row_vhat(vals, partition.m, partition.floor_l, exact).view(np.uint64)
     heights = []
     monkeypatch.setattr(harness, "row_vhat", lambda block, *args: heights.append(len(block))
                         or row_vhat(block, *args))
-    got = _row_statistic(key, vals, vals.mean(axis=1), exact).view(np.uint64)
+    got = _row_statistic(key, vals, vals.mean(axis=1)).view(np.uint64)
     assert np.array_equal(got, expected)
     # No block's block sums hold more than _CSS_VALUES values, or one row's.
     assert sum(heights) == rows and max(heights) * partition.m <= max(_CSS_VALUES, partition.m)
     for i in range(rows):
-        alone = _row_statistic(key, vals[i:i + 1], vals[i:i + 1].mean(axis=1), exact)
+        alone = _row_statistic(key, vals[i:i + 1], vals[i:i + 1].mean(axis=1))
         assert alone.view(np.uint64)[0] == expected[i], i
 
 
@@ -1099,6 +1099,25 @@ def test_block_variances_take_einsum_sums_only_for_exact_processes(monkeypatch, 
                   replications=50, l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 15)))
     assert all(row.covered is not None for row in run_coverage(cfg).rows)
     assert seen == [exact] * 2 * len(_chunk_edges(50, 200, elementwise=elementwise))
+
+
+@pytest.mark.parametrize("spec, exact", [
+    (iid_bernoulli(0.3), True),
+    (finite_markov(SLOW_3, [0.0, 0.5, 1.0]), True),
+    (bernoulli_ar1(), False),
+    (iid_uniform(-0.5, 2.0), False),
+])
+def test_block_variance_keys_end_in_the_sum_order_of_their_process_and_n(spec, exact):
+    from ebmix import harness
+
+    cfg = _config(process=spec, bounds=("tilde_phi_mixing", "mixing_agnostic"),
+                  n_grid=(200, 10_000), replications=5,
+                  l_policies=(LPolicy("exponent", 0.4), LPolicy("fixed", 15)))
+    keys = [(n, plan.stat) for n, plans in harness.validate_config(cfg) for plan in plans.values()
+            if plan.stat is not None]
+    assert len(keys) == 8 and all(key[0] == "vhat" and len(key) == 4 for _, key in keys)
+    for n, key in keys:
+        assert key[-1] is processes.sums_are_exact(spec, n) is exact, (n, key)
 
 
 def test_row_statistics_are_computed_once_per_chunk(monkeypatch):
