@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -29,18 +28,16 @@ from .errors import (
 
 OUT_DIR_ENV = "EBMIX_OUT_DIR"
 
-# Lines per block that `ebmix simulate` writes in, and bytes per block that
-# a data file is read in: enough to amortize the per-block work, few enough
-# that the text of one block is far smaller than the values it holds.
+# Lines per block that `ebmix simulate` writes in, and characters per block
+# that a data file is read in: enough to amortize the per-block work, few
+# enough that the text of one block is far smaller than the values it holds.
 _BLOCK_LINES = 4096
 _BLOCK_BYTES = 1 << 16
 
 # A block's leading blank and '#' lines, each with its line end; the bytes a
-# body read in one JSON call may hold; a '\r' that is not part of '\r\n';
-# and an integer '-0' in such a body.
-_HEAD = re.compile(rb"(?:[ \t\x0b\x0c]*(?:#[^\r\n]*)?(?:\r\n|\r|\n))*")
-_NUMERAL_BYTES = b"0123456789.eE+- \t\r\n"
-_LONE_CR = re.compile(rb"\r(?!\n)")
+# body read in one JSON call may hold; and an integer '-0' in such a body.
+_HEAD = re.compile(r"(?:[ \t\x0b\x0c]*(?:#[^\n]*)?\n)*")
+_NUMERAL_BYTES = b"0123456789.eE+- \t\n"
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 # Each `ebmix bound --method` and the bound-table row it reads.
@@ -80,19 +77,17 @@ def read_values(path: str) -> np.ndarray:
     here with the line named.  A comment may hold any UTF-8 text.
 
     A line is what text mode yields: it ends at '\\n', '\\r\\n' or '\\r'.  The
-    file is read ``_BLOCK_BYTES`` bytes at a time, each block cut after its
-    last line end and the partial line carried into the next read; it never
-    seeks, so a pipe works and only one block of bytes is held at a time."""
-    blocks, start, carry = [], 1, b""
+    file is read as UTF-8 ``_BLOCK_BYTES`` characters at a time, each block
+    cut after its last line end and the partial line carried into the next
+    read; it never seeks, so a pipe works and only one block is held at a time."""
+    blocks, start, carry = [], 1, ""
     try:
-        with open(path, "rb") as f:
+        with open(path, encoding="utf-8") as f:
             # A line longer than a block is read in doubling chunks, so
             # carrying it costs time linear in its length.
             while chunk := f.read(max(_BLOCK_BYTES, len(carry))):
                 block = carry + chunk
-                # After the last '\n'; with none, after the last '\r' that is
-                # not the last byte, so that no '\r\n' is split.
-                cut = block.rfind(b"\n") + 1 or block.rfind(b"\r", 0, -1) + 1
+                cut = block.rfind("\n") + 1
                 carry = block[cut:]
                 if cut:
                     start = _parse_block(path, block[:cut], start, blocks)
@@ -106,40 +101,31 @@ def read_values(path: str) -> np.ndarray:
     return array
 
 
-def _parse_block(path: str, block: bytes, start: int, out: list) -> int:
+def _parse_block(path: str, block: str, start: int, out: list) -> int:
     """Append the values of ``block``, whose first line is line ``start``,
     to ``out`` and return the number of the line after it.
 
     After the block's leading blank and '#' lines (such as the '# truth:'
-    line of `ebmix simulate`), which must still be UTF-8, the body is read
-    by one ``orjson.loads`` of a JSON array, each line end turned into a
-    comma.  That path is taken only when the body holds numeral bytes
-    alone and ends its lines with '\\n' or '\\r\\n' only, or with '\\r'
-    only, and then only if orjson accepts it and no value is an integer
-    '-0' (which orjson reads as the int 0, where float() gives -0.0).  A
-    JSON number is a decimal that float() reads too, and orjson rounds it
-    correctly, so the bits are float()'s; it refuses a number that
-    overflows to infinity, which the line loop then names.  A JSON array
-    holds one value between each two commas, so the body gives one value
-    per line: a blank line, a comment or two numbers on one line make it
-    invalid.  Any other block (with '.5', '1.', '+1', a leading zero, a
-    lone '\\r' among '\\n' line ends, ...) is decoded with universal
-    newlines and goes through the line loop."""
+    line of `ebmix simulate`), the body is read by one ``orjson.loads`` of
+    a JSON array, each line end turned into a comma.  That path is taken
+    only when the body holds numeral bytes alone, and then only if orjson
+    accepts it and no value is an integer '-0' (which orjson reads as the
+    int 0, where float() gives -0.0).  A JSON number is a decimal that
+    float() reads too, and orjson rounds it correctly, so the bits are
+    float()'s; it refuses a number that overflows to infinity, which the
+    line loop then names.  A JSON array holds one value between each two
+    commas, so the body gives one value per line: a blank line, a comment
+    or two numbers on one line make it invalid.  Any other block (with
+    '.5', '1.', '+1', a leading zero, ...) goes through the line loop."""
     import orjson  # only `ebmix bound --data` pays for loading it
 
     offset = _HEAD.match(block).end()
-    body = block[offset:]
+    # As bytes, so that one `bytes.translate` finds any byte that is not a numeral.
+    body = block[offset:].encode()
     if not body or body.translate(None, _NUMERAL_BYTES):
         return _parse_text(path, block, start, out)
-    end = b"\n" if b"\n" in body else b"\r"
-    # '\r' is JSON whitespace, so '\r\n' reads as one line end; but among
-    # '\n' line ends, a lone '\r' would end a line that JSON does not see.
-    if end == b"\n" and b"\r" in body and _LONE_CR.search(body):
-        return _parse_text(path, block, start, out)
-    text = body.removesuffix(end).replace(end, b",")
-    block[:offset].decode("utf-8")  # a comment may hold any UTF-8 text, and only that
     try:
-        values = orjson.loads(b"[" + text + b"]")
+        values = orjson.loads(b"[" + body.removesuffix(b"\n").replace(b"\n", b",") + b"]")
     except orjson.JSONDecodeError:
         return _parse_text(path, block, start, out)
     array = np.fromiter(values, dtype=float, count=len(values))
@@ -147,13 +133,13 @@ def _parse_block(path: str, block: bytes, start: int, out: list) -> int:
     if not array.all() and _INTEGER_MINUS_ZERO.search(body):
         return _parse_text(path, block, start, out)
     out.append(array)
-    return start + len(block[:offset].splitlines()) + len(values)
+    return start + block.count("\n", 0, offset) + len(values)
 
 
-def _parse_text(path: str, block: bytes, start: int, out: list) -> int:
-    """:func:`_parse_block` through the line loop, on the lines text mode
-    gives: ``block`` decoded as UTF-8 with universal newlines."""
-    lines = list(io.TextIOWrapper(io.BytesIO(block), encoding="utf-8"))
+def _parse_text(path: str, block: str, start: int, out: list) -> int:
+    """:func:`_parse_block` through the line loop, on lines split at '\\n'
+    alone (``str.splitlines`` would also split at '\\v', '\\f' and U+2028)."""
+    lines = block.removesuffix("\n").split("\n")
     out.append(_parse_lines(path, lines, start))
     return start + len(lines)
 
@@ -243,6 +229,7 @@ def _values_within_b(args) -> np.ndarray:
     if given:
         raise DomainError(f"method {args.method!r} takes n, mean and css from --data; "
                           f"drop {', '.join(given)}")
+    _check_nonneg(args.b, "b")
     return _values_within(args, args.b, lambda x: x[int(np.argmax(np.abs(x)))],
                           "value {value!r} exceeds --b {limit!r} in absolute value")
 
@@ -271,6 +258,7 @@ def cmd_bound(args) -> int:
         center = 0.0
         if args.data is not None:
             # --b bounds |X - mu|, which no mu meets if the spread exceeds 2 --b.
+            _check_nonneg(args.b, "b")
             values = _values_within(args, 2.0 * args.b, np.ptp, _WIDER_THAN_2B)
             if values.size != args.n:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")

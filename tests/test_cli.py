@@ -2,6 +2,7 @@
 files, frozen CSV headers, and environment-variable defaults."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -129,6 +130,23 @@ def test_bound_missing_required_flag(argv, message, capsys):
     assert captured.out == "" and captured.err == message
 
 
+@pytest.mark.parametrize("method, extra", [
+    ("freedman", ["--n", "2", "--sigma2", "0.1"]), ("mds_empirical", []), ("eb", []),
+    ("eb_ignore_linear", []),
+])
+@pytest.mark.parametrize("exists", [True, False], ids=["data", "missing-data"])
+def test_bound_refuses_a_negative_b_before_reading_the_data(
+    tmp_path, capsys, method, extra, exists
+):
+    data = tmp_path / "data.txt"
+    if exists:
+        data.write_text("0.75\n0.25\n", encoding="utf-8")
+    argv = ["bound", "--method", method, *extra, "--b", "-1", "--delta", "0.01", "--data", str(data)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: b must be nonnegative, got -1.0\n"
+
+
 @pytest.mark.parametrize("delta", ["0.01", "0.4"])
 def test_bound_human_format_prints_the_json_fields(delta, capsys):
     argv = ["bound", "--method", "eb", "--n", "400", "--mean", "0.5", "--css", "30", "--b", "1",
@@ -185,9 +203,11 @@ _REPR_FLOATS = [repr(float(v)) for v in np.random.default_rng(5).normal(size=10*
      ("# truth: {}\n".encode() + "\n".join(_REPR_FLOATS).encode() + b"\n", _REPR_FLOATS),
      ("# truth: {}\r\n".encode() + "\r\n".join(_REPR_FLOATS).encode() + b"\r\n", _REPR_FLOATS),
      ("# truth: {}\r".encode() + "\r".join(_REPR_FLOATS).encode() + b"\r", _REPR_FLOATS),
+     ("# truth: {}\n".encode() + "".join(t + end for t, end in zip(
+         _REPR_FLOATS, itertools.cycle(["\n", "\r\n", "\r"]))).encode(), _REPR_FLOATS),
      (b"10\n1E3\n1e-05\n5e-324\n", ["10", "1E3", "1e-05", "5e-324"])],
     ids=["short", "lf-behind-truth", "crlf-behind-truth", "cr-behind-truth",
-         "integer-and-exponents"],
+         "mixed-ends-behind-truth", "integer-and-exponents"],
 )
 def test_read_values_parses_a_comment_free_file_in_one_pass(tmp_path, monkeypatch, raw, tokens):
     data = tmp_path / "plain.txt"

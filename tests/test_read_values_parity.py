@@ -1,7 +1,8 @@
-"""The binary block reader of `ebmix bound --data` against the text-mode
-reader it replaced: the same values, bit for bit, or the same InputError,
-for files that mix line ends, comments, padding and refused tokens, with
-blocks small enough that lines and '\\r\\n' pairs straddle the cuts."""
+"""The block reader of `ebmix bound --data`, which parses a block in one
+JSON call, against the line-by-line reader it replaced: the same values,
+bit for bit, or the same InputError, for files that mix line ends,
+comments, padding and refused tokens, with blocks small enough that lines
+and '\\r\\n' pairs straddle the cuts."""
 
 import itertools
 import os
