@@ -48,11 +48,11 @@ _METHODS = {row.method: row for row in harness.BOUND_TABLE.values() if row.metho
 # and --format, which all read; any other flag given is refused.
 _FLAGS = {
     "freedman": (("n", "sigma2", "b"), ("data",)),
-    "mds_empirical": (("b",), ("data",)),
+    "mds_empirical": (("b", "data"), ()),
     "eb": (("b",), ("data", "n", "mean", "css")),
     "eb_ignore_linear": (("b",), ("data", "n", "mean", "css", "xi")),
-    "phi": (("data", "l", "range_width"), ("phi_sum", "xi")),
-    "tilde_phi": (("data", "l", "range_width"), ("phi_sum", "tv_norm", "xi")),
+    "phi": (("data", "l", "range_width", "phi_sum"), ("xi",)),
+    "tilde_phi": (("data", "l", "range_width", "phi_sum", "tv_norm"), ("xi",)),
     "agnostic": (("data", "l", "range_width"), ("phi_sum", "tv_norm", "t", "s", "c")),
 }
 _READ_BY_ALL = {"subcommand", "method", "delta", "alpha", "format"}
@@ -195,21 +195,11 @@ def _require(args, names, why: str = "") -> None:
         raise DomainError(f"method {args.method!r} requires --" + ", --".join(missing) + why)
 
 
-def _refuse_unread(args) -> None:
-    """Refuse any flag given that --method does not read (see ``_FLAGS``)."""
-    read = _READ_BY_ALL.union(*_FLAGS[args.method])
-    unread = [name.replace("_", "-") for name, value in vars(args).items()
-              if value is not None and name not in read]
-    if unread:
-        raise DomainError(f"method {args.method!r} does not read --" + ", --".join(unread))
-
-
-def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
-    """The data file's values, read after any flag the method does not read
-    is refused.  Data whose ``measure`` exceeds ``limit`` in absolute value
-    make the interval void, so that is an input error, not a warning;
-    ``message`` words it from the measured ``value`` and ``limit``."""
-    _refuse_unread(args)
+def _values_within(args, flag: str, multiple: float, measure, message: str) -> np.ndarray:
+    """The data file's values, read once ``flag`` is known to be nonnegative.
+    Data whose ``measure`` exceeds ``multiple`` times ``flag`` in absolute value
+    make the interval void: an input error worded by ``message``, not a warning."""
+    limit = multiple * _check_nonneg(getattr(args, flag), flag)
     values = read_values(args.data)
     value = float(measure(values))
     if abs(value) > limit * (1 + 1e-12):
@@ -219,19 +209,13 @@ def _values_within(args, limit: float, measure, message: str) -> np.ndarray:
     return values
 
 
+def _largest(values: np.ndarray) -> float:  # the value largest in absolute value
+    return values[int(np.argmax(np.abs(values)))]
+
+
+_BEYOND_B = "value {value!r} exceeds --b {limit!r} in absolute value"
 _WIDER_THAN_2B = "values span {value!r} (max - min), more than 2 * --b = {limit!r}"
 _WIDER_THAN_RANGE = "values span {value!r} (max - min), more than --range-width {limit!r}"
-
-
-def _values_within_b(args) -> np.ndarray:
-    """The data file's values within --b, for a method that reads n, mean and css from them."""
-    given = [f"--{name}" for name in ("n", "mean", "css") if getattr(args, name) is not None]
-    if given:
-        raise DomainError(f"method {args.method!r} takes n, mean and css from --data; "
-                          f"drop {', '.join(given)}")
-    _check_nonneg(args.b, "b")
-    return _values_within(args, args.b, lambda x: x[int(np.argmax(np.abs(x)))],
-                          "value {value!r} exceeds --b {limit!r} in absolute value")
 
 
 def _summary_within_b(value: float, limit: float, message: str) -> None:
@@ -242,13 +226,29 @@ def _summary_within_b(value: float, limit: float, message: str) -> None:
 
 
 def cmd_bound(args) -> int:
-    """The library interval of --method.  Its bound-table row gives the level
-    rule (``delta = 2 alpha / misses``), the regime of the budget from
-    --phi-sum and --tv-norm, and the default xi."""
+    """The library interval of --method; every check on flags alone comes
+    before the data file is read.  Its bound-table row gives the level rule
+    (``delta = 2 alpha / misses``), the --phi-sum/--tv-norm regime and the default xi."""
     method, row = args.method, _METHODS[args.method]
     if (args.delta is None) == (args.alpha is None):
         raise DomainError("exactly one of --delta and --alpha is required")
     _require(args, _FLAGS[method][0])
+    if method in ("mds_empirical", "eb", "eb_ignore_linear"):  # n, mean and css from --data
+        if args.data is None:  # eb and eb_ignore_linear take them as flags instead
+            _require(args, ["n", "mean", "css"])
+        elif given := [f"--{n}" for n in ("n", "mean", "css") if getattr(args, n) is not None]:
+            raise DomainError(f"method {method!r} takes n, mean and css from --data; "
+                              f"drop {', '.join(given)}")
+    read = _READ_BY_ALL.union(*_FLAGS[method])
+    unread = [name.replace("_", "-") for name, value in vars(args).items()
+              if value is not None and name not in read]
+    if unread:
+        raise DomainError(f"method {method!r} does not read --" + ", --".join(unread))
+    names = ["phi_sum", "tv_norm"] if row.regime == "phi_tilde" else ["phi_sum"]
+    budget = None
+    if any(getattr(args, n) is not None for n in names):  # agnostic's: both or neither
+        _require(args, names, " (its error budget needs both)")
+        budget = mixing_bounds.MixingBudget(row.regime, *(getattr(args, n) for n in names))
     delta = args.delta if args.delta is not None else 2.0 * args.alpha / row.misses
 
     def xi(n):
@@ -258,8 +258,7 @@ def cmd_bound(args) -> int:
         center = 0.0
         if args.data is not None:
             # --b bounds |X - mu|, which no mu meets if the spread exceeds 2 --b.
-            _check_nonneg(args.b, "b")
-            values = _values_within(args, 2.0 * args.b, np.ptp, _WIDER_THAN_2B)
+            values = _values_within(args, "b", 2.0, np.ptp, _WIDER_THAN_2B)
             if values.size != args.n:
                 raise InputError(f"{args.data}: holds {values.size} values but --n is {args.n}")
             center = float(np.mean(values))
@@ -269,14 +268,13 @@ def cmd_bound(args) -> int:
         _summary_within_b(args.sigma2, b2, f"--sigma2 {args.sigma2!r} exceeds --b^2 = {b2!r} "
                           "(--b bounds |X - mu|)")
     elif method == "mds_empirical":  # data are treated as zero-mean increments
-        if args.data is None:
-            raise DomainError("method 'mds_empirical' requires --data (raw increments)")
-        res = core_bounds.mds_empirical_interval(_values_within_b(args), args.b, delta)
+        values = _values_within(args, "b", 1.0, _largest, _BEYOND_B)
+        res = core_bounds.mds_empirical_interval(values, args.b, delta)
     elif method in ("eb", "eb_ignore_linear"):
         if args.data is not None:
-            summary = core_bounds.summarize(_values_within_b(args), b=args.b)
+            values = _values_within(args, "b", 1.0, _largest, _BEYOND_B)
+            summary = core_bounds.summarize(values, b=args.b)
         else:
-            _require(args, ["n", "mean", "css"])
             summary = core_bounds.SampleSummary(n=args.n, mean=args.mean, css=args.css, b=args.b)
             mean, b, css = summary.mean, summary.b, summary.css
             _summary_within_b(abs(mean), b, f"--mean {mean!r} exceeds --b {b!r} in absolute value")
@@ -289,17 +287,10 @@ def cmd_bound(args) -> int:
         else:
             res = core_bounds.ignore_linear_interval(summary, delta, xi(summary.n))
     else:  # block-based methods need raw data and a block length
-        _check_nonneg(args.range_width, "range_width")  # before the agnostic knobs use it
-        values = _values_within(args, args.range_width, np.ptp, _WIDER_THAN_RANGE)
+        values = _values_within(args, "range_width", 1.0, np.ptp, _WIDER_THAN_RANGE)
         summary = block_summary(values, block_partition(values.size, args.l))
-        names = ["phi_sum", "tv_norm"] if row.regime == "phi_tilde" else ["phi_sum"]
-        budget = None
-        if row.needs_budget is not None or any(getattr(args, n) is not None for n in names):
-            _require(args, names, "" if row.needs_budget else " (its error budget needs both)")
-            budget = mixing_bounds.MixingBudget(row.regime, *(getattr(args, n) for n in names))
         if method in ("phi", "tilde_phi"):
-            interval = (mixing_bounds.phi_interval if method == "phi"
-                        else mixing_bounds.tilde_phi_interval)
+            interval = getattr(mixing_bounds, f"{method}_interval")
             res = interval(summary, args.range_width, budget, delta, xi(values.size))
         else:  # agnostic
             policy = harness.KnobPolicy()
@@ -310,8 +301,6 @@ def cmd_bound(args) -> int:
             knobs = dataclasses.replace(knobs, **{k: v for k, v in given.items() if v is not None})
             errors = mixing_bounds.agnostic_errors(summary.partition, knobs, budget)
             res = mixing_bounds.agnostic_interval(summary, args.range_width, knobs, delta, errors)
-    if args.data is None:  # with --data, _values_within refused them before reading
-        _refuse_unread(args)
     _print_interval(res, args.format)
     return 0
 
@@ -333,6 +322,8 @@ def cmd_simulate(args) -> int:
     else:
         params = _json_object(args.params, "--params") if args.params else {}
         spec = processes.ProcessSpec(kind=args.kind, params=params)
+    if args.out:  # refused before the path is drawn
+        reporting.check_writable(args.out, args.force)
     values, truth = processes.simulate(spec, args.n, args.seed)
     # One line per value, rendered a block at a time so that the text of
     # the whole path is never held at once.
@@ -386,8 +377,10 @@ def _output_paths(args, stem: str) -> tuple[Path, Path]:
 def _run_experiment(args) -> int:
     _, runner, renderer = _EXPERIMENTS[args.subcommand]
     config = _load_config(args)
-    report = getattr(harness, runner)(config, n_jobs=args.jobs)
     csv_path, json_path = _output_paths(args, args.subcommand)
+    for path in (csv_path, json_path):  # refused before the run, so none is half written
+        reporting.check_writable(path, args.force)
+    report = getattr(harness, runner)(config, n_jobs=args.jobs)
     reporting.atomic_write_text(csv_path, getattr(reporting, renderer)(report), force=args.force)
     reporting.atomic_write_text(json_path, reporting.report_json(report), force=args.force)
     for line in reporting.summary_lines(report):

@@ -96,17 +96,23 @@ def atomic_write_text(path, text: str, force: bool = False) -> None:
     atomic_write(path, (text,), force=force)
 
 
-def atomic_write(path, pieces, force: bool = False) -> None:
-    """Write the text ``pieces`` in turn via a temp file + rename; refuse to
-    overwrite unless force.  A directory, or a write that fails, raises
-    InputError ("cannot write <path>: <reason>", naming a parent that is not
-    a directory).  The temp file is removed whatever ends the write early:
-    a failed write, an exception from ``pieces``, or an interrupt."""
+def check_writable(path, force: bool = False) -> Path:
+    """``path``, unless it is a directory (InputError) or an existing file without force."""
     path = Path(path)
     if path.is_dir():
         raise InputError(f"cannot write {path}: it is a directory")
     if path.exists() and not force:
         raise OutputExistsError(f"refusing to overwrite existing output {path} (use --force)")
+    return path
+
+
+def atomic_write(path, pieces, force: bool = False) -> None:
+    """Write the text ``pieces`` in turn via a temp file + rename, after
+    ``check_writable``.  A write that fails raises InputError ("cannot write
+    <path>: <reason>", naming a parent that is not a directory).  The temp
+    file is removed whatever ends the write early: a failed write, an
+    exception from ``pieces``, or an interrupt."""
+    path = check_writable(path, force)
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

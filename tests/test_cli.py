@@ -122,7 +122,7 @@ def test_bound_mixing_method(tmp_path, capsys):
     (["--method", "eb", "--alpha", "0.05", "--n", "100", "--mean", "0.5", "--css", "1.0"],
      "error: method 'eb' requires --b\n"),
     (["--method", "mds_empirical", "--b", "1", "--delta", "0.01", "--n", "100"],
-     "error: method 'mds_empirical' requires --data (raw increments)\n"),
+     "error: method 'mds_empirical' requires --data\n"),
 ], ids=["eb-without-b", "mds_empirical-without-data"])
 def test_bound_missing_required_flag(argv, message, capsys):
     assert main(["bound", *argv]) == 2
@@ -816,6 +816,39 @@ def test_bound_refuses_unread_flags_before_reading_the_file(tmp_path, capsys):
     assert capsys.readouterr().err == "error: method 'eb' does not read --sigma2, --l, --t\n"
 
 
+@pytest.mark.parametrize("case, flag, token, message", [
+    ("phi", "--phi-sum", None, "method 'phi' requires --phi-sum"),
+    ("tilde_phi", "--tv-norm", None, "method 'tilde_phi' requires --tv-norm"),
+    ("agnostic", "--tv-norm", None,
+     "method 'agnostic' requires --tv-norm (its error budget needs both)"),
+    ("phi", "--phi-sum", "-1", "phi_sum must be nonnegative, got -1.0"),
+    ("tilde_phi", "--tv-norm", "-1", "tv_norm must be nonnegative, got -1.0"),
+    ("agnostic", "--range-width", "-1", "range_width must be nonnegative, got -1.0"),
+    ("eb", "--b", "-1", "b must be nonnegative, got -1.0"),
+    ("eb", "--n", "7", "method 'eb' takes n, mean and css from --data; drop --n"),
+    ("mds_empirical", "--l", "3", "method 'mds_empirical' does not read --l"),
+    ("freedman", "--xi", "0.5", "method 'freedman' does not read --xi"),
+], ids=["phi-without-phi-sum", "tilde_phi-without-tv-norm", "agnostic-phi-sum-alone",
+        "negative-phi-sum", "negative-tv-norm", "negative-range-width", "negative-b",
+        "n-beside-data", "mds_empirical-unread", "freedman-unread"])
+def test_bound_refuses_flag_faults_before_reading_the_file(
+    case, flag, token, message, uniform_data, monkeypatch, capsys
+):
+    # The first five were once refused only after the file was read and block-summed.
+    def read_values(path):
+        raise AssertionError(f"{path} was read before the flags were checked")
+
+    monkeypatch.setattr(cli, "read_values", read_values)
+    argv = _bound_argv(case, uniform_data)
+    if case == "freedman":  # its data are optional
+        argv += ["--data", str(uniform_data)]
+    at = argv.index(flag) if flag in argv else len(argv)
+    argv[at:at + 2] = [] if token is None else [f"{flag}={token}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_flag_table_names_the_bound_flags_and_every_bound_flag_is_read():
     # Every flag the `bound` parser defines, by its attribute name, and `subcommand`.
     defined = set(vars(cli.build_parser().parse_args(["bound", "--method", "eb"])))
@@ -824,6 +857,13 @@ def test_flag_table_names_the_bound_flags_and_every_bound_flag_is_read():
     for method, (required, others) in cli._FLAGS.items():
         assert not set(required) & set(others), method
         read.update(required, others)
+        # The CLI requires a method's budget flags exactly when the harness
+        # requires its budget: "this bound needs a budget" is one fact.
+        row = cli._METHODS[method]
+        budget = {"phi": {"phi_sum"}, "phi_tilde": {"phi_sum", "tv_norm"}}.get(row.regime, set())
+        wanted = budget if row.needs_budget is not None else set()
+        assert set(required) & {"phi_sum", "tv_norm"} == wanted, method
+        assert budget <= set(required) | set(others), method
     assert read <= defined - cli._READ_BY_ALL
     assert defined == read | cli._READ_BY_ALL
 
@@ -959,6 +999,38 @@ def test_coverage_outputs_and_force_discipline(tmp_path, capsys):
     payload = json.loads(json_path.read_text())
     assert payload["schema"] == "ebmix-report-v1"
     assert payload["rows"][0]["bound"] == "empirical_bernstein"
+
+
+def test_coverage_refuses_an_existing_output_before_the_run(tmp_path, capsys, monkeypatch):
+    # With only the JSON present, the run once went ahead, wrote a new CSV
+    # beside the old JSON, and only then refused the JSON.
+    cfg = _write_config(tmp_path / "cfg.json")
+    (tmp_path / "coverage.json").write_text("old\n", encoding="utf-8")
+
+    def run_coverage(*args, **kwargs):
+        raise AssertionError("the experiment ran before its outputs were checked")
+
+    monkeypatch.setattr(harness, "run_coverage", run_coverage)
+    assert main(["coverage", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "refusing to overwrite" in captured.err
+    assert not (tmp_path / "coverage.csv").exists()
+    assert (tmp_path / "coverage.json").read_text(encoding="utf-8") == "old\n"
+
+
+def test_simulate_refuses_an_existing_out_before_drawing_the_path(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "path.txt"
+    out.write_text("old\n", encoding="utf-8")
+
+    def simulate(*args, **kwargs):
+        raise AssertionError("the path was drawn before --out was checked")
+
+    monkeypatch.setattr(cli.processes, "simulate", simulate)
+    argv = ["simulate", "--kind", "bernoulli_ar1", "--n", "10", "--seed", "0", "--out", str(out)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "refusing to overwrite" in captured.err
+    assert out.read_text(encoding="utf-8") == "old\n"
 
 
 def test_coverage_csv_onto_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):

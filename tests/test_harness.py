@@ -38,7 +38,7 @@ from ebmix.blocking import block_partition, row_vhat
 from ebmix.core_bounds import burn_in_power_law
 from ebmix.harness import (
     BOUND_TABLE, BOUNDS, _CHUNK_VALUES, _ELEMENTWISE_CHUNK_VALUES, _chunk_edges,
-    _median, _row_statistic, resolve_bound,
+    _median, _row_statistic, resolve_bound, validate_config,
 )
 from ebmix.processes import _BLOCK as _CSS_VALUES
 from ebmix import processes, reporting
@@ -1307,6 +1307,42 @@ def test_reflected_chain_keeps_every_radius_bit_for_bit():
         assert a.covered is not None, a.bound
         assert a.mean_radius == b.mean_radius and a.median_radius == b.median_radius, a.bound
         assert (a.level, a.flags, a.covered) == (b.level, b.flags, b.covered), a.bound
+
+
+@pytest.mark.parametrize("process", [iid_uniform(-0.5, 1.0), hetero_mds([0.5, 1.0, 0.25])],
+                         ids=["iid", "mds"])
+def test_reflected_iid_and_mds_data_keep_every_cell_bit_for_bit(process, monkeypatch):
+    # Negated paths with the reflected truth (mu -> -mu, [lo, hi] -> [-hi, -lo])
+    # negate every mean and block sum bit for bit and keep each bound's scale
+    # inputs, so no cell may move.  Every bound the process admits is run;
+    # maurer_pontil_baseline needs a [0, 1] range, which reflection does not
+    # keep, and admits neither process.
+    def admits(bound):
+        try:
+            validate_config(_config(process=process, bounds=(bound,)))
+        except ConfigError:
+            return False
+        return True
+
+    cfg = _config(process=process, bounds=tuple(filter(admits, BOUNDS)), n_grid=(300, 2000),
+                  replications=64, master_seed=3)
+    assert len(cfg.bounds) >= 6 and "maurer_pontil_baseline" not in cfg.bounds
+    base = run_coverage(cfg).rows
+    simulate_paths, ground_truth = processes.simulate_paths, processes.ground_truth
+
+    def reflected_truth(spec):
+        truth = ground_truth(spec)
+        lo, hi = truth.b_range
+        return dataclasses.replace(truth, mu=-truth.mu, b_range=(-hi, -lo))
+
+    monkeypatch.setattr(processes, "simulate_paths", lambda *args: -simulate_paths(*args))
+    monkeypatch.setattr(processes, "ground_truth", reflected_truth)
+    mirrored = run_coverage(cfg).rows
+    fields = ("mean_radius", "median_radius", "mean_vhat", "level", "flags", "covered",
+              "sharpness_ratio")
+    for a, b in zip(base, mirrored, strict=True):
+        assert a.covered is not None, (a.bound, a.n)
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields], (a.bound, a.n)
 
 
 def test_chain_set_up_runs_once_per_run_not_per_plan_or_chunk(monkeypatch):
